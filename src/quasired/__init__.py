@@ -28,7 +28,6 @@ from .rootsys import (
     Root,
     RootSystem,
     SimpleType,
-    ad_matrix,
     bracket,
     build_root_system,
     h_vector,

@@ -8,7 +8,6 @@ identical arguments and seed produce byte-identical output. Exit codes:
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import io
 import json
@@ -237,35 +236,18 @@ def _subset_cell(s) -> str:
     return " ".join(str(i) for i in sorted(s)) if s else "(empty)"
 
 
-def _classify_worker(args) -> dict:
-    fam, rank, subset = args
-    return classify_parabolic(SimpleType(fam, rank), frozenset(subset)).to_dict()
-
-
-def _non_qr_rows(fam: str, rank: int, workers: int = 1) -> list[list]:
-    t = SimpleType(fam, rank)
-    if workers > 1:
-        from .classify import _subsets_sorted
-
-        tasks = [(fam, rank, tuple(sorted(s))) for s in _subsets_sorted(rank)]
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-            dicts = list(ex.map(_classify_worker, tasks))
-        verdicts = [d for d in dicts if not d["qr"]]
-        return [
-            [_subset_cell(d["subset"]), d["index"], d.get("torus_dim", "")]
-            for d in verdicts
-        ]
+def _non_qr_rows(fam: str, rank: int) -> list[list]:
     return [
         [
             _subset_cell(v.subset),
             v.index,
             v.torus_dim if v.torus_dim is not None else "",
         ]
-        for v in non_qr_subsets(t)
+        for v in non_qr_subsets(SimpleType(fam, rank))
     ]
 
 
-def generate_tables(selection: list[tuple[str, int]] | None, workers: int = 1) -> dict[str, str]:
+def generate_tables(selection: list[tuple[str, int]] | None) -> dict[str, str]:
     """Build the regenerated reference tables as {filename: content}."""
     out: dict[str, str] = {}
     if selection is None:
@@ -299,7 +281,7 @@ def generate_tables(selection: list[tuple[str, int]] | None, workers: int = 1) -
         targets = selection
     header = ["subset", "index", "torus_dim"]
     for fam, rank in targets:
-        rows = _non_qr_rows(fam, rank, workers)
+        rows = _non_qr_rows(fam, rank)
         name = f"non_qr_{fam.lower()}{rank}"
         out[f"{name}.csv"] = _csv_text(header, rows)
         out[f"{name}.md"] = _md_text(header, rows)
@@ -316,10 +298,8 @@ def _golden_dir_files() -> dict[str, str]:
     return files
 
 
-def cmd_tables(
-    selection: list[tuple[str, int]] | None, outdir: str, workers: int
-) -> tuple[int, str]:
-    tables = generate_tables(selection, workers)
+def cmd_tables(selection: list[tuple[str, int]] | None, outdir: str) -> tuple[int, str]:
+    tables = generate_tables(selection)
     golden = _golden_dir_files()
     outpath = Path(outdir)
     outpath.mkdir(parents=True, exist_ok=True)
@@ -385,7 +365,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="output directory (default $QUASIRED_TABLES_DIR or ./quasired_tables)",
     )
-    sp.add_argument("--workers", type=int, default=1, help="parallel classification")
     return p
 
 
@@ -402,7 +381,7 @@ def run(argv=None) -> tuple[int, str]:
             outdir = args.out or os.environ.get(
                 "QUASIRED_TABLES_DIR", "quasired_tables"
             )
-            return cmd_tables(selection, outdir, args.workers)
+            return cmd_tables(selection, outdir)
         stype = SimpleType(args.family, args.rank)
         if args.command == "cascade":
             pi = _parse_subset(args.pi, stype.rank, default_full=True)

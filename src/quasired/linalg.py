@@ -1,36 +1,72 @@
-"""Exact rational linear algebra: echelon forms, kernels, minimal polynomials.
+"""Exact linear algebra: one fraction-free integer elimination core,
+kernels, sparse operators and minimal polynomials.
 
-Matrices are plain lists of rows; entries are ints or Fractions. Everything
-here is deterministic and exact.
+Matrices are plain lists of rows with int or Fraction entries. Each row is
+scaled to a primitive integer row and eliminated by fraction-free integer
+cross multiplication, dividing out each new row's content, so no Fraction is
+built inside the loop. Only ``rref`` and ``nullspace`` return rationals, and
+only for their output rows. Everything here is deterministic and exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Row = list[Fraction]
 
-# sparse column format: col j -> list of (row i, value)
-SparseCols = dict[int, list[tuple[int, Fraction]]]
+# sparse column format: col j -> list of (row i, value); values int or Fraction
+SparseCols = dict[int, list[tuple[int, int | Fraction]]]
 
 
 def _primitive_int_row(row) -> list[int]:
     """Clear denominators and divide out the content of a rational row."""
-    den = 1
-    for x in row:
-        if x:
-            d = x.denominator if isinstance(x, Fraction) else 1
-            den = den * d // gcd(den, d)
-    ints = [int(x * den) if isinstance(x, Fraction) else int(x) * den for x in row]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-        if g == 1:
-            return ints
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+    den = lcm(*{x.denominator for x in row})
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [v // g for v in ints] if g > 1 else ints
+
+
+def _eliminate(rows, reduce: bool) -> tuple[list[list[int]], list[int]]:
+    """Fraction-free echelon form of the rows, as primitive integer rows.
+
+    Returns (nonzero echelon rows, pivot columns). With ``reduce`` each pivot
+    column is also cleared above its pivot, which gives the reduced echelon
+    form up to one integer scale per row; without it only the rows below are
+    eliminated, which is all ``rank`` needs.
+    """
+    work = [r for r in map(_primitive_int_row, rows) if any(r)]
+    pivots: list[int] = []
+    top = 0
+    for col in range(len(work[0]) if work else 0):
+        sel = None
+        for i in range(top, len(work)):
+            if work[i][col]:
+                sel = i
+                break
+        if sel is None:
+            continue
+        work[top], work[sel] = work[sel], work[top]
+        prow = work[top]
+        piv = prow[col]
+        for i in range(0 if reduce else top + 1, len(work)):
+            f = work[i][col]
+            if not f or i == top:
+                continue
+            # integer cross elimination, then re-reduce the content
+            new = [piv * a - f * b for a, b in zip(work[i], prow)]
+            g = gcd(*new)
+            work[i] = [v // g for v in new] if g > 1 else new
+        pivots.append(col)
+        top += 1
+        if top == len(work):
+            break
+    return work[:top], pivots
+
+
+def rank(rows) -> int:
+    """Rank over the rationals."""
+    return len(_eliminate(rows, False)[1])
 
 
 def rref(rows) -> tuple[list[Row], list[int]]:
@@ -40,98 +76,25 @@ def rref(rows) -> tuple[list[Row], list[int]]:
     canonical representative of the row space, so two bases of the same
     subspace reduce to identical output.
     """
-    work = [_primitive_int_row(list(r)) for r in rows]
-    work = [r for r in work if any(r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    pivots: list[int] = []
-    top = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(top, len(work)):
-            if work[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[top], work[sel] = work[sel], work[top]
-        piv = work[top][col]
-        for i in range(len(work)):
-            if i == top or not work[i][col]:
-                continue
-            f = work[i][col]
-            # integer cross elimination, then re-reduce the content
-            work[i] = [piv * a - f * b for a, b in zip(work[i], work[top])]
-            gi = 0
-            for v in work[i]:
-                gi = gcd(gi, v)
-                if gi == 1:
-                    break
-            if gi > 1:
-                work[i] = [v // gi for v in work[i]]
-        pivots.append(col)
-        top += 1
-        if top == len(work):
-            break
-    out = []
-    for r, col in zip(work, pivots):
-        piv = Fraction(r[col])
-        out.append([Fraction(v) / piv for v in r])
-    return out, pivots
-
-
-def rank(rows) -> int:
-    """Rank over the rationals (fraction-free elimination)."""
-    work = [_primitive_int_row(list(r)) for r in rows]
-    work = [r for r in work if any(r)]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    top = 0
-    for col in range(ncols):
-        sel = None
-        for i in range(top, len(work)):
-            if work[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        work[top], work[sel] = work[sel], work[top]
-        piv = work[top][col]
-        for i in range(top + 1, len(work)):
-            f = work[i][col]
-            if not f:
-                continue
-            work[i] = [piv * a - f * b for a, b in zip(work[i], work[top])]
-            gi = 0
-            for v in work[i]:
-                gi = gcd(gi, v)
-                if gi == 1:
-                    break
-            if gi > 1:
-                work[i] = [v // gi for v in work[i]]
-        top += 1
-        if top == len(work):
-            break
-    return top
+    red, pivots = _eliminate(rows, True)
+    return [[Fraction(v, r[p]) for v in r] for r, p in zip(red, pivots)], pivots
 
 
 def nullspace(rows, ncols: int) -> list[Row]:
-    """Canonical basis of the right kernel of the matrix."""
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+    """Canonical (rref) basis of the right kernel of the matrix."""
+    red, pivots = _eliminate(rows, True)
+    den = lcm(*(r[p] for r, p in zip(red, pivots)))
+    pivset = set(pivots)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        v = [0] * ncols
+        v[f] = den
         for r, p in zip(red, pivots):
-            v[p] = -r[f]
+            v[p] = -r[f] * (den // r[p])
         basis.append(v)
-    if not basis:
-        return []
-    out, _ = rref(basis)
-    return out
+    return rref(basis)[0]
 
 
 def in_rowspace(red_rows, pivots, vec) -> bool:
@@ -160,18 +123,18 @@ def sparse_matvec(cols: SparseCols, v: list) -> list:
 def sparse_square(cols: SparseCols, dim: int) -> SparseCols:
     out: SparseCols = {}
     for j, col in cols.items():
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, int | Fraction] = {}
         for k, a in col:
             for i, b in cols.get(k, ()):
-                acc[i] = acc.get(i, Fraction(0)) + b * a
+                acc[i] = acc.get(i, 0) + b * a
         ent = [(i, c) for i, c in sorted(acc.items()) if c]
         if ent:
             out[j] = ent
     return out
 
 
-def sparse_to_rows(cols: SparseCols, dim: int) -> list[list[Fraction]]:
-    rows = [[Fraction(0)] * dim for _ in range(dim)]
+def sparse_to_rows(cols: SparseCols, dim: int) -> list[list[int | Fraction]]:
+    rows = [[0] * dim for _ in range(dim)]
     for j, col in cols.items():
         for i, a in col:
             rows[i][j] = a

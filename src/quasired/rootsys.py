@@ -1,5 +1,8 @@
 """Simple root systems and their Chevalley bases over exact rationals.
 
+Structure constants, pairings, coroot coefficients and Killing values on the
+Chevalley basis are all integers and are stored as plain ints.
+
 A root is an integer coefficient tuple over the simple roots alpha_1..alpha_l.
 Simple roots are numbered as in Bourbaki; for G2 the convention here takes
 alpha_1 long and alpha_2 short, so the highest root is 2*alpha_1 + 3*alpha_2.
@@ -105,8 +108,8 @@ class RootSystem:
         self.pos_index = {r: i for i, r in enumerate(self.positive_roots)}
         self._pos_set = frozenset(self.positive_roots)
         self._npp: dict[tuple[Root, Root], int] | None = None
-        self._bracket_cache: dict[tuple[int, int], tuple[tuple[int, Fraction], ...]] = {}
-        self._killing_cache: dict[tuple[int, int], Fraction] = {}
+        self._bracket_cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
+        self._killing_cache: dict[tuple[int, int], int] = {}
         self._coroot_cache: dict[Root, tuple[int, ...]] = {}
         self._subsys_cache: dict[frozenset[int], tuple[Root, ...]] = {}
         self._cascade_cache: dict = {}
@@ -368,48 +371,46 @@ class RootSystem:
         r = self.index_root(idx)
         return r if r is not None else (0,) * self.rank
 
-    def bracket_basis(self, i: int, j: int) -> tuple[tuple[int, Fraction], ...]:
-        """Sparse bracket of two basis vectors."""
+    def bracket_basis(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
+        """Sparse bracket of two basis vectors, with integer coefficients."""
         got = self._bracket_cache.get((i, j))
         if got is not None:
             return got
         ri, rj = self.index_root(i), self.index_root(j)
-        out: tuple[tuple[int, Fraction], ...]
+        out: tuple[tuple[int, int], ...]
         if ri is None and rj is None:
             out = ()
         elif ri is None:
             s = i - self.n_pos + 1
             c = self.pairing(rj, self.simple_root(s))
-            out = ((j, Fraction(c)),) if c else ()
+            out = ((j, c),) if c else ()
         elif rj is None:
             s = j - self.n_pos + 1
             c = self.pairing(ri, self.simple_root(s))
-            out = ((i, Fraction(-c)),) if c else ()
+            out = ((i, -c),) if c else ()
         else:
             s = tuple(x + y for x, y in zip(ri, rj))
             if not any(s):
                 co = self.coroot_coeffs(ri)
-                out = tuple(
-                    (self.idx_h(k + 1), Fraction(c)) for k, c in enumerate(co) if c
-                )
+                out = tuple((self.idx_h(k + 1), c) for k, c in enumerate(co) if c)
             elif self.is_root(s):
-                out = ((self.idx_x(s), Fraction(self.struct_const(ri, rj))),)
+                out = ((self.idx_x(s), self.struct_const(ri, rj)),)
             else:
                 out = ()
         self._bracket_cache[(i, j)] = out
         return out
 
-    def killing_basis(self, i: int, j: int) -> Fraction:
+    def killing_basis(self, i: int, j: int) -> int:
         """kappa(e_i, e_j), nonzero only on opposite root pairs and on h x h."""
         ri, rj = self.index_root(i), self.index_root(j)
         if (ri is None) != (rj is None):
-            return Fraction(0)
+            return 0
         if ri is not None and any(x + y for x, y in zip(ri, rj)):
-            return Fraction(0)
+            return 0
         key = (i, j) if i <= j else (j, i)
         got = self._killing_cache.get(key)
         if got is None:
-            tot = Fraction(0)
+            tot = 0
             for k in range(self.dim):
                 for m, c1 in self.bracket_basis(key[1], k):
                     for q, c2 in self.bracket_basis(key[0], m):
@@ -567,36 +568,27 @@ def bracket(r: RootSystem, x: AlgebraElement, y: AlgebraElement) -> AlgebraEleme
     return AlgebraElement(r, acc)
 
 
+def killing_functional(r: RootSystem, u: AlgebraElement) -> list:
+    """Dense vector w with w[k] = kappa(u, e_k); untouched entries are int 0."""
+    w: list = [0] * r.dim
+    h_lo, h_hi = r.n_pos, r.n_pos + r.rank
+    for i, ci in u.coords.items():
+        root = r.index_root(i)
+        if root is None:
+            for j in range(h_lo, h_hi):
+                w[j] += ci * r.killing_basis(i, j)
+        else:
+            j = r.idx_x(r.negative(root))
+            w[j] += ci * r.killing_basis(i, j)
+    return w
+
+
 def killing(r: RootSystem, x: AlgebraElement, y: AlgebraElement) -> Fraction:
     """Killing form kappa(x, y) = tr(ad x ad y), exactly."""
     if x.system is not r or y.system is not r:
         raise ValueError("elements do not belong to the given root system")
-    tot = Fraction(0)
-    h_lo, h_hi = r.n_pos, r.n_pos + r.rank
-    for i, ci in x.coords.items():
-        root = r.index_root(i)
-        if root is None:
-            for j in range(h_lo, h_hi):
-                cj = y.coords.get(j)
-                if cj:
-                    tot += ci * cj * r.killing_basis(i, j)
-        else:
-            j = r.idx_x(r.negative(root))
-            cj = y.coords.get(j)
-            if cj:
-                tot += ci * cj * r.killing_basis(i, j)
-    return tot
-
-
-def ad_matrix(r: RootSystem, x: AlgebraElement) -> list[list[Fraction]]:
-    """Dense matrix of ad x in the Chevalley basis."""
-    n = r.dim
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for j in range(n):
-        for i, ci in x.coords.items():
-            for k, c in r.bracket_basis(i, j):
-                M[k][j] += ci * c
-    return M
+    w = killing_functional(r, x)
+    return sum((c * w[k] for k, c in y.coords.items()), Fraction(0))
 
 
 def ad_columns(r: RootSystem, x: AlgebraElement) -> SparseCols:
@@ -606,7 +598,7 @@ def ad_columns(r: RootSystem, x: AlgebraElement) -> SparseCols:
         acc: dict[int, Fraction] = {}
         for i, ci in x.coords.items():
             for k, c in r.bracket_basis(i, j):
-                acc[k] = acc.get(k, Fraction(0)) + ci * c
+                acc[k] = acc.get(k, 0) + ci * c
         ent = [(k, v) for k, v in sorted(acc.items()) if v]
         if ent:
             cols[j] = ent

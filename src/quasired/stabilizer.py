@@ -1,11 +1,12 @@
 """Stabilizers of linear forms and machine-checkable torus certificates.
 
 The stabilizer of the form kappa(u, .) restricted to a subalgebra P is the
-kernel of the matrix kappa(u, [P_i, P_j]); everything is computed over exact
-rationals. A torus certificate packages a coefficient draw whose stabilizer
-has the right dimension, is abelian, carries a nondegenerate Killing
-restriction and consists of semisimple elements; such a stabilizer witnesses
-quasi-reductivity, while exhausted draws prove nothing by themselves.
+kernel of the matrix kappa(u, [P_i, P_j]); everything is computed exactly,
+and the form matrix is kept integral. A torus certificate packages a
+coefficient draw whose stabilizer has the right dimension, is abelian,
+carries a nondegenerate Killing restriction and consists of semisimple
+elements; such a stabilizer witnesses quasi-reductivity, while exhausted
+draws prove nothing by themselves.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .rootsys import (
     bracket,
     build_root_system,
     killing,
+    killing_functional,
 )
 from .seaweed import (
     BiparabolicSpec,
@@ -63,54 +65,40 @@ def subspace_from_vectors(r: RootSystem, vectors) -> Subspace:
     return Subspace(r, tuple(tuple(row) for row in rows))
 
 
-def _killing_functional(r: RootSystem, u: AlgebraElement) -> list[Fraction]:
-    """Dense vector w with w[k] = kappa(u, e_k)."""
-    w = [Fraction(0)] * r.dim
-    h_lo, h_hi = r.n_pos, r.n_pos + r.rank
-    for i, ci in u.coords.items():
-        root = r.index_root(i)
-        if root is None:
-            for j in range(h_lo, h_hi):
-                w[j] += ci * r.killing_basis(i, j)
-        else:
-            j = r.idx_x(r.negative(root))
-            w[j] += ci * r.killing_basis(i, j)
-    return w
-
-
 def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
     """Stabilizer of the restricted form: all x in span(P) with
-    kappa(u, [x, p]) = 0 for every p in P."""
+    kappa(u, [x, p]) = 0 for every p in P.
+
+    span(P) must be spanned by Chevalley basis vectors, as every biparabolic
+    is; the form matrix kappa(u, [e_a, e_b]) is then built over those basis
+    indices straight from the integer structure constants. kappa(u, .) is
+    scaled to a primitive integer functional, which leaves the kernel alone.
+    """
     r = P.spec.system()
     if u.system is not r:
         raise ValueError("form element lives over a different root system")
-    w = _killing_functional(r, u)
-    n = P.dim
-    M = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        xi = P.elements[i]
-        for j in range(i + 1, n):
-            z = bracket(r, xi, P.elements[j])
-            val = Fraction(0)
-            for k, c in z.coords.items():
-                if w[k]:
-                    val += c * w[k]
+    idx = sorted({k for p in P.elements for k in p.coords})
+    if len(idx) != P.dim:
+        raise ValueError("span(P) must be spanned by Chevalley basis vectors")
+    w = linalg._primitive_int_row(killing_functional(r, u))
+    n = len(idx)
+    M = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            val = 0
+            for k, c in r.bracket_basis(idx[a], idx[b]):
+                val += c * w[k]
             if val:
-                M[i][j] = val
-                M[j][i] = -val
-    kernel = linalg.nullspace(M, n)
+                M[a][b] = val
+                M[b][a] = -val
     vecs = []
-    for c in kernel:
-        acc: dict[int, Fraction] = {}
-        for cj, pj in zip(c, P.elements):
-            if cj:
-                for k, v in pj.coords.items():
-                    acc[k] = acc.get(k, Fraction(0)) + cj * v
+    for c in linalg.nullspace(M, n):
         dense = [Fraction(0)] * r.dim
-        for k, v in acc.items():
+        for k, v in zip(idx, c):
             dense[k] = v
-        vecs.append(dense)
-    return subspace_from_vectors(r, vecs)
+        vecs.append(tuple(dense))
+    # rref rows placed on increasing indices are still in rref
+    return Subspace(r, tuple(vecs))
 
 
 def killing_radical_on(S: Subspace) -> Subspace:
@@ -279,9 +267,17 @@ def certificate_to_text(cert: TorusCertificate) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_fraction(txt: str) -> Fraction:
+    num, _, den = txt.partition("/")
+    if int(den) == 0:
+        raise ValueError(f"zero denominator in {txt!r}")
+    return Fraction(int(num), int(den))
+
+
 def certificate_from_text(text: str) -> TorusCertificate:
+    """Parse the canonical text form; malformed text raises ValueError."""
     lines = [l for l in text.splitlines() if l.strip()]
-    if lines[0].strip() != "quasired certificate v1":
+    if not lines or lines[0].strip() != "quasired certificate v1":
         raise ValueError("unrecognized certificate header")
     fields = {}
     rows = []
@@ -292,6 +288,9 @@ def certificate_from_text(text: str) -> TorusCertificate:
             rows.append(val.strip())
         else:
             fields[key] = val.strip()
+    missing = {"type", "pi1", "pi2"} - fields.keys()
+    if missing:
+        raise ValueError(f"missing certificate fields {sorted(missing)}")
     m = re.fullmatch(r"([A-G])(\d+)", fields["type"])
     if not m:
         raise ValueError(f"bad type field {fields['type']!r}")
@@ -310,8 +309,7 @@ def certificate_from_text(text: str) -> TorusCertificate:
                 continue
             key, _, val = part.partition("=")
             sup = frozenset(int(p) for p in key.split("+"))
-            num, _, den = val.partition("/")
-            out[sup] = Fraction(int(num), int(den))
+            out[sup] = _parse_fraction(val)
         return out
 
     cv = CoefficientVector.from_maps(
@@ -323,8 +321,10 @@ def certificate_from_text(text: str) -> TorusCertificate:
         dense = [Fraction(0)] * r.dim
         for part in row.split(","):
             key, _, val = part.partition("=")
-            num, _, den = val.partition("/")
-            dense[int(key)] = Fraction(int(num), int(den))
+            k = int(key)
+            if not 0 <= k < r.dim:
+                raise ValueError(f"row index {k} out of range 0..{r.dim - 1}")
+            dense[k] = _parse_fraction(val)
         dense_rows.append(tuple(dense))
     stab = Subspace(r, tuple(dense_rows))
     checks = CertChecks(True, True, True, True)

@@ -118,15 +118,6 @@ def test_tables_all_match_vendored(tmp_path):
     assert (tmp_path / "index_zero_e6.csv").exists()
 
 
-def test_tables_workers_agree(tmp_path):
-    code1, _ = run("tables", "F", "4", "--out", str(tmp_path / "w1"))
-    code2, _ = run("tables", "F", "4", "--out", str(tmp_path / "w2"), "--workers", "2")
-    assert code1 == code2 == 0
-    a = (tmp_path / "w1" / "non_qr_f4.csv").read_text()
-    b = (tmp_path / "w2" / "non_qr_f4.csv").read_text()
-    assert a == b
-
-
 def test_tables_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("QUASIRED_TABLES_DIR", str(tmp_path / "envdir"))
     code, out = run("tables", "G", "2")

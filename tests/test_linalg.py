@@ -98,10 +98,11 @@ def test_echelon_insert_and_contains():
     assert not e.contains([0, 0, 1])
 
 
-def _naive_rank(rows):
-    # plain Fraction Gaussian elimination, written independently as an oracle
+def _naive_rref(rows):
+    # plain Fraction Gauss-Jordan elimination, written independently as an oracle
     m = [[Fraction(x) for x in r] for r in rows]
     rank = 0
+    pivots = []
     for col in range(len(m[0]) if m else 0):
         piv = None
         for i in range(rank, len(m)):
@@ -117,22 +118,31 @@ def _naive_rank(rows):
             if i != rank and m[i][col]:
                 f = m[i][col]
                 m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+        pivots.append(col)
         rank += 1
-    return rank
+    return m[:rank], pivots
+
+
+def _draw(rng, kind):
+    # pure Fractions, pure ints, or ints mixed with Fractions: each takes its
+    # own path through the primitive-row scaling
+    if kind == "int" or (kind == "mixed" and rng.random() < 0.5):
+        return rng.randint(-6, 6)
+    return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
 
 
 def test_rank_and_nullspace_against_naive_oracle():
     import random
 
     rng = random.Random(123)
-    for _ in range(40):
+    for _ in range(120):
         n, m = rng.randint(1, 7), rng.randint(1, 7)
-        rows = [
-            [Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(m)]
-            for _ in range(n)
-        ]
+        kind = rng.choice(["fraction", "int", "mixed"])
+        rows = [[_draw(rng, kind) for _ in range(m)] for _ in range(n)]
+        want_rows, want_pivots = _naive_rref(rows)
         r = linalg.rank(rows)
-        assert r == _naive_rank(rows)
+        assert r == len(want_rows)
+        assert linalg.rref(rows) == (want_rows, want_pivots)
         ns = linalg.nullspace(rows, m)
         assert len(ns) == m - r
         for v in ns:

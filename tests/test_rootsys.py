@@ -4,10 +4,11 @@ from fractions import Fraction
 import pytest
 
 from conftest import jacobi_defect, reflection_closure, system
+from quasired import linalg
 from quasired.rootsys import (
     AlgebraElement,
     SimpleType,
-    ad_matrix,
+    ad_columns,
     bracket,
     build_root_system,
     h_of_root,
@@ -173,8 +174,6 @@ def test_killing_symmetric_invariant_sampled():
 
 
 def test_killing_nondegenerate():
-    from quasired import linalg
-
     rs = system("B", 2)
     gram = [
         [killing(rs, AlgebraElement(rs, [(i, 1)]), AlgebraElement(rs, [(j, 1)])) for j in range(rs.dim)]
@@ -183,13 +182,18 @@ def test_killing_nondegenerate():
     assert linalg.rank(gram) == rs.dim
 
 
+def ad_dense(rs, x):
+    """The matrix of ad x, densified from its sparse columns."""
+    return linalg.sparse_to_rows(ad_columns(rs, x), rs.dim)
+
+
 def test_ad_matrix():
     rs = system("A", 1)
-    zero = ad_matrix(rs, AlgebraElement(rs))
+    zero = ad_dense(rs, AlgebraElement(rs))
     assert all(v == 0 for row in zero for v in row)
-    h = ad_matrix(rs, h_vector(rs, 1))
+    h = ad_dense(rs, h_vector(rs, 1))
     assert [h[i][i] for i in range(3)] == [2, 0, -2]
-    e = ad_matrix(rs, x_vector(rs, rs.simple_root(1)))
+    e = ad_dense(rs, x_vector(rs, rs.simple_root(1)))
 
     def matmul(a, b):
         return [
@@ -205,7 +209,7 @@ def test_ad_matrix():
 
 def test_ad_matrix_cartan_diagonal():
     rs = system("G", 2)
-    m = ad_matrix(rs, h_vector(rs, 1))
+    m = ad_dense(rs, h_vector(rs, 1))
     for i in range(rs.dim):
         for j in range(rs.dim):
             if i != j:
@@ -247,7 +251,7 @@ def test_ad_matrix_agrees_with_bracket():
     for _ in range(10):
         x = AlgebraElement(rs, [(rng.randrange(rs.dim), rng.randint(-3, 3)) for _ in range(3)])
         y = AlgebraElement(rs, [(rng.randrange(rs.dim), rng.randint(-3, 3)) for _ in range(3)])
-        M = ad_matrix(rs, x)
+        M = ad_dense(rs, x)
         vy = y.dense()
         expected = bracket(rs, x, y).dense()
         got = [sum(M[i][j] * vy[j] for j in range(rs.dim)) for i in range(rs.dim)]

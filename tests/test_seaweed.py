@@ -6,7 +6,7 @@ import pytest
 
 from conftest import system
 from quasired.cascade import kostant_cascade, well_interlaced
-from quasired.rootsys import SimpleType, bracket
+from quasired.rootsys import SimpleType, bracket, killing_functional
 from quasired.seaweed import (
     BiparabolicSpec,
     CoefficientVector,
@@ -21,12 +21,12 @@ from quasired.seaweed import (
     seaweed_dim,
     seaweed_index,
 )
-from quasired.stabilizer import _killing_functional, is_semisimple_element
+from quasired.stabilizer import is_semisimple_element
 
 
 def stabilizes(spec, u, x):
     r = spec.system()
-    w = _killing_functional(r, u)
+    w = killing_functional(r, u)
     for p in biparabolic_basis(spec).elements:
         z = bracket(r, x, p)
         if sum((c * w[k] for k, c in z.coords.items()), Fraction(0)):

@@ -250,3 +250,31 @@ def test_killing_form_on_certified_stabilizer_matches_gram():
     rs = els[0].system
     gram = [[killing(rs, a, b) for b in els] for a in els]
     assert linalg.rank(gram) == len(els)
+
+
+def test_form_stabilizer_is_invariant_under_scaling_the_form():
+    # the integer form matrix rescales kappa(u, .) to a primitive functional,
+    # which is only sound because u and lambda*u have the same stabilizer
+    spec = parabolic(SimpleType("E", 6), {1, 3, 4})
+    P = biparabolic_basis(spec)
+    u = build_u(spec, sample_cv(spec, random.Random(5)))
+    assert form_stabilizer(P, u).rows == form_stabilizer(P, u * Fraction(1, 7)).rows
+
+
+_G2_HEADER = "quasired certificate v1\ntype: G2\npi1: 2\npi2: 1,2\n"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "",
+        "quasired certificate v1\npi1: -\npi2: 1\n",
+        _G2_HEADER + "a: 1+2=3/0\n",
+        _G2_HEADER + "a: 1+2=3/1\nb: 2=1/1\nrow: 999=1/1\n",
+        _G2_HEADER + "a: 1+2=3/1\nb: 2=1/1\nrow: -1=1/1\n",
+    ],
+    ids=["empty", "missing-type", "zero-denominator", "row-index-too-large", "row-index-negative"],
+)
+def test_certificate_parser_raises_value_error_only(text):
+    with pytest.raises(ValueError):
+        certificate_from_text(text)
