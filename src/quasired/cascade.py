@@ -51,11 +51,6 @@ class Cascade:
     def supports(self) -> frozenset[Subset]:
         return frozenset(n.support for n in self.nodes)
 
-    def node_by_support(self, support: Subset) -> CascadeNode:
-        for n in self.nodes:
-            if n.support == support:
-                return n
-        raise KeyError(f"no cascade node with support {sorted(support)}")
 
 
 def _cascade_nodes(r: RootSystem, subset: Subset) -> tuple[CascadeNode, ...]:

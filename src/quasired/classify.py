@@ -30,29 +30,29 @@ from .seaweed import parabolic, seaweed_index
 Subset = frozenset[int]
 
 # connected subsets whose parabolic fails to be quasi-reductive, with the
-# index and the dimension of the torus part of a generic stabilizer
-_FAILING_CONNECTED: dict[tuple[str, int], dict[Subset, tuple[int, int | None]]] = {
-    ("G", 2): {frozenset({1}): (1, None)},
-    ("F", 4): {frozenset({1}): (1, 0)},
+# dimension of the torus part of a generic stabilizer (None where unknown)
+_FAILING_CONNECTED: dict[tuple[str, int], dict[Subset, int | None]] = {
+    ("G", 2): {frozenset({1}): None},
+    ("F", 4): {frozenset({1}): 0},
     ("E", 7): {
-        frozenset({1}): (1, 0),
-        frozenset({4}): (1, 0),
-        frozenset({6}): (1, 0),
-        frozenset({1, 3, 4}): (2, 1),
-        frozenset({4, 5, 6}): (2, 1),
-        frozenset({1, 3, 4, 5, 6}): (3, 2),
+        frozenset({1}): 0,
+        frozenset({4}): 0,
+        frozenset({6}): 0,
+        frozenset({1, 3, 4}): 1,
+        frozenset({4, 5, 6}): 1,
+        frozenset({1, 3, 4, 5, 6}): 2,
     },
     ("E", 8): {
-        frozenset({1}): (1, 0),
-        frozenset({4}): (1, 0),
-        frozenset({6}): (1, 0),
-        frozenset({8}): (1, 0),
-        frozenset({1, 3, 4}): (2, 1),
-        frozenset({4, 5, 6}): (2, 1),
-        frozenset({6, 7, 8}): (2, 1),
-        frozenset({1, 3, 4, 5, 6}): (3, 2),
-        frozenset({4, 5, 6, 7, 8}): (3, 2),
-        frozenset({1, 3, 4, 5, 6, 7, 8}): (4, 3),
+        frozenset({1}): 0,
+        frozenset({4}): 0,
+        frozenset({6}): 0,
+        frozenset({8}): 0,
+        frozenset({1, 3, 4}): 1,
+        frozenset({4, 5, 6}): 1,
+        frozenset({6, 7, 8}): 1,
+        frozenset({1, 3, 4, 5, 6}): 2,
+        frozenset({4, 5, 6, 7, 8}): 2,
+        frozenset({1, 3, 4, 5, 6, 7, 8}): 3,
     },
 }
 
@@ -62,25 +62,25 @@ _E6_EXTRA: tuple[Subset, ...] = (
     frozenset({1, 2, 3, 4, 6}),
     frozenset({1, 2, 4, 5, 6}),
 )
-_E6_FAILING: dict[Subset, tuple[int, int]] = {
-    frozenset({2}): (3, 2),
-    frozenset({1, 2}): (2, 1),
-    frozenset({2, 6}): (2, 1),
-    frozenset({2, 3}): (2, 1),
-    frozenset({2, 5}): (2, 1),
-    frozenset({1, 2, 5}): (1, 0),
-    frozenset({2, 3, 6}): (1, 0),
-    frozenset({1, 2, 6}): (3, 2),
-    frozenset({2, 3, 5}): (3, 2),
-    frozenset({1, 2, 3}): (2, 1),
-    frozenset({2, 5, 6}): (2, 1),
-    frozenset({1, 2, 3, 5}): (1, 0),
-    frozenset({2, 3, 5, 6}): (1, 0),
-    frozenset({1, 2, 3, 6}): (1, 0),
-    frozenset({1, 2, 5, 6}): (1, 0),
-    frozenset({1, 2, 3, 5, 6}): (3, 2),
-    frozenset({1, 2, 3, 4, 6}): (1, 0),
-    frozenset({1, 2, 4, 5, 6}): (1, 0),
+_E6_FAILING: dict[Subset, int] = {
+    frozenset({2}): 2,
+    frozenset({1, 2}): 1,
+    frozenset({2, 6}): 1,
+    frozenset({2, 3}): 1,
+    frozenset({2, 5}): 1,
+    frozenset({1, 2, 5}): 0,
+    frozenset({2, 3, 6}): 0,
+    frozenset({1, 2, 6}): 2,
+    frozenset({2, 3, 5}): 2,
+    frozenset({1, 2, 3}): 1,
+    frozenset({2, 5, 6}): 1,
+    frozenset({1, 2, 3, 5}): 0,
+    frozenset({2, 3, 5, 6}): 0,
+    frozenset({1, 2, 3, 6}): 0,
+    frozenset({1, 2, 5, 6}): 0,
+    frozenset({1, 2, 3, 5, 6}): 2,
+    frozenset({1, 2, 3, 4, 6}): 0,
+    frozenset({1, 2, 4, 5, 6}): 0,
 }
 
 
@@ -221,7 +221,7 @@ def classify_parabolic(t: SimpleType, subset) -> Verdict:
             else:
                 trace.append(f"component {_fmt(c)}: allowed")
         if not qr and sub in table:
-            torus = table[sub][1]
+            torus = table[sub]
     else:  # E6
         comps = r.components(sub)
         qr = True
@@ -234,7 +234,7 @@ def classify_parabolic(t: SimpleType, subset) -> Verdict:
         if qr:
             trace.append("e6-rule: no isolated alpha_2 and not exceptional")
         elif sub in _E6_FAILING:
-            torus = _E6_FAILING[sub][1]
+            torus = _E6_FAILING[sub]
     return Verdict(
         t.family, t.rank, tuple(sorted(sub)), qr, idx, tuple(trace), torus
     )
@@ -253,10 +253,6 @@ class ReductionStep:
     subtype: SimpleType
     mapping: tuple[int, ...]
     subset: Subset  # the input subset, relabelled into the subtype numbering
-
-    def relabel(self, ambient_subset) -> Subset:
-        inv = {old: new + 1 for new, old in enumerate(self.mapping)}
-        return frozenset(inv[i] for i in ambient_subset)
 
 
 def identify_subsystem(r: RootSystem, subset) -> tuple[SimpleType, tuple[int, ...]]:

@@ -366,11 +366,6 @@ class RootSystem:
             return None
         return self.negative(self.positive_roots[idx - self.n_pos - self.rank])
 
-    def basis_weight(self, idx: int) -> Root:
-        """Weight of a basis vector under the Cartan (zero tuple on h)."""
-        r = self.index_root(idx)
-        return r if r is not None else (0,) * self.rank
-
     def bracket_basis(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """Sparse bracket of two basis vectors, with integer coefficients."""
         got = self._bracket_cache.get((i, j))
@@ -527,12 +522,6 @@ def h_of_root(r: RootSystem, a: Root) -> AlgebraElement:
     return AlgebraElement(
         r,
         [(r.idx_h(k + 1), Fraction(c)) for k, c in enumerate(r.coroot_coeffs(a))],
-    )
-
-
-def cartan_element(r: RootSystem, coeffs) -> AlgebraElement:
-    return AlgebraElement(
-        r, [(r.idx_h(i + 1), Fraction(c)) for i, c in enumerate(coeffs)]
     )
 
 

@@ -40,10 +40,6 @@ class BiparabolicSpec:
         object.__setattr__(self, "pi1", frozenset(self.pi1))
         object.__setattr__(self, "pi2", frozenset(self.pi2))
 
-    @property
-    def is_parabolic(self) -> bool:
-        return self.pi2 == frozenset(range(1, self.ambient.rank + 1))
-
     def system(self) -> RootSystem:
         return build_root_system(self.ambient)
 

@@ -130,3 +130,49 @@ def test_main_exit_codes(capsys):
     capsys.readouterr()
     assert cli.main(["verify", "G", "2", "--pi1", "1", "--trials", "2"]) == 3
     capsys.readouterr()
+
+
+# stdout of two verify runs, byte for byte; the certificate search must keep
+# finding the same trial, coefficients and stabilizer rows
+_VERIFY_G2_TEXT = """\
+type: G2
+pi1: 2
+pi2: 1,2
+seed: 1
+index: 1
+certificate: found (trial 0)
+stabilizer_dim: 1
+checks: dim-equals-index abelian killing-nondegenerate semisimple
+quasired certificate v1
+type: G2
+pi1: 2
+pi2: 1,2
+a: 1+2=-33/1; 2=22/1
+b: 2=47/1
+stabilizer-dim: 1
+trial: 0
+row: 0=1/1,8=22/47
+"""
+
+_VERIFY_E6_JSON = (
+    '{"certificate": "quasired certificate v1\\ntype: E6\\npi1: 2,3,4\\n'
+    'pi2: 1,2,3,4,5,6\\na: 1+2+3+4+5+6=-9/1; 1+3+4+5+6=-31/1; 3+4+5=33/1; '
+    '4=-44/1\\nb: 2+3+4=-41/1; 4=18/1\\nstabilizer-dim: 2\\ntrial: 0\\n'
+    'row: 2=1/1,44=-22/9\\nrow: 36=1/1,38=1/2,40=-1/2,41=-1/1\\n", '
+    '"index": 2, "pi1": [2, 3, 4], "pi2": [1, 2, 3, 4, 5, 6], "seed": 7, '
+    '"stabilizer_dim": 2, "trial": 0, "type": "E6"}\n'
+)
+
+
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (["verify", "G", "2", "--pi1", "2", "--seed", "1"], _VERIFY_G2_TEXT),
+        (["verify", "E", "6", "--pi1", "2,3,4", "--seed", "7", "--json"], _VERIFY_E6_JSON),
+    ],
+    ids=["g2-text", "e6-json"],
+)
+def test_verify_stdout_is_pinned(capsys, argv, want):
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == want and captured.err == ""

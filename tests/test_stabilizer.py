@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from conftest import system
+from minpoly_oracle import is_squarefree, minimal_polynomial
 from quasired import linalg
 from quasired.cascade import kostant_cascade
 from quasired.rootsys import (
     AlgebraElement,
     SimpleType,
+    ad_columns,
     h_vector,
     killing,
     x_vector,
@@ -33,7 +35,6 @@ from quasired.stabilizer import (
     is_abelian,
     is_semisimple_element,
     killing_radical_on,
-    minimal_polynomial_of,
     reverify_certificate,
     subspace_from_vectors,
 )
@@ -119,6 +120,14 @@ def test_e7_rank5_parabolic_stabilizer_fixed_coefficients():
     assert all(is_semisimple_element(e) for e in S.elements())
 
 
+def test_subspace_contains():
+    # sl2 has dimension 3, so the ambient vectors are the plain triples
+    rs = system("A", 1)
+    S = subspace_from_vectors(rs, [[1, 0, 1], [0, 1, 2]])
+    assert S.contains(AlgebraElement(rs, list(enumerate([2, 3, 8]))))
+    assert not S.contains(AlgebraElement(rs, list(enumerate([0, 0, 1]))))
+
+
 def test_killing_radical_cases():
     rs = system("B", 3)
     h = subspace_from_vectors(rs, [h_vector(rs, 1).dense(), h_vector(rs, 3).dense()])
@@ -151,8 +160,31 @@ def test_semisimplicity_routes_agree():
     picks.append(x_vector(rs, a) + x_vector(rs, rs.negative(a)))
     picks.append(h_vector(rs, 1))
     for x in picks:
-        mp = minimal_polynomial_of(x)
-        assert is_semisimple_element(x) == linalg.is_squarefree(mp)
+        mp = minimal_polynomial(ad_columns(rs, x), rs.dim)
+        assert is_semisimple_element(x) == is_squarefree(mp)
+
+
+def test_abelian_nondegenerate_stabilizers_are_semisimple_sweep():
+    # the certificate search drops the per-element semisimplicity check on the
+    # strength of this: a full form stabilizer on a biparabolic that is abelian
+    # with a nondegenerate Killing restriction consists of semisimple elements
+    rng = random.Random(2024)
+    types = [("G", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("E", 6)]
+    nondegenerate = degenerate = 0
+    for _ in range(200):
+        family, rank = rng.choice(types)
+        p1 = frozenset(i for i in range(1, rank + 1) if rng.random() < 0.5)
+        p2 = frozenset(i for i in range(1, rank + 1) if rng.random() < 0.5)
+        spec = BiparabolicSpec(SimpleType(family, rank), p1, p2)
+        S = form_stabilizer(biparabolic_basis(spec), build_u(spec, sample_cv(spec, rng)))
+        if not is_abelian(S):
+            continue
+        if killing_radical_on(S).dim:
+            degenerate += 1
+            continue
+        nondegenerate += 1
+        assert all(is_semisimple_element(e) for e in S.elements()), spec
+    assert nondegenerate and degenerate
 
 
 def test_semisimple_examples():
@@ -214,6 +246,14 @@ def test_certificate_determinism_and_roundtrip():
     back = certificate_from_text(text)
     assert back.spec == c1.spec and back.cv == c1.cv and back.stab.rows == c1.stab.rows
     assert certificate_to_text(back) == text
+    assert reverify_certificate(back)
+
+
+def test_parsed_certificate_is_unverified_until_reverified():
+    cert = certify_quasi_reductive(parabolic(SimpleType("G", 2), {2}), trials=10, seed=2)
+    assert cert is not None and cert.checks.all_true
+    back = certificate_from_text(certificate_to_text(cert))
+    assert back.checks is None
     assert reverify_certificate(back)
 
 
