@@ -10,6 +10,7 @@ depth first with components taken in least-index order, so it is stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import linalg
 from .rootsys import Root, RootSystem
@@ -52,7 +53,6 @@ class Cascade:
         return frozenset(n.support for n in self.nodes)
 
 
-
 def _cascade_nodes(r: RootSystem, subset: Subset) -> tuple[CascadeNode, ...]:
     if not subset:
         return ()
@@ -74,11 +74,12 @@ def kostant_cascade(r: RootSystem, subset) -> Cascade:
     key = frozenset(subset)
     if not key <= r.full_subset():
         raise ValueError(f"subset {sorted(key)} not within 1..{r.rank}")
-    got = r._cascade_cache.get(key)
-    if got is None:
-        got = Cascade(key, _cascade_nodes(r, key), r)
-        r._cascade_cache[key] = got
-    return got
+    return _cascade(r, key)
+
+
+@cache
+def _cascade(r: RootSystem, subset: Subset) -> Cascade:
+    return Cascade(subset, _cascade_nodes(r, subset), r)
 
 
 def _check_source_root(c: Cascade, alpha: Root) -> None:

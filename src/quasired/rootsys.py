@@ -1,7 +1,11 @@
 """Simple root systems and their Chevalley bases over exact rationals.
 
 Structure constants, pairings, coroot coefficients and Killing values on the
-Chevalley basis are all integers and are stored as plain ints.
+Chevalley basis are all integers and are stored as plain ints. The Killing
+values follow in closed form from the roots rather than from a trace:
+    kappa(h_i, h_j) = 2 * sum over beta > 0 of <beta, alpha_i^v> <beta, alpha_j^v>,
+    kappa(x_a, x_{-a}) = kappa(h_a, h_a) / 2,
+and kappa vanishes on every other pair of basis vectors.
 
 A root is an integer coefficient tuple over the simple roots alpha_1..alpha_l.
 Simple roots are numbered as in Bourbaki; for G2 the convention here takes
@@ -19,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache
 
 from .linalg import SparseCols
 
@@ -85,9 +89,15 @@ def _cartan_and_symmetrizer(t: SimpleType) -> tuple[list[list[int]], list[int]]:
 class RootSystem:
     """Immutable root and Chevalley tables for one simple type.
 
-    Construction fills the root list eagerly; structure constants, coroots
-    and Killing values are memoized on first use. Instances are shared via
-    :func:`build_root_system`, so hold no mutable public state.
+    Construction fills the root list eagerly; every other table (norms,
+    coroots, subsystems, brackets, Killing values; cascades in
+    :mod:`quasired.cascade`) is memoized on first use with
+    ``functools.cache`` on the function that computes it, and its
+    ``cache_info()`` (e.g. ``RootSystem.bracket_basis.cache_info()``) reports
+    the size. The caches hold ``self``, which is harmless: instances are
+    shared via :func:`build_root_system` and never freed. Only the
+    positive-pair structure constants keep their own table, since
+    ``_ensure_struct`` reads it while filling it.
     """
 
     def __init__(self, stype: SimpleType):
@@ -108,11 +118,6 @@ class RootSystem:
         self.pos_index = {r: i for i, r in enumerate(self.positive_roots)}
         self._pos_set = frozenset(self.positive_roots)
         self._npp: dict[tuple[Root, Root], int] | None = None
-        self._bracket_cache: dict[tuple[int, int], tuple[tuple[int, int], ...]] = {}
-        self._killing_cache: dict[tuple[int, int], int] = {}
-        self._coroot_cache: dict[Root, tuple[int, ...]] = {}
-        self._subsys_cache: dict[frozenset[int], tuple[Root, ...]] = {}
-        self._cascade_cache: dict = {}
 
     # -- root-level queries -------------------------------------------------
 
@@ -137,15 +142,9 @@ class RootSystem:
     def height(v: Root) -> int:
         return sum(v)
 
+    @cache
     def norm2(self, v: Root) -> int:
-        B = self.bilinear
-        tot = 0
-        for i, a in enumerate(v):
-            if a:
-                for j, b in enumerate(v):
-                    if b:
-                        tot += a * b * B[i][j]
-        return tot
+        return self.bilinear_value(v, v)
 
     def bilinear_value(self, u: Root, v: Root) -> int:
         B = self.bilinear
@@ -161,29 +160,21 @@ class RootSystem:
         """The integer <lam, alpha^v> = lam(h_alpha)."""
         if not self.is_root(alpha):
             raise ValueError(f"{alpha} is not a root")
-        val = Fraction(2 * self.bilinear_value(lam, alpha), self.norm2(alpha))
-        assert val.denominator == 1
-        return int(val)
+        val, rem = divmod(2 * self.bilinear_value(lam, alpha), self.norm2(alpha))
+        assert rem == 0
+        return val
 
     def root_sum(self, a: Root, b: Root) -> Root | None:
         s = tuple(x + y for x, y in zip(a, b))
         return s if self.is_root(s) else None
 
+    @cache
     def coroot_coeffs(self, a: Root) -> tuple[int, ...]:
         """h_a expanded over the simple coroots h_1..h_l; h_{-a} = -h_a."""
-        key = a
-        got = self._coroot_cache.get(key)
-        if got is not None:
-            return got
         da2 = self.norm2(a)  # = 2 d_a, sign-independent
-        out = []
-        for i, m in enumerate(a):
-            c = Fraction(2 * m * self.symmetrizer[i], da2)
-            assert c.denominator == 1
-            out.append(int(c))
-        res = tuple(out)
-        self._coroot_cache[key] = res
-        return res
+        out = tuple(2 * m * d // da2 for m, d in zip(a, self.symmetrizer))
+        assert all(c * da2 == 2 * m * d for c, m, d in zip(out, a, self.symmetrizer))
+        return out
 
     # -- subsets of simple roots ---------------------------------------------
 
@@ -217,12 +208,11 @@ class RootSystem:
 
     def subsystem_positive(self, subset) -> tuple[Root, ...]:
         """Positive roots supported on the given simple roots."""
-        key = frozenset(subset)
-        got = self._subsys_cache.get(key)
-        if got is None:
-            got = tuple(r for r in self.positive_roots if self.support(r) <= key)
-            self._subsys_cache[key] = got
-        return got
+        return self._subsystem_positive(frozenset(subset))
+
+    @cache
+    def _subsystem_positive(self, subset: frozenset[int]) -> tuple[Root, ...]:
+        return tuple(r for r in self.positive_roots if self.support(r) <= subset)
 
     def highest_root(self, subset) -> Root:
         """The highest root of the subsystem generated by a connected subset."""
@@ -366,11 +356,9 @@ class RootSystem:
             return None
         return self.negative(self.positive_roots[idx - self.n_pos - self.rank])
 
+    @cache
     def bracket_basis(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """Sparse bracket of two basis vectors, with integer coefficients."""
-        got = self._bracket_cache.get((i, j))
-        if got is not None:
-            return got
         ri, rj = self.index_root(i), self.index_root(j)
         out: tuple[tuple[int, int], ...]
         if ri is None and rj is None:
@@ -392,37 +380,41 @@ class RootSystem:
                 out = ((self.idx_x(s), self.struct_const(ri, rj)),)
             else:
                 out = ()
-        self._bracket_cache[(i, j)] = out
         return out
 
     def killing_basis(self, i: int, j: int) -> int:
         """kappa(e_i, e_j), nonzero only on opposite root pairs and on h x h."""
         ri, rj = self.index_root(i), self.index_root(j)
-        if (ri is None) != (rj is None):
+        if ri is None and rj is None:
+            return self._killing_h()[i - self.n_pos][j - self.n_pos]
+        if ri is None or rj is None or any(x + y for x, y in zip(ri, rj)):
             return 0
-        if ri is not None and any(x + y for x, y in zip(ri, rj)):
-            return 0
-        key = (i, j) if i <= j else (j, i)
-        got = self._killing_cache.get(key)
-        if got is None:
-            tot = 0
-            for k in range(self.dim):
-                for m, c1 in self.bracket_basis(key[1], k):
-                    for q, c2 in self.bracket_basis(key[0], m):
-                        if q == k:
-                            tot += c1 * c2
-            self._killing_cache[key] = got = tot
-        return got
+        return self._killing_root(ri if ri in self._pos_set else rj)
+
+    @cache
+    def _killing_h(self) -> tuple[tuple[int, ...], ...]:
+        """kappa(h_i, h_j) = 2 * sum over beta > 0 of <beta, alpha_i^v><beta, alpha_j^v>."""
+        simple = [self.simple_root(i) for i in range(1, self.rank + 1)]
+        vals = [[self.pairing(b, a) for a in simple] for b in self.positive_roots]
+        return tuple(
+            tuple(2 * sum(v[i] * v[j] for v in vals) for j in range(self.rank))
+            for i in range(self.rank)
+        )
+
+    @cache
+    def _killing_root(self, a: Root) -> int:
+        """kappa(x_a, x_{-a}) = kappa(h_a, h_a) / 2 for a positive root a."""
+        K = self._killing_h()
+        co = self.coroot_coeffs(a)
+        h2 = sum(ci * cj * K[i][j] for i, ci in enumerate(co) for j, cj in enumerate(co))
+        assert h2 % 2 == 0
+        return h2 // 2
 
 
-@lru_cache(maxsize=None)
-def _shared_system(family: str, rank: int) -> RootSystem:
-    return RootSystem(SimpleType(family, rank))
-
-
+@cache
 def build_root_system(t: SimpleType) -> RootSystem:
     """Shared immutable root system for a simple type."""
-    return _shared_system(t.family, t.rank)
+    return RootSystem(t)
 
 
 # ---------------------------------------------------------------------------

@@ -160,24 +160,18 @@ def build_u(spec: BiparabolicSpec, cv: CoefficientVector) -> AlgebraElement:
     """The element sum(a_K x_{-eps_K}, K in pi2 cascade) +
     sum(b_L x_{eps_L}, L in pi1 cascade)."""
     r, c1, c2, am, bm = _checked_maps(spec, cv)
-    out = AlgebraElement(r)
-    for n in c2.nodes:
-        out = out + am[n.support] * x_vector(r, r.negative(n.eps))
-    for n in c1.nodes:
-        out = out + bm[n.support] * x_vector(r, n.eps)
-    return out
+    coords = [(r.idx_x(r.negative(n.eps)), am[n.support]) for n in c2.nodes]
+    coords += [(r.idx_x(n.eps), bm[n.support]) for n in c1.nodes]
+    return AlgebraElement(r, coords)
 
 
 def build_u_minus(spec: BiparabolicSpec) -> AlgebraElement:
     """Sum of x_{-eps} over the pi2 cascade eps not lying in the positive
     subsystem of pi1."""
     r = spec.system()
-    out = AlgebraElement(r)
     pos1 = set(r.subsystem_positive(spec.pi1))
-    for n in kostant_cascade(r, spec.pi2).nodes:
-        if n.eps not in pos1:
-            out = out + x_vector(r, r.negative(n.eps))
-    return out
+    eps = [n.eps for n in kostant_cascade(r, spec.pi2).nodes if n.eps not in pos1]
+    return AlgebraElement(r, [(r.idx_x(r.negative(e)), 1) for e in eps])
 
 
 # ---------------------------------------------------------------------------
@@ -226,44 +220,30 @@ def interlaced_torus_elements(
     for m in c1.nodes:
         if m.eps in half2:
             up, lo = half2[m.eps]
-            out.append(_raising_half_element(r, m.eps, up, lo, am, bm[m.support]))
+            out.append(_half_element(r, 1, m.eps, up, lo, am, bm[m.support]))
     for n in c2.nodes:
         if n.eps in half1:
             up, lo = half1[n.eps]
-            out.append(_lowering_half_element(r, n.eps, up, lo, bm, am[n.support]))
+            out.append(_half_element(r, -1, n.eps, up, lo, bm, am[n.support]))
     return out
 
 
-def _raising_half_element(r, eps_m, up, lo, am, b_m) -> AlgebraElement:
+def _half_element(r, sign, eps, up, lo, coeffs, own) -> AlgebraElement:
+    """x_{s eps} + lam x_{-s eps} + mu x_{s eps_up} + nu x_{s eps_lo}, s = sign,
+    for a node whose eps is the half-difference root (eps_up - eps_lo)/2 of
+    the other cascade, whose node coefficients are ``coeffs``; ``own`` is the
+    node's coefficient. Sign -1 mirrors sign +1: roots negated, maps swapped."""
     bar = tuple((u + l) // 2 for u, l in zip(up.eps, lo.eps))
-    tau1 = r.struct_const(eps_m, r.negative(up.eps))
-    tau2 = r.struct_const(r.negative(eps_m), r.negative(lo.eps))
-    c = _coroot_ratio(r, eps_m, up.eps, lo.eps)
-    lam = -Fraction(tau1) * am[up.support] / (Fraction(tau2) * am[lo.support])
-    mu = c * lam * b_m / am[up.support]
-    nu = -c * lam * b_m / am[lo.support]
     assert r.is_root(bar)
-    return (
-        x_vector(r, eps_m)
-        + lam * x_vector(r, r.negative(eps_m))
-        + mu * x_vector(r, up.eps)
-        + nu * x_vector(r, lo.eps)
-    )
-
-
-def _lowering_half_element(r, eps_n, up, lo, bm, a_n) -> AlgebraElement:
-    sigma1 = r.struct_const(r.negative(eps_n), up.eps)
-    sigma2 = r.struct_const(eps_n, lo.eps)
-    c = _coroot_ratio(r, eps_n, up.eps, lo.eps)
-    lam = -Fraction(sigma1) * bm[up.support] / (Fraction(sigma2) * bm[lo.support])
-    mu = c * lam * a_n / bm[up.support]
-    nu = -c * lam * a_n / bm[lo.support]
-    return (
-        x_vector(r, r.negative(eps_n))
-        + lam * x_vector(r, eps_n)
-        + mu * x_vector(r, r.negative(up.eps))
-        + nu * x_vector(r, r.negative(lo.eps))
-    )
+    signed = lambda a: a if sign > 0 else r.negative(a)
+    tau1 = r.struct_const(signed(eps), signed(r.negative(up.eps)))
+    tau2 = r.struct_const(signed(r.negative(eps)), signed(r.negative(lo.eps)))
+    c = _coroot_ratio(r, eps, up.eps, lo.eps)
+    lam = -Fraction(tau1) * coeffs[up.support] / (Fraction(tau2) * coeffs[lo.support])
+    mu = c * lam * own / coeffs[up.support]
+    nu = -c * lam * own / coeffs[lo.support]
+    terms = ((eps, 1), (r.negative(eps), lam), (up.eps, mu), (lo.eps, nu))
+    return AlgebraElement(r, [(r.idx_x(signed(a)), k) for a, k in terms])
 
 
 # ---------------------------------------------------------------------------

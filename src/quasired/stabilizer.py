@@ -53,7 +53,8 @@ class Subspace:
 
     def elements(self) -> tuple[AlgebraElement, ...]:
         return tuple(
-            AlgebraElement(self.system, list(enumerate(row))) for row in self.rows
+            AlgebraElement(self.system, [(k, c) for k, c in enumerate(row) if c])
+            for row in self.rows
         )
 
     def contains(self, x: AlgebraElement) -> bool:
@@ -117,11 +118,10 @@ def killing_radical_on(S: Subspace) -> Subspace:
     vecs = []
     for c in kernel:
         dense = [Fraction(0)] * r.dim
-        for cj, row in zip(c, S.rows):
+        for cj, x in zip(c, els):
             if cj:
-                for k, v in enumerate(row):
-                    if v:
-                        dense[k] += cj * v
+                for k, v in x.coords.items():
+                    dense[k] += cj * v
         vecs.append(dense)
     return subspace_from_vectors(r, vecs)
 
