@@ -2,7 +2,7 @@
 
 Output is a stable line-oriented ``key: value`` text (or JSON with --json);
 identical arguments and seed produce byte-identical output. Exit codes:
-0 success, 2 usage error, 3 certificate search exhausted.
+0 success, 2 usage or file error, 3 certificate search exhausted.
 """
 
 from __future__ import annotations
@@ -377,6 +377,9 @@ def run(argv=None) -> tuple[int, str]:
             selection = None
             if args.family is not None:
                 SimpleType(args.family, args.rank)
+                # each table enumerates all 2^rank subsets
+                if (args.family, args.rank) not in _ALL_TYPES:
+                    raise SystemExit2(f"tables covers ranks up to 10, not {args.rank}")
                 selection = [(args.family, args.rank)]
             outdir = args.out or os.environ.get(
                 "QUASIRED_TABLES_DIR", "quasired_tables"
@@ -404,7 +407,7 @@ def run(argv=None) -> tuple[int, str]:
             )
             return cmd_verify(q, args.json, args.store)
         raise SystemExit2(f"unknown command {args.command}")
-    except (SystemExit2, ValueError) as exc:
+    except (SystemExit2, ValueError, OSError) as exc:
         return USAGE_ERROR, f"error: {exc}"
 
 

@@ -16,7 +16,9 @@ The Chevalley basis of the algebra is indexed
     n .. n+l-1          h_1 .. h_l (simple coroots),
     n+l .. 2n+l-1       x_{-beta} in the same root order,
 so dim = 2n + l. Structure constant signs are fixed by the extraspecial-pair
-convention over that root order, which makes every table reproducible.
+convention over that root order, which makes every table reproducible; one
+integer pass over that order fills N_{a,b} for every ordered pair of roots
+(Carter, Simple Groups of Lie Type, 4.1-4.2).
 """
 
 from __future__ import annotations
@@ -29,11 +31,23 @@ from .linalg import SparseCols
 
 Root = tuple[int, ...]
 
+
+def _exact_div(num: int, den: int) -> int:
+    q, rem = divmod(num, den)
+    assert rem == 0
+    return q
+
+
+# Largest classical rank, so that every query ends: at rank 40 a cold cascade,
+# index or classify takes about 2 s and one verify trial on A40 about 11 s
+# (CPython 3.11, one core), and the cost grows steeply beyond.
+MAX_CLASSICAL_RANK = 40
+
 _FAMILY_BOUNDS = {
-    "A": (1, None),
-    "B": (2, None),
-    "C": (3, None),
-    "D": (4, None),
+    "A": (1, MAX_CLASSICAL_RANK),
+    "B": (2, MAX_CLASSICAL_RANK),
+    "C": (3, MAX_CLASSICAL_RANK),
+    "D": (4, MAX_CLASSICAL_RANK),
     "E": (6, 8),
     "F": (4, 4),
     "G": (2, 2),
@@ -51,7 +65,7 @@ class SimpleType:
         if self.family not in _FAMILY_BOUNDS:
             raise ValueError(f"unknown family {self.family!r}")
         lo, hi = _FAMILY_BOUNDS[self.family]
-        if self.rank < lo or (hi is not None and self.rank > hi):
+        if not lo <= self.rank <= hi:
             raise ValueError(f"rank {self.rank} out of range for family {self.family}")
 
     def __str__(self) -> str:
@@ -95,9 +109,7 @@ class RootSystem:
     ``functools.cache`` on the function that computes it, and its
     ``cache_info()`` (e.g. ``RootSystem.bracket_basis.cache_info()``) reports
     the size. The caches hold ``self``, which is harmless: instances are
-    shared via :func:`build_root_system` and never freed. Only the
-    positive-pair structure constants keep their own table, since
-    ``_ensure_struct`` reads it while filling it.
+    shared via :func:`build_root_system` and never freed.
     """
 
     def __init__(self, stype: SimpleType):
@@ -117,7 +129,6 @@ class RootSystem:
         self.dim = 2 * self.n_pos + self.rank
         self.pos_index = {r: i for i, r in enumerate(self.positive_roots)}
         self._pos_set = frozenset(self.positive_roots)
-        self._npp: dict[tuple[Root, Root], int] | None = None
 
     # -- root-level queries -------------------------------------------------
 
@@ -160,9 +171,7 @@ class RootSystem:
         """The integer <lam, alpha^v> = lam(h_alpha)."""
         if not self.is_root(alpha):
             raise ValueError(f"{alpha} is not a root")
-        val, rem = divmod(2 * self.bilinear_value(lam, alpha), self.norm2(alpha))
-        assert rem == 0
-        return val
+        return _exact_div(2 * self.bilinear_value(lam, alpha), self.norm2(alpha))
 
     def root_sum(self, a: Root, b: Root) -> Root | None:
         s = tuple(x + y for x, y in zip(a, b))
@@ -172,9 +181,7 @@ class RootSystem:
     def coroot_coeffs(self, a: Root) -> tuple[int, ...]:
         """h_a expanded over the simple coroots h_1..h_l; h_{-a} = -h_a."""
         da2 = self.norm2(a)  # = 2 d_a, sign-independent
-        out = tuple(2 * m * d // da2 for m, d in zip(a, self.symmetrizer))
-        assert all(c * da2 == 2 * m * d for c, m, d in zip(out, a, self.symmetrizer))
-        return out
+        return tuple(_exact_div(2 * m * d, da2) for m, d in zip(a, self.symmetrizer))
 
     # -- subsets of simple roots ---------------------------------------------
 
@@ -265,73 +272,62 @@ class RootSystem:
             cur = tuple(x - y for x, y in zip(cur, a))
         return p
 
-    def _ensure_struct(self) -> None:
-        if self._npp is not None:
-            return
-        npp: dict[tuple[Root, Root], int] = {}
-        self._npp = npp
-        order = self.pos_index
-        for g in self.positive_roots:
-            if self.height(g) == 1:
-                continue
+    @cache
+    def _struct_table(self) -> tuple[dict[int, int], ...]:
+        """N_{a,b} for every ordered pair of roots a, b whose sum is a root,
+        as {idx_x(b): N_{a,b}} at position idx_x(a).
+
+        Positive sums g are visited in (height, lex) order. The extraspecial
+        pair of g (least first root) gets p + 1; every other positive pair
+        (al, be) summing to g follows from the Jacobi relation on
+        (a, b, -al, -be), whose mixed-sign constants belong to lower sums.
+        """
+        table: tuple[dict[int, int], ...] = tuple({} for _ in range(self.dim))
+        idx, neg, norm2, order = self.idx_x, self.negative, self.norm2, self.pos_index
+
+        def N(x: Root, y: Root) -> int:
+            return table[idx(x)].get(idx(y), 0)
+
+        def put(a: Root, b: Root, n: int) -> None:
+            # N_{b,a} = N_{-a,-b} = -N_{a,b}; for a + b + c = 0,
+            # N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b)
+            c = neg(tuple(x + y for x, y in zip(a, b)))
+            cc = norm2(c)
+            for x, y, v in (
+                (a, b, n),
+                (b, c, _exact_div(n * norm2(a), cc)),
+                (c, a, _exact_div(n * norm2(b), cc)),
+            ):
+                i, j, mi, mj = idx(x), idx(y), idx(neg(x)), idx(neg(y))
+                table[i][j] = table[mj][mi] = v
+                table[j][i] = table[mi][mj] = -v
+
+        for g in self.positive_roots[self.rank :]:  # height >= 2
             pairs = []
-            for a in self.positive_roots:
-                if order[a] >= order[g]:
-                    break
+            for a in self.positive_roots[: order[g]]:
                 b = tuple(x - y for x, y in zip(g, a))
-                if b in self._pos_set and order[a] < order[b]:
+                if order.get(b, -1) > order[a]:
                     pairs.append((a, b))
-            pairs.sort(key=lambda ab: order[ab[0]])
-            a0, b0 = pairs[0]
-            npp[(a0, b0)] = self._string_p(a0, b0) + 1
-            for al, be in pairs[1:]:
-                npp[(al, be)] = self._special_const(al, be, a0, b0, g)
-
-    def _npp_signed(self, x: Root, y: Root) -> int:
-        npp = self._npp
-        v = npp.get((x, y))
-        if v is not None:
-            return v
-        return -npp[(y, x)]
-
-    def _mixed(self, x: Root, y: Root) -> Fraction:
-        """N for the bracket [x_x, x_{-y}] with x, y positive and x - y a root."""
-        d = tuple(a - b for a, b in zip(x, y))
-        if d in self._pos_set:
-            return -Fraction(self.norm2(d), self.norm2(x)) * self._npp_signed(y, d)
-        z = tuple(-c for c in d)
-        return -Fraction(self.norm2(z), self.norm2(y)) * self._npp_signed(x, z)
-
-    def _special_const(self, al: Root, be: Root, a: Root, b: Root, g: Root) -> int:
-        # derived from the Jacobi relation on the quadruple (a, b, -al, -be)
-        t = Fraction(0)
-        d1 = tuple(x - y for x, y in zip(b, al))
-        if self.is_root(d1):
-            t += self._mixed(b, al) * self._mixed(a, be) / self.norm2(d1)
-        d2 = tuple(x - y for x, y in zip(a, al))
-        if self.is_root(d2):
-            t -= self._mixed(a, al) * self._mixed(b, be) / self.norm2(d2)
-        val = self.norm2(g) * t / self._npp[(a, b)]
-        assert val.denominator == 1 and val != 0
-        return int(val)
+            (a, b), *rest = pairs
+            put(a, b, self._string_p(a, b) + 1)
+            for al, be in rest:
+                # N_{al,be} N_{a,b} / (g,g) = N_{b,-al} N_{a,-be} / (b-al, b-al)
+                #   - N_{a,-al} N_{b,-be} / (a-al, a-al), a term vanishing
+                #   where its difference is not a root
+                t1 = N(b, neg(al)) * N(a, neg(be))
+                t2 = N(a, neg(al)) * N(b, neg(be))
+                n1 = norm2(tuple(x - y for x, y in zip(b, al)))
+                n2 = norm2(tuple(x - y for x, y in zip(a, al)))
+                num = norm2(g) * (t1 * n2 - t2 * n1)
+                put(al, be, _exact_div(num, n1 * n2 * N(a, b)))
+        return table
 
     def struct_const(self, a: Root, b: Root) -> int:
-        """N_{a,b} for roots a, b with a + b a root: [x_a, x_b] = N x_{a+b}."""
-        s = tuple(x + y for x, y in zip(a, b))
-        if not any(s) or not self.is_root(s):
+        """[x_a, x_b] = N_{a,b} x_{a+b}; ValueError unless a, b, a + b are roots."""
+        n = self._struct_table()[self.idx_x(a)].get(self.idx_x(b))
+        if n is None:
             raise ValueError(f"{a} + {b} is not a root")
-        self._ensure_struct()
-        apos = a in self._pos_set
-        bpos = b in self._pos_set
-        if apos and bpos:
-            return self._npp_signed(a, b)
-        if not apos and not bpos:
-            return -self.struct_const(self.negative(a), self.negative(b))
-        if not apos:
-            return -self.struct_const(b, a)
-        v = self._mixed(a, self.negative(b))
-        assert v.denominator == 1
-        return int(v)
+        return n
 
     # -- Chevalley basis indexing ----------------------------------------------
 
@@ -360,27 +356,20 @@ class RootSystem:
     def bracket_basis(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """Sparse bracket of two basis vectors, with integer coefficients."""
         ri, rj = self.index_root(i), self.index_root(j)
-        out: tuple[tuple[int, int], ...]
         if ri is None and rj is None:
-            out = ()
-        elif ri is None:
-            s = i - self.n_pos + 1
-            c = self.pairing(rj, self.simple_root(s))
-            out = ((j, c),) if c else ()
-        elif rj is None:
-            s = j - self.n_pos + 1
-            c = self.pairing(ri, self.simple_root(s))
-            out = ((i, -c),) if c else ()
-        else:
-            s = tuple(x + y for x, y in zip(ri, rj))
-            if not any(s):
-                co = self.coroot_coeffs(ri)
-                out = tuple((self.idx_h(k + 1), c) for k, c in enumerate(co) if c)
-            elif self.is_root(s):
-                out = ((self.idx_x(s), self.struct_const(ri, rj)),)
-            else:
-                out = ()
-        return out
+            return ()
+        if ri is None:
+            c = self.pairing(rj, self.simple_root(i - self.n_pos + 1))
+            return ((j, c),) if c else ()
+        if rj is None:
+            c = self.pairing(ri, self.simple_root(j - self.n_pos + 1))
+            return ((i, -c),) if c else ()
+        s = tuple(x + y for x, y in zip(ri, rj))
+        if not any(s):
+            co = self.coroot_coeffs(ri)
+            return tuple((self.idx_h(k + 1), c) for k, c in enumerate(co) if c)
+        n = self._struct_table()[i].get(j)
+        return ((self.idx_x(s), n),) if n else ()
 
     def killing_basis(self, i: int, j: int) -> int:
         """kappa(e_i, e_j), nonzero only on opposite root pairs and on h x h."""

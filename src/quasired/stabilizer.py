@@ -122,8 +122,9 @@ def killing_radical_on(S: Subspace) -> Subspace:
             if cj:
                 for k, v in x.coords.items():
                     dense[k] += cj * v
-        vecs.append(dense)
-    return subspace_from_vectors(r, vecs)
+        vecs.append(tuple(dense))
+    # rref combinations (the kernel basis) of rref rows (those of S) are in rref
+    return Subspace(r, tuple(vecs))
 
 
 def is_abelian(S: Subspace) -> bool:

@@ -102,3 +102,12 @@ def test_structure_constants_are_pinned(family, rank):
                 if c:
                     h.update(f"{i} {j} {k} {c}\n".encode())
     assert h.hexdigest() == BRACKET_DIGESTS[(family, rank)]
+
+
+@pytest.mark.parametrize("family,rank", sorted(BRACKET_DIGESTS))
+def test_bracket_table_is_antisymmetric(family, rank):
+    # the digests pin only i < j; the table must give [e_j, e_i] = -[e_i, e_j]
+    rs = system(family, rank)
+    for i in range(rs.dim):
+        for j in range(i, rs.dim):
+            assert rs.bracket_basis(j, i) == tuple((k, -c) for k, c in rs.bracket_basis(i, j))

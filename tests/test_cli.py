@@ -3,6 +3,7 @@ import json
 import pytest
 
 from quasired import cli
+from quasired.rootsys import MAX_CLASSICAL_RANK
 from quasired.stabilizer import certificate_from_text, reverify_certificate
 
 
@@ -81,9 +82,17 @@ def test_verify_json_mode():
     assert data["stabilizer_dim"] == data["index"]
 
 
-def test_usage_errors():
+def test_usage_errors(tmp_path):
     code, _ = run("cascade", "E", "9")
     assert code == cli.USAGE_ERROR
+    # classical ranks are capped, so no query on a valid type runs unbounded
+    code, out = run("cascade", "A", str(MAX_CLASSICAL_RANK + 1))
+    assert code == cli.USAGE_ERROR and "out of range" in out
+    code, _ = run("index", "D", "100000")
+    assert code == cli.USAGE_ERROR
+    # a single-type table enumerates all 2^rank subsets
+    code, _ = run("tables", "A", "11", "--out", str(tmp_path))
+    assert code == cli.USAGE_ERROR and not any(tmp_path.iterdir())
     code, _ = run("classify", "E", "6", "--pi", "7")
     assert code == cli.USAGE_ERROR
     code, _ = run("classify", "E", "6", "--pi", "x,y")
@@ -91,6 +100,21 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as exc:
         run("frobnicate", "E", "6")
     assert exc.value.code == cli.USAGE_ERROR
+
+
+def test_verify_store_in_missing_directory_is_exit_2(tmp_path):
+    store = tmp_path / "missing" / "cert.txt"
+    code, out = run("verify", "G", "2", "--pi1", "2", "--seed", "1", "--store", str(store))
+    assert code == cli.USAGE_ERROR and out.startswith("error: ")
+    assert not store.exists()
+
+
+def test_tables_out_on_existing_file_is_exit_2(tmp_path):
+    target = tmp_path / "not-a-dir"
+    target.write_text("keep\n")
+    code, out = run("tables", "G", "2", "--out", str(target))
+    assert code == cli.USAGE_ERROR and out.startswith("error: ")
+    assert target.read_text() == "keep\n"
 
 
 def test_deterministic_output():

@@ -6,6 +6,7 @@ import pytest
 from conftest import jacobi_defect, reflection_closure, system
 from quasired import linalg
 from quasired.rootsys import (
+    MAX_CLASSICAL_RANK,
     AlgebraElement,
     SimpleType,
     ad_columns,
@@ -64,7 +65,10 @@ def test_dimension_a1_and_e8():
 
 @pytest.mark.parametrize(
     "family,rank",
-    [("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("E", 9), ("F", 5), ("G", 3), ("H", 2)],
+    [
+        ("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("E", 9), ("F", 5), ("G", 3), ("H", 2),
+        ("A", MAX_CLASSICAL_RANK + 1), ("D", 100000),
+    ],
 )
 def test_rank_bounds_rejected(family, rank):
     with pytest.raises(ValueError):
@@ -135,6 +139,22 @@ def test_struct_const_magnitudes_small_types():
                 s = tuple(x + y for x, y in zip(a, b))
                 if any(s) and rs.is_root(s):
                     assert abs(rs.struct_const(a, b)) == rs._string_p(a, b) + 1
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ((0, 0), (1, 0)),
+        ((2, 0), (-1, 1)),
+        ((5, 5), (-4, -5)),
+        ((1, 1), (-1, -1)),
+        ((1, 0), (1, 1)),
+    ],
+    ids=["zero", "non-root", "non-roots-with-root-sum", "zero-sum", "sum-not-root"],
+)
+def test_struct_const_rejects_pairs_without_root_sum(a, b):
+    with pytest.raises(ValueError):
+        system("A", 2).struct_const(a, b)
 
 
 def test_jacobi_exhaustive_g2():

@@ -7,7 +7,9 @@ from conftest import system
 from minpoly_oracle import is_squarefree, minimal_polynomial
 from quasired import linalg
 from quasired.cascade import kostant_cascade
+from quasired.classify import non_qr_subsets
 from quasired.rootsys import (
+    MAX_CLASSICAL_RANK,
     AlgebraElement,
     SimpleType,
     ad_columns,
@@ -135,6 +137,22 @@ def test_killing_radical_cases():
     a = rs.positive_roots[0]
     iso = subspace_from_vectors(rs, [x_vector(rs, a).dense()])
     assert killing_radical_on(iso).dim == 1
+
+
+def test_killing_radical_rows_are_already_reduced():
+    # killing_radical_on builds its Subspace without re-reducing the rows;
+    # non-QR parabolics give nonzero radicals
+    rng = random.Random(77)
+    dims = []
+    for family, rank in [("G", 2), ("F", 4), ("D", 6), ("E", 6)]:
+        st = SimpleType(family, rank)
+        for v in non_qr_subsets(st):
+            spec = parabolic(st, v.subset)
+            S = form_stabilizer(biparabolic_basis(spec), build_u(spec, sample_cv(spec, rng)))
+            R = killing_radical_on(S)
+            assert subspace_from_vectors(S.system, R.rows).rows == R.rows, spec
+            dims.append(R.dim)
+    assert min(dims) >= 1 and max(dims) >= 2
 
 
 def test_is_abelian():
@@ -312,8 +330,16 @@ _G2_HEADER = "quasired certificate v1\ntype: G2\npi1: 2\npi2: 1,2\n"
         _G2_HEADER + "a: 1+2=3/0\n",
         _G2_HEADER + "a: 1+2=3/1\nb: 2=1/1\nrow: 999=1/1\n",
         _G2_HEADER + "a: 1+2=3/1\nb: 2=1/1\nrow: -1=1/1\n",
+        f"quasired certificate v1\ntype: A{MAX_CLASSICAL_RANK + 1}\npi1: 1\npi2: 1\n",
     ],
-    ids=["empty", "missing-type", "zero-denominator", "row-index-too-large", "row-index-negative"],
+    ids=[
+        "empty",
+        "missing-type",
+        "zero-denominator",
+        "row-index-too-large",
+        "row-index-negative",
+        "rank-over-cap",
+    ],
 )
 def test_certificate_parser_raises_value_error_only(text):
     with pytest.raises(ValueError):
