@@ -21,8 +21,11 @@ SparseCols = dict[int, list[tuple[int, int | Fraction]]]
 
 def _primitive_int_row(row) -> list[int]:
     """Clear denominators and divide out the content of a rational row."""
-    den = lcm(*{x.denominator for x in row})
-    ints = [x.numerator * (den // x.denominator) for x in row]
+    if all(type(x) is int for x in row):
+        ints = list(row)
+    else:
+        den = lcm(*{x.denominator for x in row})
+        ints = [x.numerator * (den // x.denominator) for x in row]
     g = gcd(*ints)
     return [v // g for v in ints] if g > 1 else ints
 
@@ -80,8 +83,10 @@ def rref(rows) -> tuple[list[Row], list[int]]:
     return [[Fraction(v, r[p]) for v in r] for r, p in zip(red, pivots)], pivots
 
 
-def nullspace(rows, ncols: int) -> list[Row]:
-    """Canonical (rref) basis of the right kernel of the matrix."""
+def _kernel(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced echelon basis of the right kernel as primitive integer rows
+    and their pivots; dividing each row by its pivot entry gives the rows of
+    ``nullspace``."""
     red, pivots = _eliminate(rows, True)
     den = lcm(*(r[p] for r, p in zip(red, pivots)))
     pivset = set(pivots)
@@ -94,7 +99,13 @@ def nullspace(rows, ncols: int) -> list[Row]:
         for r, p in zip(red, pivots):
             v[p] = -r[f] * (den // r[p])
         basis.append(v)
-    return rref(basis)[0]
+    return _eliminate(basis, True)
+
+
+def nullspace(rows, ncols: int) -> list[Row]:
+    """Canonical (rref) basis of the right kernel of the matrix."""
+    red, pivots = _kernel(rows, ncols)
+    return [[Fraction(v, r[p]) for v in r] for r, p in zip(red, pivots)]
 
 
 # ---------------------------------------------------------------------------

@@ -371,6 +371,32 @@ class RootSystem:
         n = self._struct_table()[i].get(j)
         return ((self.idx_x(s), n),) if n else ()
 
+    @cache
+    def bracket_into(self, k: int) -> tuple[tuple[int, int, int], ...]:
+        """Every (i, j, c), in increasing order, with c != 0 the coefficient
+        of e_k in [e_i, e_j]: ``bracket_basis`` inverted for one target."""
+        lo, hi = self.n_pos, self.n_pos + self.rank
+        out = []
+        g = self.index_root(k)
+        if g is None:
+            # [x_a, x_{-a}] = h_a
+            for p, a in enumerate(self.positive_roots):
+                c = self.coroot_coeffs(a)[k - lo]
+                if c:
+                    out += [(p, p + hi, c), (p + hi, p, -c)]
+            return tuple(sorted(out))
+        for h in range(lo, hi):
+            c = self.pairing(g, self.simple_root(h - lo + 1))
+            if c:
+                out += [(h, k, c), (k, h, -c)]
+        table = self._struct_table()
+        for i in [*range(lo), *range(hi, self.dim)]:
+            b = tuple(x - y for x, y in zip(g, self.index_root(i)))
+            if self.is_root(b):
+                j = self.idx_x(b)
+                out.append((i, j, table[i][j]))
+        return tuple(sorted(out))
+
     def killing_basis(self, i: int, j: int) -> int:
         """kappa(e_i, e_j), nonzero only on opposite root pairs and on h x h."""
         ri, rj = self.index_root(i), self.index_root(j)

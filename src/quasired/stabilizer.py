@@ -2,7 +2,15 @@
 
 The stabilizer of the form kappa(u, .) restricted to a subalgebra P is the
 kernel of the matrix kappa(u, [P_i, P_j]); everything is computed exactly,
-and the form matrix is kept integral. A torus certificate packages a
+and the form matrix is kept integral. It is built only from the brackets
+that land on the support of kappa(u, .), and it splits into blocks, the
+connected components of its nonzero pattern. The kernel is the direct sum
+of the block kernels. Each block's rref rows vanish outside the block, so
+in the union of all of them no row has a nonzero entry in another row's
+pivot column; ordered by pivot, the union is therefore the canonical rref
+of the whole kernel, the rows one elimination of the full matrix would give.
+The abelian and Killing checks run on the same rows as primitive integer
+vectors; only the returned rows are Fractions. A torus certificate packages a
 coefficient draw whose stabilizer passes three exact checks: its dimension
 equals the index, it is abelian, and the Killing form restricted to it is
 nondegenerate. For the full stabilizer of a form on a biparabolic these
@@ -25,7 +33,6 @@ from .rootsys import (
     RootSystem,
     SimpleType,
     ad_columns,
-    bracket,
     build_root_system,
     killing_functional,
 )
@@ -38,6 +45,11 @@ from .seaweed import (
     sample_cv,
     seaweed_index,
 )
+
+
+# the zero of every dense row built here; scans skip it by identity before
+# falling back to a truth test, which is slow on Fractions
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -61,19 +73,16 @@ class Subspace:
         return linalg.rank([*self.rows, x.dense()]) == self.dim
 
 
-def subspace_from_vectors(r: RootSystem, vectors) -> Subspace:
-    rows, _ = linalg.rref([list(v) for v in vectors])
-    return Subspace(r, tuple(tuple(row) for row in rows))
-
-
 def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
     """Stabilizer of the restricted form: all x in span(P) with
     kappa(u, [x, p]) = 0 for every p in P.
 
     span(P) must be spanned by Chevalley basis vectors, as every biparabolic
     is; the form matrix kappa(u, [e_a, e_b]) is then built over those basis
-    indices straight from the integer structure constants. kappa(u, .) is
-    scaled to a primitive integer functional, which leaves the kernel alone.
+    indices from ``bracket_into`` on the support of kappa(u, .), scaled to a
+    primitive integer functional, which leaves the kernel alone. The matrix
+    splits into the connected blocks of its nonzero pattern, and the rref
+    kernel of each block is computed on its own, in integers.
     """
     r = P.spec.system()
     if u.system is not r:
@@ -81,25 +90,47 @@ def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
     idx = sorted({k for p in P.elements for k in p.coords})
     if len(idx) != P.dim:
         raise ValueError("span(P) must be spanned by Chevalley basis vectors")
-    w = linalg._primitive_int_row(killing_functional(r, u))
-    n = len(idx)
-    M = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a + 1, n):
-            val = 0
-            for k, c in r.bracket_basis(idx[a], idx[b]):
-                val += c * w[k]
-            if val:
-                M[a][b] = val
-                M[b][a] = -val
-    vecs = []
-    for c in linalg.nullspace(M, n):
-        dense = [Fraction(0)] * r.dim
-        for k, v in zip(idx, c):
-            dense[k] = v
-        vecs.append(tuple(dense))
-    # rref rows placed on increasing indices are still in rref
-    return Subspace(r, tuple(vecs))
+    w = killing_functional(r, u)
+    supp = [k for k, v in enumerate(w) if v]
+    M: dict[int, dict[int, int]] = {i: {} for i in idx}
+    for k, wk in zip(supp, linalg._primitive_int_row([w[k] for k in supp])):
+        for i, j, c in r.bracket_into(k):
+            if i in M and j in M:
+                M[i][j] = M[i].get(j, 0) + wk * c
+    seen: set[int] = set()
+    by_pivot = {}
+    for start in idx:
+        if start in seen:
+            continue
+        seen.add(start)
+        block = [start]
+        for i in block:  # grows into the connected component of start
+            for j, v in M[i].items():
+                if v and j not in seen:
+                    seen.add(j)
+                    block.append(j)
+        if len(block) == 2:
+            continue  # [[0, a], [-a, 0]] with a != 0: no kernel
+        block.sort()
+        rows = [[M[i].get(j, 0) for j in block] for i in block]
+        for kr, p in zip(*linalg._kernel(rows, len(block))):
+            dense = [_ZERO] * r.dim
+            for t, v in enumerate(kr):
+                if v:
+                    dense[block[t]] = Fraction(v, kr[p])
+            by_pivot[block[p]] = tuple(dense)
+    # ordered by pivot, the block rows are the canonical rref of the kernel
+    # (module docstring)
+    return Subspace(r, tuple(by_pivot[p] for p in sorted(by_pivot)))
+
+
+def _int_rows(S: Subspace) -> list[list[tuple[int, int]]]:
+    """The rows of S as sparse primitive integer rows of (index, value)."""
+    out = []
+    for row in S.rows:
+        supp = [k for k, v in enumerate(row) if v is not _ZERO and v]
+        out.append(list(zip(supp, linalg._primitive_int_row([row[k] for k in supp]))))
+    return out
 
 
 def killing_radical_on(S: Subspace) -> Subspace:
@@ -107,32 +138,47 @@ def killing_radical_on(S: Subspace) -> Subspace:
     with its Killing orthogonal; zero exactly when the restriction is
     nondegenerate."""
     r = S.system
-    els = S.elements()
-    n = len(els)
-    # one functional kappa(s_i, .) per basis element, dotted with every element
+    rows = _int_rows(S)
+    lo, hi = r.n_pos, r.n_pos + r.rank
     gram = []
-    for x in els:
-        w = killing_functional(r, x)
-        gram.append([sum(w[k] * c for k, c in y.coords.items()) for y in els])
-    kernel = linalg.nullspace(gram, n)
+    for x in rows:
+        # kappa(x, .) on the basis: opposite root indices and the Cartan block
+        f: dict[int, int] = {}
+        for i, c in x:
+            opposite = range(lo, hi) if lo <= i < hi else (i + hi if i < lo else i - hi,)
+            for j in opposite:
+                f[j] = f.get(j, 0) + c * r.killing_basis(i, j)
+        gram.append([sum(c * f.get(j, 0) for j, c in y) for y in rows])
     vecs = []
-    for c in kernel:
-        dense = [Fraction(0)] * r.dim
-        for cj, x in zip(c, els):
+    for kr in linalg._kernel(gram, len(rows))[0]:
+        acc: dict[int, int] = {}
+        for cj, x in zip(kr, rows):
             if cj:
-                for k, v in x.coords.items():
-                    dense[k] += cj * v
+                for k, v in x:
+                    acc[k] = acc.get(k, 0) + cj * v
+        # the rows of S and of the kernel are in rref up to one scale each, so
+        # the combination is zero in every other radical row's pivot column;
+        # dividing by its own pivot entry gives the rref row
+        piv = acc[min(k for k, v in acc.items() if v)]
+        dense = [_ZERO] * r.dim
+        for k, v in acc.items():
+            if v:
+                dense[k] = Fraction(v, piv)
         vecs.append(tuple(dense))
-    # rref combinations (the kernel basis) of rref rows (those of S) are in rref
     return Subspace(r, tuple(vecs))
 
 
 def is_abelian(S: Subspace) -> bool:
-    els = S.elements()
+    rows = _int_rows(S)
     r = S.system
-    for i in range(len(els)):
-        for j in range(i + 1, len(els)):
-            if bracket(r, els[i], els[j]):
+    for a, x in enumerate(rows):
+        for y in rows[a + 1 :]:
+            acc: dict[int, int] = {}
+            for i, ci in x:
+                for j, cj in y:
+                    for k, c in r.bracket_basis(i, j):
+                        acc[k] = acc.get(k, 0) + ci * cj * c
+            if any(acc.values()):
                 return False
     return True
 
@@ -177,8 +223,15 @@ class TorusCertificate:
     trial: int
 
 
-def _attempt(spec: BiparabolicSpec, cv: CoefficientVector, trial: int):
-    """Run the three certificate checks on the stabilizer S of one draw.
+def _attempt(
+    spec: BiparabolicSpec,
+    cv: CoefficientVector,
+    trial: int,
+    P: SubalgebraBasis,
+    index: int,
+):
+    """Run the three certificate checks on the stabilizer S of one draw;
+    P and index are ``biparabolic_basis`` and ``seaweed_index`` of spec.
 
     The checks are dim S == index, S abelian, and a nondegenerate Killing
     restriction to S. They imply that every element of S is semisimple, so
@@ -194,10 +247,8 @@ def _attempt(spec: BiparabolicSpec, cv: CoefficientVector, trial: int):
     * That puts n in the Killing radical of S, which the third check proved
       to be 0; hence x is semisimple.
     """
-    u = build_u(spec, cv)
-    P = biparabolic_basis(spec)
-    S = form_stabilizer(P, u)
-    if S.dim != seaweed_index(spec):
+    S = form_stabilizer(P, build_u(spec, cv))
+    if S.dim != index:
         return None, CertChecks(False, False, False)
     if not is_abelian(S):
         return None, CertChecks(True, False, False)
@@ -217,10 +268,11 @@ def certify_quasi_reductive(
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
+    P, index = biparabolic_basis(spec), seaweed_index(spec)
     rng = random.Random(seed)
     for t in range(trials):
         cv = sample_cv(spec, rng)
-        cert, _ = _attempt(spec, cv, t)
+        cert, _ = _attempt(spec, cv, t, P, index)
         if cert is not None:
             return cert
     return None
@@ -228,7 +280,10 @@ def certify_quasi_reductive(
 
 def reverify_certificate(cert: TorusCertificate) -> bool:
     """Recompute the stabilizer from (spec, cv) and re-run the three checks."""
-    fresh, checks = _attempt(cert.spec, cert.cv, cert.trial)
+    spec = cert.spec
+    fresh, checks = _attempt(
+        spec, cert.cv, cert.trial, biparabolic_basis(spec), seaweed_index(spec)
+    )
     return (
         fresh is not None
         and checks.all_true
@@ -323,7 +378,7 @@ def certificate_from_text(text: str) -> TorusCertificate:
     r = build_root_system(stype)
     dense_rows = []
     for row in rows:
-        dense = [Fraction(0)] * r.dim
+        dense = [_ZERO] * r.dim
         for part in row.split(","):
             key, _, val = part.partition("=")
             k = int(key)

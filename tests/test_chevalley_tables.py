@@ -111,3 +111,15 @@ def test_bracket_table_is_antisymmetric(family, rank):
     for i in range(rs.dim):
         for j in range(i, rs.dim):
             assert rs.bracket_basis(j, i) == tuple((k, -c) for k, c in rs.bracket_basis(i, j))
+
+
+@pytest.mark.parametrize("family,rank", sorted(BRACKET_DIGESTS))
+def test_bracket_into_inverts_bracket_basis(family, rank):
+    rs = system(family, rank)
+    into = {k: [] for k in range(rs.dim)}
+    for i in range(rs.dim):
+        for j in range(rs.dim):
+            for k, c in rs.bracket_basis(i, j):
+                into[k].append((i, j, c))
+    for k in range(rs.dim):
+        assert rs.bracket_into(k) == tuple(into[k]), k

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import system
+from form_oracle import subspace_from_vectors
 from minpoly_oracle import is_squarefree, minimal_polynomial
 from quasired import linalg
 from quasired.cascade import kostant_cascade
@@ -38,7 +39,6 @@ from quasired.stabilizer import (
     is_semisimple_element,
     killing_radical_on,
     reverify_certificate,
-    subspace_from_vectors,
 )
 
 
