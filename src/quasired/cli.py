@@ -14,6 +14,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from pathlib import Path
 
@@ -323,7 +324,10 @@ def cmd_tables(selection: list[tuple[str, int]] | None, outdir: str) -> tuple[in
 # argument parsing
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves no state
+    on it, so every call of ``run`` can share it."""
     p = argparse.ArgumentParser(
         prog="quasired",
         description="Exact computations with cascades, seaweed subalgebras and "

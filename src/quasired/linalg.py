@@ -4,8 +4,12 @@ kernels and sparse operators.
 Matrices are plain lists of rows with int or Fraction entries. Each row is
 scaled to a primitive integer row and eliminated by fraction-free integer
 cross multiplication, dividing out each new row's content, so no Fraction is
-built inside the loop. Only ``rref`` and ``nullspace`` return rationals, and
-only for their output rows. Everything here is deterministic and exact.
+built inside the loop. ``rank`` and ``rref`` run a dense column-order loop,
+which is fastest on the small dense matrices they get; kernels are taken by
+a sparse loop with a pivot order chosen for sparsity, whose result is then
+re-reduced to the canonical rref. Only ``rref`` and ``nullspace`` return
+rationals, and only for their output rows. Everything here is deterministic
+and exact.
 """
 
 from __future__ import annotations
@@ -83,28 +87,114 @@ def rref(rows) -> tuple[list[Row], list[int]]:
     return [[Fraction(v, r[p]) for v in r] for r, p in zip(red, pivots)], pivots
 
 
-def _kernel(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
-    """Reduced echelon basis of the right kernel as primitive integer rows
-    and their pivots; dividing each row by its pivot entry gives the rows of
-    ``nullspace``."""
-    red, pivots = _eliminate(rows, True)
-    den = lcm(*(r[p] for r, p in zip(red, pivots)))
-    pivset = set(pivots)
+def _markowitz(work: dict[int, dict[int, int]], cols: dict[int, set[int]]) -> tuple[int, int]:
+    """The (row, column) of a nonzero entry of least Markowitz cost
+    (other entries in its row) * (other rows with its column), first found
+    on ties."""
+    best = None
+    for t, row in work.items():
+        rc = len(row) - 1
+        for c in row:
+            cost = rc * (len(cols[c]) - 1)
+            if best is None or cost < best[0]:
+                if not cost:
+                    return t, c
+                best = (cost, t, c)
+    return best[1], best[2]
+
+
+def _kernel(
+    rows: list[dict[int, int]], ncols: int, order=()
+) -> tuple[list[list[int]], list[int], list[tuple[int, int]]]:
+    """Reduced echelon basis of the right kernel of a sparse integer matrix.
+
+    ``rows`` are sparse rows {column: nonzero int} and are consumed. Each
+    step takes as pivot the next (row, column) of ``order`` whose entry is
+    still nonzero, or else an entry of least Markowitz cost, and clears its
+    column from every other row by fraction-free cross multiplication. Any
+    sequence of nonzero pivots is exact, and the kernel vectors read off the
+    reduced rows are re-reduced by ``_eliminate``, so the result does not
+    depend on the order. Returns the kernel rows as primitive integer rows,
+    their pivot columns, and the pivots taken, which serve as ``order`` for
+    a matrix of the same pattern; dividing each kernel row by its pivot entry
+    gives the rows of ``nullspace``.
+    """
+    work = {t: row for t, row in enumerate(rows) if row}
+    cols: dict[int, set[int]] = {}  # column -> the rows with an entry there
+    for t, row in work.items():
+        for j in row:
+            if j in cols:
+                cols[j].add(t)
+            else:
+                cols[j] = {t}
+    done: list[tuple[int, dict[int, int]]] = []
+    taken = []
+    hints = iter(order)
+    while work:
+        for t, c in hints:
+            if t in work and c in work[t]:
+                break
+        else:
+            t, c = _markowitz(work, cols)
+        taken.append((t, c))
+        prow = work.pop(t)
+        a = prow[c]
+        hit, cols[c] = cols[c], {t}
+        for s in hit:
+            if s == t:
+                continue
+            row = rows[s]
+            f = row[c]
+            for j in row:
+                row[j] *= a
+            for j, v in prow.items():
+                if j in row:
+                    x = row[j] - f * v
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        cols[j].discard(s)
+                else:
+                    row[j] = -f * v
+                    cols[j].add(s)
+            if not row:
+                del work[s]
+                continue
+            g = gcd(*row.values())
+            if g > 1:
+                for j in row:
+                    row[j] //= g
+        done.append((c, prow))
+    # each reduced row is a * x_p + sum e * x_f over free columns f
+    hits: dict[int, list[tuple[int, int, int]]] = {}
+    for p, row in done:
+        a = row[p]
+        for f, e in row.items():
+            if f != p:
+                hits.setdefault(f, []).append((p, a, e))
+    pivots = {p for p, _ in done}
     basis = []
     for f in range(ncols):
-        if f in pivset:
+        if f in pivots:
             continue
+        on = hits.get(f, ())
+        den = lcm(*(a for _, a, _ in on))
         v = [0] * ncols
         v[f] = den
-        for r, p in zip(red, pivots):
-            v[p] = -r[f] * (den // r[p])
+        for p, a, e in on:
+            v[p] = -e * (den // a)
         basis.append(v)
-    return _eliminate(basis, True)
+    red, kpiv = _eliminate(basis, True)
+    return red, kpiv, taken
 
 
 def nullspace(rows, ncols: int) -> list[Row]:
     """Canonical (rref) basis of the right kernel of the matrix."""
-    red, pivots = _kernel(rows, ncols)
+    sparse = [
+        {j: v for j, v in enumerate(_primitive_int_row(r)) if v} for r in rows
+    ]
+    red, pivots, _ = _kernel(sparse, ncols)
     return [[Fraction(v, r[p]) for v in r] for r, p in zip(red, pivots)]
 
 

@@ -397,14 +397,15 @@ class RootSystem:
                 out.append((i, j, table[i][j]))
         return tuple(sorted(out))
 
-    def killing_basis(self, i: int, j: int) -> int:
-        """kappa(e_i, e_j), nonzero only on opposite root pairs and on h x h."""
-        ri, rj = self.index_root(i), self.index_root(j)
-        if ri is None and rj is None:
-            return self._killing_h()[i - self.n_pos][j - self.n_pos]
-        if ri is None or rj is None or any(x + y for x, y in zip(ri, rj)):
-            return 0
-        return self._killing_root(ri if ri in self._pos_set else rj)
+    @cache
+    def killing_row(self, i: int) -> tuple[tuple[int, int], ...]:
+        """Every (j, kappa(e_i, e_j)) with a nonzero value: the one opposite
+        root index for a root vector, the Cartan block for h_i."""
+        lo, hi = self.n_pos, self.n_pos + self.rank
+        if lo <= i < hi:
+            return tuple((lo + j, v) for j, v in enumerate(self._killing_h()[i - lo]) if v)
+        j = i + hi if i < lo else i - hi
+        return ((j, self._killing_root(self.positive_roots[min(i, j)])),)
 
     @cache
     def _killing_h(self) -> tuple[tuple[int, ...], ...]:
@@ -445,13 +446,16 @@ class AlgebraElement:
         items = coords.items() if isinstance(coords, dict) else coords
         acc: dict[int, Fraction] = {}
         for i, c in items:
-            c = Fraction(c)
-            if c:
-                v = acc.get(i, Fraction(0)) + c
-                if v:
-                    acc[i] = v
-                elif i in acc:
+            if type(c) is not Fraction:
+                c = Fraction(c)
+            if not c:
+                continue
+            if i in acc:
+                c += acc[i]
+                if not c:
                     del acc[i]
+                    continue
+            acc[i] = c
         self.system = system
         self.coords = acc
 
@@ -567,15 +571,9 @@ def bracket(r: RootSystem, x: AlgebraElement, y: AlgebraElement) -> AlgebraEleme
 def killing_functional(r: RootSystem, u: AlgebraElement) -> list:
     """Dense vector w with w[k] = kappa(u, e_k); untouched entries are int 0."""
     w: list = [0] * r.dim
-    h_lo, h_hi = r.n_pos, r.n_pos + r.rank
     for i, ci in u.coords.items():
-        root = r.index_root(i)
-        if root is None:
-            for j in range(h_lo, h_hi):
-                w[j] += ci * r.killing_basis(i, j)
-        else:
-            j = r.idx_x(r.negative(root))
-            w[j] += ci * r.killing_basis(i, j)
+        for j, v in r.killing_row(i):
+            w[j] += ci * v
     return w
 
 

@@ -2,22 +2,33 @@
 
 The stabilizer of the form kappa(u, .) restricted to a subalgebra P is the
 kernel of the matrix kappa(u, [P_i, P_j]); everything is computed exactly,
-and the form matrix is kept integral. It is built only from the brackets
-that land on the support of kappa(u, .), and it splits into blocks, the
-connected components of its nonzero pattern. The kernel is the direct sum
-of the block kernels. Each block's rref rows vanish outside the block, so
-in the union of all of them no row has a nonzero entry in another row's
-pivot column; ordered by pivot, the union is therefore the canonical rref
-of the whole kernel, the rows one elimination of the full matrix would give.
-The abelian and Killing checks run on the same rows as primitive integer
-vectors; only the returned rows are Fractions. A torus certificate packages a
-coefficient draw whose stabilizer passes three exact checks: its dimension
-equals the index, it is abelian, and the Killing form restricted to it is
-nondegenerate. For the full stabilizer of a form on a biparabolic these
-three imply that every element is semisimple (the argument is in
-``_attempt``), so the stabilizer is a torus and witnesses quasi-reductivity;
-exhausted draws prove nothing by themselves. ``is_semisimple_element`` stays
-as the direct check anyone can run on a single element.
+in integers. kappa(u, .) is scaled to a primitive integer functional w, and
+the matrix is sum_k w_k C_k with C_k the integer constants of
+``bracket_into(k)``. Its nonzero pattern depends only on the support of w,
+and in a certificate search that support is fixed by the spec: every entry
+is one w_k = (coefficient) * kappa(x_eps, x_-eps) times a constant, never 0.
+So the pattern is compiled once per search, on the first trial: the blocks
+(the connected components of the pattern), their cells and a sparse pivot
+order for each. Later trials multiply their weights into the cells and
+eliminate each block in that order. Any pivot order is exact, because a
+pivot that is 0 for some draw is replaced and each block's kernel basis is
+re-reduced to its canonical rref; ``rank`` and ``rref`` keep the dense loop.
+The kernel is the direct sum of the block kernels. Each block's rref rows
+vanish outside the block, so in the union of all of them no row has a
+nonzero entry in another row's pivot column; ordered by pivot, the union is
+therefore the canonical rref of the whole kernel, the rows one elimination
+of the full matrix would give. The abelian and Killing checks run on the
+same rows as sparse primitive integer rows, which become Fractions only when
+a certificate is printed or compared.
+
+A torus certificate packages a coefficient draw whose stabilizer passes
+three exact checks: its dimension equals the index, it is abelian, and the
+Killing form restricted to it is nondegenerate. For the full stabilizer of a
+form on a biparabolic these three imply that every element is semisimple
+(the argument is in ``_attempt``), so the stabilizer is a torus and
+witnesses quasi-reductivity; exhausted draws prove nothing by themselves.
+``is_semisimple_element`` stays as the direct check anyone can run on a
+single element.
 """
 
 from __future__ import annotations
@@ -41,27 +52,80 @@ from .seaweed import (
     CoefficientVector,
     SubalgebraBasis,
     biparabolic_basis,
-    build_u,
+    form_weights,
     sample_cv,
     seaweed_index,
 )
 
 
-# the zero of every dense row built here; scans skip it by identity before
-# falling back to a truth test, which is slow on Fractions
+# one shared zero for every dense row built here
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace of the ambient algebra, rows in reduced echelon form."""
+def _sparse_int_row(entries) -> tuple[tuple[int, int], ...]:
+    """Rational (index, value) pairs in index order as a sparse primitive
+    integer row, zeros dropped."""
+    nz = [(k, v) for k, v in entries if v]
+    return tuple(zip([k for k, _ in nz], linalg._primitive_int_row([v for _, v in nz])))
 
-    system: RootSystem
-    rows: tuple[tuple[Fraction, ...], ...]
+
+class Subspace:
+    """A subspace of the ambient algebra, rows in reduced echelon form.
+
+    ``rows`` are dense Fraction rows and ``int_rows`` the same rows as
+    sparse primitive integer rows of (index, value) in index order. A
+    subspace built from one form computes the other on first use: rows from
+    integer rows divide by the leading entry, integer rows from rows clear
+    denominators and content.
+    """
+
+    __slots__ = ("system", "_rows", "_ints")
+
+    def __init__(self, system: RootSystem, rows) -> None:
+        self.system = system
+        self._rows = rows
+        self._ints = None
+
+    @classmethod
+    def from_int_rows(cls, system: RootSystem, int_rows) -> "Subspace":
+        S = cls(system, None)
+        S._ints = int_rows
+        return S
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        if self._rows is None:
+            self._rows = tuple(map(self._dense, self._ints))
+        return self._rows
+
+    def _dense(self, x: tuple[tuple[int, int], ...]) -> tuple[Fraction, ...]:
+        dense = [_ZERO] * self.system.dim
+        for k, v in x:
+            dense[k] = Fraction(v, x[0][1])
+        return tuple(dense)
+
+    @property
+    def int_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        if self._ints is None:
+            self._ints = tuple(_sparse_int_row(enumerate(row)) for row in self._rows)
+        return self._ints
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self._rows if self._ints is None else self._ints)
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, Subspace)
+            and self.system is other.system
+            and self.rows == other.rows
+        )
+
+    def __hash__(self) -> int:
+        return hash((id(self.system), self.rows))
+
+    def __repr__(self) -> str:
+        return f"Subspace({self.system.type}, dim={self.dim})"
 
     def elements(self) -> tuple[AlgebraElement, ...]:
         return tuple(
@@ -73,64 +137,123 @@ class Subspace:
         return linalg.rank([*self.rows, x.dense()]) == self.dim
 
 
-def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
-    """Stabilizer of the restricted form: all x in span(P) with
-    kappa(u, [x, p]) = 0 for every p in P.
+@dataclass
+class _Block:
+    """One connected block of a form pattern: its sorted basis indices, its
+    cells above the diagonal as (row, column, weight index, constant), whose
+    entry is weight * constant (and minus that below the diagonal), cells
+    with several terms as (row, column, ((weight index, constant), ...)),
+    and the pivots the first elimination took."""
 
-    span(P) must be spanned by Chevalley basis vectors, as every biparabolic
-    is; the form matrix kappa(u, [e_a, e_b]) is then built over those basis
-    indices from ``bracket_into`` on the support of kappa(u, .), scaled to a
-    primitive integer functional, which leaves the kernel alone. The matrix
-    splits into the connected blocks of its nonzero pattern, and the rref
-    kernel of each block is computed on its own, in integers.
-    """
+    idx: tuple[int, ...]
+    cells: list[tuple[int, int, int, int]]
+    sums: list[tuple[int, int, tuple[tuple[int, int], ...]]]
+    order: list[tuple[int, int]] | None = None
+
+    def kernel(self, w: dict[int, int]) -> list[tuple[tuple[int, int], ...]]:
+        """The kernel rows of the block under the weights w, as sparse
+        primitive integer rows over basis indices."""
+        rows: list[dict[int, int]] = [{} for _ in self.idx]
+        for a, b, k, c in self.cells:
+            v = w[k] * c
+            rows[a][b] = v
+            rows[b][a] = -v
+        for a, b, terms in self.sums:
+            v = sum(w[k] * c for k, c in terms)
+            if v:
+                rows[a][b] = v
+                rows[b][a] = -v
+        red, pivots, taken = linalg._kernel(rows, len(self.idx), self.order or ())
+        if self.order is None:
+            self.order = taken
+        idx = self.idx
+        return [tuple((idx[t], v) for t, v in enumerate(kr) if v) for kr in red]
+
+
+@dataclass
+class _FormPattern:
+    """The form matrix kappa(u, [e_a, e_b]) over the basis of P for every u
+    whose functional kappa(u, .) has the given support: the rows of indices
+    in no cell, which lie in every kernel, and the blocks left to eliminate."""
+
+    support: tuple[int, ...]
+    fixed: list[tuple[tuple[int, int], ...]]
+    blocks: list[_Block]
+
+
+def _form_pattern(P: SubalgebraBasis, support: tuple[int, ...]) -> _FormPattern:
     r = P.spec.system()
-    if u.system is not r:
-        raise ValueError("form element lives over a different root system")
     idx = sorted({k for p in P.elements for k in p.coords})
     if len(idx) != P.dim:
         raise ValueError("span(P) must be spanned by Chevalley basis vectors")
-    w = killing_functional(r, u)
-    supp = [k for k, v in enumerate(w) if v]
-    M: dict[int, dict[int, int]] = {i: {} for i in idx}
-    for k, wk in zip(supp, linalg._primitive_int_row([w[k] for k in supp])):
+    # terms[i][j]: the (k, c) with c the e_k coefficient of [e_i, e_j]; the
+    # pattern is symmetric, as kappa(u, [e_j, e_i]) = -kappa(u, [e_i, e_j])
+    terms: dict[int, dict[int, list[tuple[int, int]]]] = {i: {} for i in idx}
+    for k in support:
         for i, j, c in r.bracket_into(k):
-            if i in M and j in M:
-                M[i][j] = M[i].get(j, 0) + wk * c
+            if i in terms and j in terms:
+                terms[i].setdefault(j, []).append((k, c))
+    fixed, blocks = [], []
     seen: set[int] = set()
-    by_pivot = {}
     for start in idx:
         if start in seen:
             continue
         seen.add(start)
         block = [start]
         for i in block:  # grows into the connected component of start
-            for j, v in M[i].items():
-                if v and j not in seen:
+            for j in terms[i]:
+                if j not in seen:
                     seen.add(j)
                     block.append(j)
-        if len(block) == 2:
-            continue  # [[0, a], [-a, 0]] with a != 0: no kernel
         block.sort()
-        rows = [[M[i].get(j, 0) for j in block] for i in block]
-        for kr, p in zip(*linalg._kernel(rows, len(block))):
-            dense = [_ZERO] * r.dim
-            for t, v in enumerate(kr):
-                if v:
-                    dense[block[t]] = Fraction(v, kr[p])
-            by_pivot[block[p]] = tuple(dense)
+        local = {i: t for t, i in enumerate(block)}
+        cells, sums = [], []
+        for i in block:
+            for j, ts in terms[i].items():
+                if i > j:
+                    continue
+                if len(ts) == 1:
+                    cells.append((local[i], local[j], *ts[0]))
+                else:
+                    sums.append((local[i], local[j], tuple(ts)))
+        if not cells and not sums:
+            fixed.append(((start, 1),))
+        elif len(block) == 2 and not sums:
+            continue  # [[0, a], [-a, 0]] with a = w_k * c != 0: no kernel
+        else:
+            blocks.append(_Block(tuple(block), cells, sums))
+    return _FormPattern(support, fixed, blocks)
+
+
+def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement | CoefficientVector) -> Subspace:
+    """Stabilizer of the restricted form: all x in span(P) with
+    kappa(u, [x, p]) = 0 for every p in P.
+
+    u is an element, or a coefficient draw cv that stands for the cascade
+    form build_u(P.spec, cv) and whose weights ``form_weights`` reads without
+    building it. span(P) must be spanned by Chevalley basis vectors, as
+    every biparabolic is. The form pattern (module docstring) is compiled
+    for the support of kappa(u, .) and kept in ``P.memo`` until a call with
+    another support replaces it.
+    """
+    r = P.spec.system()
+    if isinstance(u, CoefficientVector):
+        w = form_weights(P.spec, u)
+    else:
+        if u.system is not r:
+            raise ValueError("form element lives over a different root system")
+        w = dict(_sparse_int_row(enumerate(killing_functional(r, u))))
+    support = tuple(w)
+    pattern = P.memo.get("form")
+    if pattern is None or pattern.support != support:
+        pattern = P.memo["form"] = _form_pattern(P, support)
+    rows = list(pattern.fixed)
+    for block in pattern.blocks:
+        rows += block.kernel(w)
     # ordered by pivot, the block rows are the canonical rref of the kernel
     # (module docstring)
-    return Subspace(r, tuple(by_pivot[p] for p in sorted(by_pivot)))
-
-
-def _int_rows(S: Subspace) -> list[list[tuple[int, int]]]:
-    """The rows of S as sparse primitive integer rows of (index, value)."""
-    out = []
-    for row in S.rows:
-        supp = [k for k, v in enumerate(row) if v is not _ZERO and v]
-        out.append(list(zip(supp, linalg._primitive_int_row([row[k] for k in supp]))))
-    return out
+    rows.sort()
+    return Subspace.from_int_rows(r, tuple(rows))
 
 
 def killing_radical_on(S: Subspace) -> Subspace:
@@ -138,17 +261,16 @@ def killing_radical_on(S: Subspace) -> Subspace:
     with its Killing orthogonal; zero exactly when the restriction is
     nondegenerate."""
     r = S.system
-    rows = _int_rows(S)
-    lo, hi = r.n_pos, r.n_pos + r.rank
+    rows = S.int_rows
     gram = []
     for x in rows:
-        # kappa(x, .) on the basis: opposite root indices and the Cartan block
-        f: dict[int, int] = {}
+        f: dict[int, int] = {}  # kappa(x, .) on the basis
         for i, c in x:
-            opposite = range(lo, hi) if lo <= i < hi else (i + hi if i < lo else i - hi,)
-            for j in opposite:
-                f[j] = f.get(j, 0) + c * r.killing_basis(i, j)
-        gram.append([sum(c * f.get(j, 0) for j, c in y) for y in rows])
+            for j, k in r.killing_row(i):
+                f[j] = f.get(j, 0) + c * k
+        gram.append(
+            {b: v for b, y in enumerate(rows) if (v := sum(c * f.get(j, 0) for j, c in y))}
+        )
     vecs = []
     for kr in linalg._kernel(gram, len(rows))[0]:
         acc: dict[int, int] = {}
@@ -158,18 +280,13 @@ def killing_radical_on(S: Subspace) -> Subspace:
                     acc[k] = acc.get(k, 0) + cj * v
         # the rows of S and of the kernel are in rref up to one scale each, so
         # the combination is zero in every other radical row's pivot column;
-        # dividing by its own pivot entry gives the rref row
-        piv = acc[min(k for k, v in acc.items() if v)]
-        dense = [_ZERO] * r.dim
-        for k, v in acc.items():
-            if v:
-                dense[k] = Fraction(v, piv)
-        vecs.append(tuple(dense))
-    return Subspace(r, tuple(vecs))
+        # its leading entry is its pivot
+        vecs.append(_sparse_int_row(sorted(acc.items())))
+    return Subspace.from_int_rows(r, tuple(vecs))
 
 
 def is_abelian(S: Subspace) -> bool:
-    rows = _int_rows(S)
+    rows = S.int_rows
     r = S.system
     for a, x in enumerate(rows):
         for y in rows[a + 1 :]:
@@ -247,7 +364,7 @@ def _attempt(
     * That puts n in the Killing radical of S, which the third check proved
       to be 0; hence x is semisimple.
     """
-    S = form_stabilizer(P, build_u(spec, cv))
+    S = form_stabilizer(P, cv)
     if S.dim != index:
         return None, CertChecks(False, False, False)
     if not is_abelian(S):

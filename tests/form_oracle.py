@@ -1,15 +1,16 @@
-"""The dense route to form stabilizers, kept as a test oracle.
+"""The dense route to form stabilizers and kernels, kept as a test oracle.
 
 It builds the full n x n form matrix kappa(u, [e_a, e_b]) over the basis
-indices of P from ``bracket_basis``, takes its kernel with
-``linalg.nullspace`` in one piece and reads the rref rows off directly. It
-shares no block splitting, ``bracket_into`` table or per-block elimination
-with ``stabilizer.form_stabilizer``.
+indices of P from ``bracket_basis``, takes its kernel with ``dense_kernel``
+in one piece and reads the rref rows off directly. It shares no block
+splitting, ``bracket_into`` table, form pattern or sparse elimination with
+``stabilizer.form_stabilizer``; only the dense ``linalg._eliminate`` loop.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from quasired import linalg
 from quasired.rootsys import AlgebraElement, RootSystem, killing_functional
@@ -21,6 +22,24 @@ def subspace_from_vectors(r: RootSystem, vectors) -> Subspace:
     """The span of dense vectors, as a Subspace in canonical rref."""
     rows, _ = linalg.rref([list(v) for v in vectors])
     return Subspace(r, tuple(tuple(row) for row in rows))
+
+
+def dense_kernel(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
+    """rref basis of the right kernel as primitive integer rows and their
+    pivots, from one dense Gauss-Jordan elimination of the whole matrix."""
+    red, pivots = linalg._eliminate(rows, True)
+    den = lcm(*(r[p] for r, p in zip(red, pivots)))
+    pivset = set(pivots)
+    basis = []
+    for f in range(ncols):
+        if f in pivset:
+            continue
+        v = [0] * ncols
+        v[f] = den
+        for r, p in zip(red, pivots):
+            v[p] = -r[f] * (den // r[p])
+        basis.append(v)
+    return linalg._eliminate(basis, True)
 
 
 def dense_form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
@@ -37,10 +56,10 @@ def dense_form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
             M[a][b] = val
             M[b][a] = -val
     vecs = []
-    for c in linalg.nullspace(M, n):
+    for c, p in zip(*dense_kernel(M, n)):
         dense = [Fraction(0)] * r.dim
         for k, v in zip(idx, c):
-            dense[k] = v
+            dense[k] = Fraction(v, c[p])
         vecs.append(tuple(dense))
     # rref rows placed on increasing indices are still in rref
     return Subspace(r, tuple(vecs))

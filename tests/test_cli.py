@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,34 @@ def test_usage_errors(tmp_path):
     assert exc.value.code == cli.USAGE_ERROR
 
 
+def _fresh_process(argv):
+    """quasired run in a new interpreter, on the same source tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "quasired.cli", *argv], capture_output=True, text=True, env=env
+    )
+
+
+def test_shared_parser_after_usage_error_matches_a_fresh_process(capsys):
+    # the parser is built once per process; a parse that failed must leave
+    # nothing behind for the next call
+    bad = ["verify", "G", "2", "--pi1", "2", "--bogus"]
+    good = ["verify", "G", "2", "--pi1", "2", "--seed", "1"]
+    seen = []
+    for argv in (bad, good, bad):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        seen.append((code, captured.out, captured.err))
+    for argv, (code, out, err) in zip((bad, good, bad), seen):
+        fresh = _fresh_process(argv)
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert seen[0][0] == cli.USAGE_ERROR and seen[1][0] == 0
+
+
 def test_verify_store_in_missing_directory_is_exit_2(tmp_path):
     store = tmp_path / "missing" / "cert.txt"
     code, out = run("verify", "G", "2", "--pi1", "2", "--seed", "1", "--store", str(store))
@@ -188,15 +220,38 @@ _VERIFY_E6_JSON = (
 )
 
 
-@pytest.mark.parametrize(
-    "argv,want",
-    [
-        (["verify", "G", "2", "--pi1", "2", "--seed", "1"], _VERIFY_G2_TEXT),
-        (["verify", "E", "6", "--pi1", "2,3,4", "--seed", "7", "--json"], _VERIFY_E6_JSON),
-    ],
-    ids=["g2-text", "e6-json"],
+_VERIFY_E7_EXHAUSTED_TEXT = """\
+type: E7
+pi1: 1
+pi2: 1,2,3,4,5,6,7
+seed: 3
+index: 1
+certificate: none (20 trials exhausted)
+"""
+
+_VERIFY_E8_JSON = (
+    '{"certificate": "quasired certificate v1\\ntype: E8\\npi1: 2,3,5,7\\n'
+    'pi2: 1,2,3,4,5,6,7,8\\na: 1+2+3+4+5+6+7=-18/1; 1+2+3+4+5+6+7+8=29/1; 2=38/1; '
+    '2+3+4+5=-5/1; 2+3+4+5+6+7=44/1; 3=44/1; 5=33/1; 7=17/1\\n'
+    'b: 2=-47/1; 3=9/1; 5=49/1; 7=-19/1\\nstabilizer-dim: 4\\ntrial: 0\\n'
+    'row: 1=1/1,129=-17/19\\nrow: 3=1/1,131=33/49\\nrow: 5=1/1,133=44/9\\n'
+    'row: 6=1/1,134=-38/47\\n", "index": 4, "pi1": [2, 3, 5, 7], '
+    '"pi2": [1, 2, 3, 4, 5, 6, 7, 8], "seed": 5, "stabilizer_dim": 4, "trial": 0, '
+    '"type": "E8"}\n'
 )
-def test_verify_stdout_is_pinned(capsys, argv, want):
-    assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv,code,want",
+    [
+        (["verify", "G", "2", "--pi1", "2", "--seed", "1"], 0, _VERIFY_G2_TEXT),
+        (["verify", "E", "6", "--pi1", "2,3,4", "--seed", "7", "--json"], 0, _VERIFY_E6_JSON),
+        (["verify", "E", "7", "--pi1", "1", "--seed", "3"], 3, _VERIFY_E7_EXHAUSTED_TEXT),
+        (["verify", "E", "8", "--pi1", "2,3,5,7", "--seed", "5", "--json"], 0, _VERIFY_E8_JSON),
+    ],
+    ids=["g2-text", "e6-json", "e7-exhausted-text", "e8-json"],
+)
+def test_verify_stdout_is_pinned(capsys, argv, code, want):
+    assert cli.main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == want and captured.err == ""
