@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 from . import linalg
 from .cascade import Cascade, Subset, half_difference_roots, kostant_cascade, tilde_pi
@@ -61,9 +60,9 @@ class SubalgebraBasis:
 
     spec: BiparabolicSpec
     elements: tuple[AlgebraElement, ...]
-    # what is worked out once for many calls on this basis (the form pattern
-    # of ``stabilizer.form_stabilizer``); it is freed with the basis
-    memo: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    # owned by ``stabilizer.form_stabilizer``: the form pattern compiled for
+    # the last support it saw, freed with the basis
+    form_pattern: object = field(default=None, init=False, compare=False, repr=False)
 
     @property
     def dim(self) -> int:
@@ -164,28 +163,10 @@ def build_u(spec: BiparabolicSpec, cv: CoefficientVector) -> AlgebraElement:
     """The element sum(a_K x_{-eps_K}, K in pi2 cascade) +
     sum(b_L x_{eps_L}, L in pi1 cascade)."""
     r, c1, c2, am, bm = _checked_maps(spec, cv)
-    coords = [(r.idx_x(r.negative(n.eps)), am[n.support]) for n in c2.nodes]
-    coords += [(r.idx_x(n.eps), bm[n.support]) for n in c1.nodes]
+    neg = r.n_pos + r.rank  # idx_x(-a) - idx_x(a) for every positive root a
+    coords = [(r.pos_index[n.eps] + neg, am[n.support]) for n in c2.nodes]
+    coords += [(r.pos_index[n.eps], bm[n.support]) for n in c1.nodes]
     return AlgebraElement(r, coords)
-
-
-def form_weights(spec: BiparabolicSpec, cv: CoefficientVector) -> dict[int, int]:
-    """kappa(u, .) for u = build_u(spec, cv), scaled to a primitive integer
-    functional {basis index: weight} and read straight from the coefficients.
-
-    The term a x_{-eps} of u gives the weight a * kappa(x_{-eps}, x_eps) at
-    x_eps, and b x_eps gives b * kappa(x_eps, x_{-eps}) at x_{-eps}. The eps
-    of one cascade are distinct, so no two terms meet: the indices are fixed
-    by the spec and no weight is 0.
-    """
-    r, c1, c2, am, bm = _checked_maps(spec, cv)
-    hi = r.n_pos + r.rank
-    terms = [(r.pos_index[n.eps], am[n.support]) for n in c2.nodes]
-    terms += [(r.pos_index[n.eps] + hi, bm[n.support]) for n in c1.nodes]
-    ints = linalg._primitive_int_row([c for _, c in terms])
-    w = {j: c * r.killing_row(j)[0][1] for (j, _), c in zip(terms, ints)}
-    g = gcd(*w.values())
-    return {j: w[j] // g for j in sorted(w)}
 
 
 def build_u_minus(spec: BiparabolicSpec) -> AlgebraElement:

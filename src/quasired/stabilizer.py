@@ -37,6 +37,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from . import linalg
 from .rootsys import (
@@ -45,14 +46,13 @@ from .rootsys import (
     SimpleType,
     ad_columns,
     build_root_system,
-    killing_functional,
 )
 from .seaweed import (
     BiparabolicSpec,
     CoefficientVector,
     SubalgebraBasis,
     biparabolic_basis,
-    form_weights,
+    build_u,
     sample_cv,
     seaweed_index,
 )
@@ -225,28 +225,31 @@ def _form_pattern(P: SubalgebraBasis, support: tuple[int, ...]) -> _FormPattern:
     return _FormPattern(support, fixed, blocks)
 
 
-def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement | CoefficientVector) -> Subspace:
+def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
     """Stabilizer of the restricted form: all x in span(P) with
     kappa(u, [x, p]) = 0 for every p in P.
 
-    u is an element, or a coefficient draw cv that stands for the cascade
-    form build_u(P.spec, cv) and whose weights ``form_weights`` reads without
-    building it. span(P) must be spanned by Chevalley basis vectors, as
-    every biparabolic is. The form pattern (module docstring) is compiled
-    for the support of kappa(u, .) and kept in ``P.memo`` until a call with
-    another support replaces it.
+    span(P) must be spanned by Chevalley basis vectors, as every biparabolic
+    is. The form pattern (module docstring) is compiled for the support of
+    kappa(u, .) and kept in ``P.form_pattern`` until a call with another
+    support replaces it.
     """
     r = P.spec.system()
-    if isinstance(u, CoefficientVector):
-        w = form_weights(P.spec, u)
-    else:
-        if u.system is not r:
-            raise ValueError("form element lives over a different root system")
-        w = dict(_sparse_int_row(enumerate(killing_functional(r, u))))
+    if u.system is not r:
+        raise ValueError("form element lives over a different root system")
+    f: dict[int, int] = {}  # den * kappa(u, .) on the basis
+    den = lcm(*[c.denominator for c in u.coords.values()])
+    for i, c in u.coords.items():
+        c = c.numerator * (den // c.denominator)
+        for j, v in r.killing_row(i):
+            f[j] = f.get(j, 0) + c * v
+    g = gcd(*f.values())
+    w = {j: f[j] // g for j in sorted(f) if f[j]}
     support = tuple(w)
-    pattern = P.memo.get("form")
+    pattern = P.form_pattern
     if pattern is None or pattern.support != support:
-        pattern = P.memo["form"] = _form_pattern(P, support)
+        pattern = _form_pattern(P, support)
+        object.__setattr__(P, "form_pattern", pattern)
     rows = list(pattern.fixed)
     for block in pattern.blocks:
         rows += block.kernel(w)
@@ -364,7 +367,7 @@ def _attempt(
     * That puts n in the Killing radical of S, which the third check proved
       to be 0; hence x is semisimple.
     """
-    S = form_stabilizer(P, cv)
+    S = form_stabilizer(P, build_u(spec, cv))
     if S.dim != index:
         return None, CertChecks(False, False, False)
     if not is_abelian(S):

@@ -156,10 +156,10 @@ def test_every_trial_of_a_search_matches_dense_route(monkeypatch, family, rank):
     real = stabilizer.form_stabilizer
     patterns = []
 
-    def form_stabilizer_checked(P, cv):
-        S = real(P, cv)
-        assert S.rows == dense_form_stabilizer(P, build_u(P.spec, cv)).rows, P.spec
-        patterns.append(P.memo["form"])
+    def form_stabilizer_checked(P, u):
+        S = real(P, u)
+        assert S.rows == dense_form_stabilizer(P, u).rows, P.spec
+        patterns.append(P.form_pattern)
         return S
 
     monkeypatch.setattr(stabilizer, "form_stabilizer", form_stabilizer_checked)
@@ -207,10 +207,10 @@ def test_cartan_forms_sharing_a_pattern_match_dense_route(family, rank):
         elif zeros and len(singular) < 3:
             singular.append(h)
     S = form_stabilizer(P, _cartan_form(rs, generic))
-    pattern = P.memo["form"]
+    pattern = P.form_pattern
     assert S.rows == dense_form_stabilizer(P, _cartan_form(rs, generic)).rows
     for h in singular:
         u = _cartan_form(rs, h)
         S = form_stabilizer(P, u)
-        assert P.memo["form"] is pattern
+        assert P.form_pattern is pattern
         assert S.dim > rank and S.rows == dense_form_stabilizer(P, u).rows, h
