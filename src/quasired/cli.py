@@ -13,7 +13,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 from pathlib import Path
@@ -26,20 +25,6 @@ from .stabilizer import certificate_to_text, certify_quasi_reductive
 
 USAGE_ERROR = 2
 EXHAUSTED = 3
-
-
-@dataclass(frozen=True)
-class QuerySpec:
-    family: str
-    rank: int
-    pi1: frozenset[int]
-    pi2: frozenset[int]
-    seed: int = 0
-    trials: int = 20
-
-    @property
-    def stype(self) -> SimpleType:
-        return SimpleType(self.family, self.rank)
 
 
 def _parse_subset(txt: str | None, rank: int, default_full: bool) -> frozenset[int]:
@@ -69,13 +54,15 @@ def _subset_text(s) -> str:
 # commands
 
 
-def cmd_cascade(q: QuerySpec, as_json: bool) -> tuple[int, str]:
-    r = build_root_system(q.stype)
-    c = kostant_cascade(r, q.pi1)
+def cmd_cascade(
+    stype: SimpleType, pi: frozenset[int], as_json: bool
+) -> tuple[int, str]:
+    r = build_root_system(stype)
+    c = kostant_cascade(r, pi)
     if as_json:
         data = {
-            "type": str(q.stype),
-            "pi": sorted(q.pi1),
+            "type": str(stype),
+            "pi": sorted(pi),
             "k": len(c),
             "nodes": [
                 {
@@ -87,7 +74,7 @@ def cmd_cascade(q: QuerySpec, as_json: bool) -> tuple[int, str]:
             ],
         }
         return 0, json.dumps(data, sort_keys=True)
-    lines = [f"type: {q.stype}", f"pi: {_subset_text(q.pi1)}", f"k: {len(c)}"]
+    lines = [f"type: {stype}", f"pi: {_subset_text(pi)}", f"k: {len(c)}"]
     for i, n in enumerate(c.nodes, 1):
         lines.append(
             "node {}: support={} eps={} gamma={}".format(
@@ -100,36 +87,37 @@ def cmd_cascade(q: QuerySpec, as_json: bool) -> tuple[int, str]:
     return 0, "\n".join(lines)
 
 
-def cmd_index(q: QuerySpec, as_json: bool) -> tuple[int, str]:
-    spec = BiparabolicSpec(q.stype, q.pi1, q.pi2)
+def cmd_index(spec: BiparabolicSpec, as_json: bool) -> tuple[int, str]:
     idx = seaweed_index(spec)
     if as_json:
         return 0, json.dumps(
             {
-                "type": str(q.stype),
-                "pi1": sorted(q.pi1),
-                "pi2": sorted(q.pi2),
+                "type": str(spec.ambient),
+                "pi1": sorted(spec.pi1),
+                "pi2": sorted(spec.pi2),
                 "index": idx,
             },
             sort_keys=True,
         )
     return 0, "\n".join(
         [
-            f"type: {q.stype}",
-            f"pi1: {_subset_text(q.pi1)}",
-            f"pi2: {_subset_text(q.pi2)}",
+            f"type: {spec.ambient}",
+            f"pi1: {_subset_text(spec.pi1)}",
+            f"pi2: {_subset_text(spec.pi2)}",
             f"index: {idx}",
         ]
     )
 
 
-def cmd_classify(q: QuerySpec, as_json: bool) -> tuple[int, str]:
-    v = classify_parabolic(q.stype, q.pi1)
+def cmd_classify(
+    stype: SimpleType, pi: frozenset[int], as_json: bool
+) -> tuple[int, str]:
+    v = classify_parabolic(stype, pi)
     if as_json:
         return 0, v.to_json()
     lines = [
-        f"type: {q.stype}",
-        f"pi: {_subset_text(q.pi1)}",
+        f"type: {stype}",
+        f"pi: {_subset_text(pi)}",
         f"quasi_reductive: {'yes' if v.quasi_reductive else 'no'}",
         f"index: {v.index}",
     ]
@@ -141,20 +129,19 @@ def cmd_classify(q: QuerySpec, as_json: bool) -> tuple[int, str]:
 
 
 def cmd_verify(
-    q: QuerySpec, as_json: bool, store: str | None
+    spec: BiparabolicSpec, seed: int, trials: int, as_json: bool, store: str | None
 ) -> tuple[int, str]:
-    spec = BiparabolicSpec(q.stype, q.pi1, q.pi2)
-    cert = certify_quasi_reductive(spec, trials=q.trials, seed=q.seed)
+    cert = certify_quasi_reductive(spec, trials=trials, seed=seed)
     idx = seaweed_index(spec)
     if cert is None:
         if as_json:
             txt = json.dumps(
                 {
-                    "type": str(q.stype),
-                    "pi1": sorted(q.pi1),
-                    "pi2": sorted(q.pi2),
-                    "seed": q.seed,
-                    "trials": q.trials,
+                    "type": str(spec.ambient),
+                    "pi1": sorted(spec.pi1),
+                    "pi2": sorted(spec.pi2),
+                    "seed": seed,
+                    "trials": trials,
                     "index": idx,
                     "certificate": None,
                 },
@@ -163,12 +150,12 @@ def cmd_verify(
         else:
             txt = "\n".join(
                 [
-                    f"type: {q.stype}",
-                    f"pi1: {_subset_text(q.pi1)}",
-                    f"pi2: {_subset_text(q.pi2)}",
-                    f"seed: {q.seed}",
+                    f"type: {spec.ambient}",
+                    f"pi1: {_subset_text(spec.pi1)}",
+                    f"pi2: {_subset_text(spec.pi2)}",
+                    f"seed: {seed}",
                     f"index: {idx}",
-                    f"certificate: none ({q.trials} trials exhausted)",
+                    f"certificate: none ({trials} trials exhausted)",
                 ]
             )
         return EXHAUSTED, txt
@@ -177,10 +164,10 @@ def cmd_verify(
         Path(store).write_text(text)
     if as_json:
         out = {
-            "type": str(q.stype),
-            "pi1": sorted(q.pi1),
-            "pi2": sorted(q.pi2),
-            "seed": q.seed,
+            "type": str(spec.ambient),
+            "pi1": sorted(spec.pi1),
+            "pi2": sorted(spec.pi2),
+            "seed": seed,
             "trial": cert.trial,
             "index": idx,
             "stabilizer_dim": cert.stab.dim,
@@ -188,10 +175,10 @@ def cmd_verify(
         }
         return 0, json.dumps(out, sort_keys=True)
     lines = [
-        f"type: {q.stype}",
-        f"pi1: {_subset_text(q.pi1)}",
-        f"pi2: {_subset_text(q.pi2)}",
-        f"seed: {q.seed}",
+        f"type: {spec.ambient}",
+        f"pi1: {_subset_text(spec.pi1)}",
+        f"pi2: {_subset_text(spec.pi2)}",
+        f"seed: {seed}",
         f"index: {idx}",
         f"certificate: found (trial {cert.trial})",
         f"stabilizer_dim: {cert.stab.dim}",
@@ -392,25 +379,18 @@ def run(argv=None) -> tuple[int, str]:
         stype = SimpleType(args.family, args.rank)
         if args.command == "cascade":
             pi = _parse_subset(args.pi, stype.rank, default_full=True)
-            q = QuerySpec(stype.family, stype.rank, pi, frozenset())
-            return cmd_cascade(q, args.json)
-        if args.command == "index":
-            pi1 = _parse_subset(args.pi1, stype.rank, default_full=False)
-            pi2 = _parse_subset(args.pi2, stype.rank, default_full=True)
-            q = QuerySpec(stype.family, stype.rank, pi1, pi2)
-            return cmd_index(q, args.json)
+            return cmd_cascade(stype, pi, args.json)
         if args.command == "classify":
             pi = _parse_subset(args.pi, stype.rank, default_full=False)
-            q = QuerySpec(stype.family, stype.rank, pi, frozenset())
-            return cmd_classify(q, args.json)
-        if args.command == "verify":
-            pi1 = _parse_subset(args.pi1, stype.rank, default_full=False)
-            pi2 = _parse_subset(args.pi2, stype.rank, default_full=True)
-            q = QuerySpec(
-                stype.family, stype.rank, pi1, pi2, seed=args.seed, trials=args.trials
-            )
-            return cmd_verify(q, args.json, args.store)
-        raise SystemExit2(f"unknown command {args.command}")
+            return cmd_classify(stype, pi, args.json)
+        spec = BiparabolicSpec(
+            stype,
+            _parse_subset(args.pi1, stype.rank, default_full=False),
+            _parse_subset(args.pi2, stype.rank, default_full=True),
+        )
+        if args.command == "index":
+            return cmd_index(spec, args.json)
+        return cmd_verify(spec, args.seed, args.trials, args.json, args.store)
     except (SystemExit2, ValueError, OSError) as exc:
         return USAGE_ERROR, f"error: {exc}"
 

@@ -136,7 +136,7 @@ def sample_cv(spec: BiparabolicSpec, rng: random.Random) -> CoefficientVector:
         v = 0
         while v == 0:
             v = rng.randint(-50, 50)
-        return Fraction(v)
+        return v
 
     a = {n.support: draw() for n in kostant_cascade(r, spec.pi2).nodes}
     b = {n.support: draw() for n in kostant_cascade(r, spec.pi1).nodes}

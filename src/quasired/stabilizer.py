@@ -17,9 +17,12 @@ The kernel is the direct sum of the block kernels. Each block's rref rows
 vanish outside the block, so in the union of all of them no row has a
 nonzero entry in another row's pivot column; ordered by pivot, the union is
 therefore the canonical rref of the whole kernel, the rows one elimination
-of the full matrix would give. The abelian and Killing checks run on the
-same rows as sparse primitive integer rows, which become Fractions only when
-a certificate is printed or compared.
+of the full matrix would give. A ``Subspace`` stores only these rows, as
+sparse primitive integer rows with positive leading entries, which makes
+them canonical. The abelian and Killing checks and the comparison in
+``reverify_certificate`` run on them, and they stay integers until a
+certificate prints each entry divided by its row's leading entry. A parsed
+row must start with 1/1, so it equals exactly the row that was printed.
 
 A torus certificate packages a coefficient draw whose stabilizer passes
 three exact checks: its dimension equals the index, it is abelian, and the
@@ -58,79 +61,58 @@ from .seaweed import (
 )
 
 
-# one shared zero for every dense row built here
-_ZERO = Fraction(0)
-
-
 def _sparse_int_row(entries) -> tuple[tuple[int, int], ...]:
-    """Rational (index, value) pairs in index order as a sparse primitive
-    integer row, zeros dropped."""
+    """Rational (index, value) pairs in index order, not all zero, as a
+    sparse primitive integer row with a positive leading entry, zeros
+    dropped."""
     nz = [(k, v) for k, v in entries if v]
-    return tuple(zip([k for k, _ in nz], linalg._primitive_int_row([v for _, v in nz])))
+    ints = linalg._primitive_int_row([v for _, v in nz])
+    if ints[0] < 0:
+        ints = [-v for v in ints]
+    return tuple(zip([k for k, _ in nz], ints))
 
 
 class Subspace:
-    """A subspace of the ambient algebra, rows in reduced echelon form.
+    """A subspace of the ambient algebra, by its reduced echelon basis.
 
-    ``rows`` are dense Fraction rows and ``int_rows`` the same rows as
-    sparse primitive integer rows of (index, value) in index order. A
-    subspace built from one form computes the other on first use: rows from
-    integer rows divide by the leading entry, integer rows from rows clear
-    denominators and content.
+    ``int_rows`` are sparse primitive integer rows of (index, value) in index
+    order, each with a positive leading entry; dividing a row by that entry
+    gives a row of the canonical rref, so equal subspaces have equal rows.
+    ``rows`` and ``elements()`` build the rational views on each call.
     """
 
-    __slots__ = ("system", "_rows", "_ints")
+    __slots__ = ("system", "int_rows")
 
-    def __init__(self, system: RootSystem, rows) -> None:
+    def __init__(self, system: RootSystem, int_rows) -> None:
         self.system = system
-        self._rows = rows
-        self._ints = None
-
-    @classmethod
-    def from_int_rows(cls, system: RootSystem, int_rows) -> "Subspace":
-        S = cls(system, None)
-        S._ints = int_rows
-        return S
+        self.int_rows = int_rows
 
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        if self._rows is None:
-            self._rows = tuple(map(self._dense, self._ints))
-        return self._rows
-
-    def _dense(self, x: tuple[tuple[int, int], ...]) -> tuple[Fraction, ...]:
-        dense = [_ZERO] * self.system.dim
-        for k, v in x:
-            dense[k] = Fraction(v, x[0][1])
-        return tuple(dense)
-
-    @property
-    def int_rows(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        if self._ints is None:
-            self._ints = tuple(_sparse_int_row(enumerate(row)) for row in self._rows)
-        return self._ints
+        """The canonical rref rows as dense Fraction rows."""
+        return tuple(tuple(e.dense()) for e in self.elements())
 
     @property
     def dim(self) -> int:
-        return len(self._rows if self._ints is None else self._ints)
+        return len(self.int_rows)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.system is other.system
-            and self.rows == other.rows
+            and self.int_rows == other.int_rows
         )
 
     def __hash__(self) -> int:
-        return hash((id(self.system), self.rows))
+        return hash((id(self.system), self.int_rows))
 
     def __repr__(self) -> str:
         return f"Subspace({self.system.type}, dim={self.dim})"
 
     def elements(self) -> tuple[AlgebraElement, ...]:
         return tuple(
-            AlgebraElement(self.system, [(k, c) for k, c in enumerate(row) if c])
-            for row in self.rows
+            AlgebraElement(self.system, [(k, Fraction(v, x[0][1])) for k, v in x])
+            for x in self.int_rows
         )
 
     def contains(self, x: AlgebraElement) -> bool:
@@ -152,7 +134,8 @@ class _Block:
 
     def kernel(self, w: dict[int, int]) -> list[tuple[tuple[int, int], ...]]:
         """The kernel rows of the block under the weights w, as sparse
-        primitive integer rows over basis indices."""
+        primitive integer rows over basis indices with positive leading
+        entries."""
         rows: list[dict[int, int]] = [{} for _ in self.idx]
         for a, b, k, c in self.cells:
             v = w[k] * c
@@ -167,7 +150,10 @@ class _Block:
         if self.order is None:
             self.order = taken
         idx = self.idx
-        return [tuple((idx[t], v) for t, v in enumerate(kr) if v) for kr in red]
+        return [
+            tuple((idx[t], v if kr[p] > 0 else -v) for t, v in enumerate(kr) if v)
+            for kr, p in zip(red, pivots)
+        ]
 
 
 @dataclass
@@ -184,7 +170,12 @@ class _FormPattern:
 def _form_pattern(P: SubalgebraBasis, support: tuple[int, ...]) -> _FormPattern:
     r = P.spec.system()
     idx = sorted({k for p in P.elements for k in p.coords})
-    if len(idx) != P.dim:
+    # span(P) lies in the span of the e_idx, so it is that span exactly when
+    # the elements are independent; single basis vectors on distinct indices are
+    if len(idx) != P.dim or (
+        any(len(p.coords) != 1 for p in P.elements)
+        and linalg.rank([p.dense() for p in P.elements]) != P.dim
+    ):
         raise ValueError("span(P) must be spanned by Chevalley basis vectors")
     # terms[i][j]: the (k, c) with c the e_k coefficient of [e_i, e_j]; the
     # pattern is symmetric, as kappa(u, [e_j, e_i]) = -kappa(u, [e_i, e_j])
@@ -256,7 +247,7 @@ def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
     # ordered by pivot, the block rows are the canonical rref of the kernel
     # (module docstring)
     rows.sort()
-    return Subspace.from_int_rows(r, tuple(rows))
+    return Subspace(r, tuple(rows))
 
 
 def killing_radical_on(S: Subspace) -> Subspace:
@@ -285,7 +276,7 @@ def killing_radical_on(S: Subspace) -> Subspace:
         # the combination is zero in every other radical row's pivot column;
         # its leading entry is its pivot
         vecs.append(_sparse_int_row(sorted(acc.items())))
-    return Subspace.from_int_rows(r, tuple(vecs))
+    return Subspace(r, tuple(vecs))
 
 
 def is_abelian(S: Subspace) -> bool:
@@ -407,7 +398,7 @@ def reverify_certificate(cert: TorusCertificate) -> bool:
     return (
         fresh is not None
         and checks.all_true
-        and fresh.stab.rows == cert.stab.rows
+        and fresh.stab == cert.stab
     )
 
 
@@ -439,10 +430,13 @@ def certificate_to_text(cert: TorusCertificate) -> str:
         lines.append(f"{name}: " + "; ".join(parts))
     lines.append(f"stabilizer-dim: {cert.stab.dim}")
     lines.append(f"trial: {cert.trial}")
-    for row in cert.stab.rows:
-        parts = [
-            f"{k}={v.numerator}/{v.denominator}" for k, v in enumerate(row) if v
-        ]
+    for x in cert.stab.int_rows:
+        # each entry divided by the positive leading entry, in lowest terms
+        lead = x[0][1]
+        parts = []
+        for k, v in x:
+            g = gcd(v, lead)
+            parts.append(f"{k}={v // g}/{lead // g}")
         lines.append("row: " + ",".join(parts))
     return "\n".join(lines) + "\n"
 
@@ -496,15 +490,19 @@ def certificate_from_text(text: str) -> TorusCertificate:
         parse_coeffs(fields.get("a", "")), parse_coeffs(fields.get("b", ""))
     )
     r = build_root_system(stype)
-    dense_rows = []
+    int_rows = []
     for row in rows:
-        dense = [_ZERO] * r.dim
+        entries = {}
         for part in row.split(","):
             key, _, val = part.partition("=")
             k = int(key)
             if not 0 <= k < r.dim:
                 raise ValueError(f"row index {k} out of range 0..{r.dim - 1}")
-            dense[k] = _parse_fraction(val)
-        dense_rows.append(tuple(dense))
-    stab = Subspace(r, tuple(dense_rows))
+            entries[k] = _parse_fraction(val)
+        nz = sorted((k, v) for k, v in entries.items() if v)
+        # a printed row is an rref row: its first nonzero entry is 1/1
+        if not nz or nz[0][1] != 1:
+            raise ValueError(f"row {row!r} does not start with 1/1")
+        int_rows.append(_sparse_int_row(nz))
+    stab = Subspace(r, tuple(int_rows))
     return TorusCertificate(spec, cv, stab, None, int(fields.get("trial", 0)))

@@ -9,19 +9,18 @@ splitting, ``bracket_into`` table, form pattern or sparse elimination with
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 
 from quasired import linalg
 from quasired.rootsys import AlgebraElement, RootSystem, killing_functional
 from quasired.seaweed import SubalgebraBasis
-from quasired.stabilizer import Subspace
+from quasired.stabilizer import Subspace, _sparse_int_row
 
 
 def subspace_from_vectors(r: RootSystem, vectors) -> Subspace:
     """The span of dense vectors, as a Subspace in canonical rref."""
     rows, _ = linalg.rref([list(v) for v in vectors])
-    return Subspace(r, tuple(tuple(row) for row in rows))
+    return Subspace(r, tuple(_sparse_int_row(enumerate(row)) for row in rows))
 
 
 def dense_kernel(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
@@ -55,11 +54,6 @@ def dense_form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
                 val += c * w[k]
             M[a][b] = val
             M[b][a] = -val
-    vecs = []
-    for c, p in zip(*dense_kernel(M, n)):
-        dense = [Fraction(0)] * r.dim
-        for k, v in zip(idx, c):
-            dense[k] = Fraction(v, c[p])
-        vecs.append(tuple(dense))
+    red, _ = dense_kernel(M, n)
     # rref rows placed on increasing indices are still in rref
-    return Subspace(r, tuple(vecs))
+    return Subspace(r, tuple(_sparse_int_row(zip(idx, c)) for c in red))

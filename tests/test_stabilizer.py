@@ -31,6 +31,7 @@ from quasired.seaweed import (
 from quasired.stabilizer import (
     SubalgebraBasis,
     Subspace,
+    _sparse_int_row,
     certificate_from_text,
     certificate_to_text,
     certify_quasi_reductive,
@@ -280,7 +281,8 @@ def test_reverify_rejects_tampered_certificate():
     cert = certify_quasi_reductive(spec, trials=10, seed=2)
     assert cert is not None
     rs = cert.stab.system
-    wrong = Subspace(rs, cert.stab.rows[:-1] + ((tuple([Fraction(1)] * rs.dim)),))
+    ones = _sparse_int_row(enumerate([1] * rs.dim))
+    wrong = Subspace(rs, cert.stab.int_rows[:-1] + (ones,))
     from quasired.stabilizer import TorusCertificate
 
     tampered = TorusCertificate(cert.spec, cert.cv, wrong, cert.checks, cert.trial)
@@ -310,6 +312,16 @@ def test_killing_form_on_certified_stabilizer_matches_gram():
     assert linalg.rank(gram) == len(els)
 
 
+def test_form_stabilizer_rejects_dependent_basis():
+    # the supports still cover P.dim indices, but the span has lost a dimension
+    spec = parabolic(SimpleType("G", 2), {2})
+    P = biparabolic_basis(spec)
+    e = P.elements[0] + P.elements[1]
+    bad = SubalgebraBasis(spec, (e, e) + P.elements[2:])
+    with pytest.raises(ValueError):
+        form_stabilizer(bad, build_u(spec, sample_cv(spec, random.Random(3))))
+
+
 def test_form_stabilizer_is_invariant_under_scaling_the_form():
     # the integer form matrix rescales kappa(u, .) to a primitive functional,
     # which is only sound because u and lambda*u have the same stabilizer
@@ -330,6 +342,9 @@ _G2_HEADER = "quasired certificate v1\ntype: G2\npi1: 2\npi2: 1,2\n"
         _G2_HEADER + "a: 1+2=3/0\n",
         _G2_HEADER + "a: 1+2=3/1\nb: 2=1/1\nrow: 999=1/1\n",
         _G2_HEADER + "a: 1+2=3/1\nb: 2=1/1\nrow: -1=1/1\n",
+        _G2_HEADER + "a: 1+2=3/1\nb: 2=1/1\nrow: 3=2/1,5=1/3\n",
+        _G2_HEADER + "a: 1+2=3/1\nb: 2=1/1\nrow: 5=1/3,3=-1/1\n",
+        _G2_HEADER + "a: 1+2=3/1\nb: 2=1/1\nrow: 3=0/1\n",
         f"quasired certificate v1\ntype: A{MAX_CLASSICAL_RANK + 1}\npi1: 1\npi2: 1\n",
     ],
     ids=[
@@ -338,6 +353,9 @@ _G2_HEADER = "quasired certificate v1\ntype: G2\npi1: 2\npi2: 1,2\n"
         "zero-denominator",
         "row-index-too-large",
         "row-index-negative",
+        "row-leading-2",
+        "row-leading-minus-1",
+        "row-all-zero",
         "rank-over-cap",
     ],
 )
