@@ -24,7 +24,13 @@ from dataclasses import dataclass
 
 from . import linalg
 from .cascade import kostant_cascade, tilde_delta_plus, tilde_pi
-from .rootsys import RootSystem, SimpleType, build_root_system
+from .rootsys import (
+    _FAMILY_BOUNDS,
+    RootSystem,
+    SimpleType,
+    _cartan_and_symmetrizer,
+    build_root_system,
+)
 from .seaweed import parabolic, seaweed_index
 
 Subset = frozenset[int]
@@ -259,82 +265,45 @@ def identify_subsystem(r: RootSystem, subset) -> tuple[SimpleType, tuple[int, ..
     """Bourbaki type and labelling of a connected subset of simple roots.
 
     Returns (type, mapping) with mapping[k-1] the ambient index of the new
-    simple root alpha_k. Ties (diagram automorphisms) break toward the
-    lexicographically smallest mapping.
+    simple root alpha_k. Both come from the Cartan tables, not from the
+    diagram's shape: for each family in ``_FAMILY_BOUNDS`` that admits the
+    subset's size, a depth-first search places the labels 1, 2, ... in turn,
+    trying ambient roots of the same degree in increasing order (next to the
+    image of a placed neighbour, if there is one), and keeps the first mapping
+    under which the family's ``_cartan_and_symmetrizer`` matrix equals
+    ``r.cartan`` on the subset. Ties (diagram automorphisms) thus break
+    toward the lexicographically smallest mapping.
     """
     sub = sorted(frozenset(subset))
     if not sub or not r.is_connected(sub):
         raise ValueError("subset must be nonempty and connected")
-    C = r.cartan
-    n = len(sub)
-    adj = {i: [] for i in sub}
-    double: list[tuple[int, int]] = []  # (longer, shorter)
-    triple: list[tuple[int, int]] = []
-    for a in sub:
-        for b in sub:
-            if a != b and C[a - 1][b - 1] != 0:
-                adj[a].append(b)
-                if C[a - 1][b - 1] == -2:
-                    double.append((a, b))  # <alpha_a, alpha_b^v> = -2: b short
-                elif C[a - 1][b - 1] == -3:
-                    triple.append((a, b))
-    degrees = {i: len(adj[i]) for i in sub}
-    forks = [i for i in sub if degrees[i] == 3]
-    ends = [i for i in sub if degrees[i] <= 1]
+    C, n = r.cartan, len(sub)
+    nbrs = {a: [b for b in sub if b != a and C[a - 1][b - 1]] for a in sub}
 
-    def walk(start, first):
-        path = [start, first]
-        while True:
-            nxt = [j for j in adj[path[-1]] if j != path[-2]]
-            if not nxt:
-                return path
-            assert len(nxt) == 1
-            path.append(nxt[0])
+    def extend(mapping: list[int], T: list[list[int]], deg: list[int]):
+        k = len(mapping)
+        if k == n:
+            return tuple(mapping)
+        prev = next((a for a in range(k) if T[k][a]), None)
+        for c in sub if prev is None else nbrs[mapping[prev]]:
+            if c not in mapping and len(nbrs[c]) == deg[k] and all(
+                T[k][a] == C[c - 1][m - 1] and T[a][k] == C[m - 1][c - 1]
+                for a, m in enumerate(mapping)
+            ):
+                found = extend(mapping + [c], T, deg)
+                if found:
+                    return found
+        return None
 
-    if triple:
-        a, b = triple[0]  # a long
-        return SimpleType("G", 2), (a, b)
-    if forks:
-        f = forks[0]
-        branches = sorted(
-            (walk(f, nb)[1:] for nb in adj[f]), key=lambda br: (len(br), br)
-        )
-        if len(branches[1]) == 1:  # two leaves: type D
-            chain = branches[2]
-            leaves = sorted([branches[0][0], branches[1][0]])
-            mapping = tuple(reversed(chain)) + (f,) + tuple(leaves)
-            return SimpleType("D", n), mapping
-        # type E: branch lengths 1, 2, n-4
-        assert len(branches[0]) == 1 and len(branches[1]) == 2
-        mapping = (
-            branches[1][1],
-            branches[0][0],
-            branches[1][0],
-            f,
-        ) + tuple(branches[2])
-        return SimpleType("E", n), mapping
-    # chains
-    if double:
-        a, b = double[0]  # b is the short one of the bonded pair
-        if degrees[b] == 1:
-            # short end: type B (a lone bonded pair is presented as B2)
-            path = walk(b, a)
-            return SimpleType("B", n), tuple(reversed(path))
-        if degrees[a] == 1:
-            # long end: type C
-            path = walk(a, b)
-            return SimpleType("C", n), tuple(reversed(path))
-        # interior double bond: F4, long pair first
-        assert n == 4
-        pa = walk(a, [x for x in adj[a] if x != b][0])
-        pb = walk(b, [x for x in adj[b] if x != a][0])
-        return SimpleType("F", 4), (pa[1], a, b, pb[1])
-    # simply laced chain: type A, smaller end first
-    if n == 1:
-        return SimpleType("A", 1), (sub[0],)
-    e1, e2 = sorted(ends)
-    path = walk(e1, adj[e1][0])
-    return SimpleType("A", n), tuple(path)
+    for family, (lo, hi) in _FAMILY_BOUNDS.items():
+        if lo <= n <= hi:
+            t = SimpleType(family, n)
+            T, _ = _cartan_and_symmetrizer(t)
+            degrees = [sum(map(bool, row)) - 1 for row in T]  # less the diagonal
+            mapping = extend([], T, degrees)
+            if mapping:
+                return t, mapping
+    raise AssertionError(f"no Bourbaki type fits the subset {sub}")
 
 
 def transitivity_descend(t: SimpleType, subset) -> ReductionStep:

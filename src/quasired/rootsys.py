@@ -239,28 +239,29 @@ class RootSystem:
     # -- root generation ------------------------------------------------------
 
     def _generate_positive(self) -> tuple[Root, ...]:
-        l = self.rank
+        """Grow the roots by height: b + alpha_i is a root iff p > <b, alpha_i^v>,
+        p the length of the alpha_i-string below b (0 unless b[i] > 0). Each root
+        carries its pairings; adding alpha_i adds row i of the Cartan matrix."""
         C = self.cartan
-        simple = [tuple(1 if j == i else 0 for j in range(l)) for i in range(l)]
-        known: set[Root] = set(simple)
-        layer = list(simple)
+        pairings: dict[Root, list[int]] = {
+            tuple(int(i == j) for j in range(self.rank)): C[i] for i in range(self.rank)
+        }
+        layer = list(pairings)
         while layer:
             nxt = []
             for b in layer:
-                for i in range(l):
+                pb = pairings[b]
+                for i, bi in enumerate(b):
                     p = 0
-                    cur = tuple(c - (1 if j == i else 0) for j, c in enumerate(b))
-                    while cur in known:
+                    while p < bi and b[:i] + (bi - p - 1,) + b[i + 1 :] in pairings:
                         p += 1
-                        cur = tuple(c - (1 if j == i else 0) for j, c in enumerate(cur))
-                    q = p - sum(b[j] * C[j][i] for j in range(l))
-                    if q > 0:
-                        g = tuple(c + (1 if j == i else 0) for j, c in enumerate(b))
-                        if g not in known:
-                            known.add(g)
+                    if p > pb[i]:
+                        g = b[:i] + (bi + 1,) + b[i + 1 :]
+                        if g not in pairings:
+                            pairings[g] = [x + y for x, y in zip(pb, C[i])]
                             nxt.append(g)
             layer = nxt
-        return tuple(sorted(known, key=lambda r: (sum(r), r)))
+        return tuple(sorted(pairings, key=lambda r: (sum(r), r)))
 
     # -- structure constants --------------------------------------------------
 
@@ -475,14 +476,7 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         if self.system is not other.system:
             raise ValueError("elements live over different root systems")
-        out = dict(self.coords)
-        for i, c in other.coords.items():
-            v = out.get(i, Fraction(0)) + c
-            if v:
-                out[i] = v
-            elif i in out:
-                del out[i]
-        return AlgebraElement(self.system, out)
+        return AlgebraElement(self.system, [*self.coords.items(), *other.coords.items()])
 
     def __neg__(self) -> "AlgebraElement":
         return AlgebraElement(self.system, {i: -c for i, c in self.coords.items()})
@@ -551,29 +545,40 @@ def pairing(r: RootSystem, lam: Root, alpha: Root) -> int:
     return r.pairing(lam, alpha)
 
 
+def killing_coords(r: RootSystem, items) -> dict:
+    """kappa(x, .) as {j: kappa(x, e_j)} for x the sum of c e_i over the (i, c)
+    in items, in the numbers the c are given in; cancelled entries stay as 0."""
+    f: dict = {}
+    for i, c in items:
+        for j, v in r.killing_row(i):
+            f[j] = f.get(j, 0) + c * v
+    return f
+
+
+def bracket_coords(r: RootSystem, xs, ys) -> dict:
+    """[x, y] as {k: coefficient of e_k} for x, y the sums of c e_i over the
+    (i, c) in xs and in ys (read once per entry of xs); cancelled entries stay 0."""
+    acc: dict = {}
+    for i, ci in xs:
+        for j, cj in ys:
+            cij = ci * cj
+            for k, c in r.bracket_basis(i, j):
+                acc[k] = acc.get(k, 0) + cij * c
+    return acc
+
+
 def bracket(r: RootSystem, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
     """Lie bracket, extended bilinearly from the Chevalley basis table."""
     if x.system is not r or y.system is not r:
         raise ValueError("elements do not belong to the given root system")
-    acc: dict[int, Fraction] = {}
-    for i, ci in x.coords.items():
-        for j, cj in y.coords.items():
-            cij = ci * cj
-            for k, c in r.bracket_basis(i, j):
-                v = acc.get(k, Fraction(0)) + cij * c
-                if v:
-                    acc[k] = v
-                elif k in acc:
-                    del acc[k]
-    return AlgebraElement(r, acc)
+    return AlgebraElement(r, bracket_coords(r, x.coords.items(), y.coords.items()))
 
 
 def killing_functional(r: RootSystem, u: AlgebraElement) -> list:
     """Dense vector w with w[k] = kappa(u, e_k); untouched entries are int 0."""
     w: list = [0] * r.dim
-    for i, ci in u.coords.items():
-        for j, v in r.killing_row(i):
-            w[j] += ci * v
+    for j, v in killing_coords(r, u.coords.items()).items():
+        w[j] = v
     return w
 
 
@@ -581,19 +586,16 @@ def killing(r: RootSystem, x: AlgebraElement, y: AlgebraElement) -> Fraction:
     """Killing form kappa(x, y) = tr(ad x ad y), exactly."""
     if x.system is not r or y.system is not r:
         raise ValueError("elements do not belong to the given root system")
-    w = killing_functional(r, x)
-    return sum((c * w[k] for k, c in y.coords.items()), Fraction(0))
+    f = killing_coords(r, x.coords.items())
+    return sum((c * f.get(k, 0) for k, c in y.coords.items()), Fraction(0))
 
 
 def ad_columns(r: RootSystem, x: AlgebraElement) -> SparseCols:
     """Sparse column map of ad x."""
+    xs = x.coords.items()
     cols: SparseCols = {}
     for j in range(r.dim):
-        acc: dict[int, Fraction] = {}
-        for i, ci in x.coords.items():
-            for k, c in r.bracket_basis(i, j):
-                acc[k] = acc.get(k, 0) + ci * c
-        ent = [(k, v) for k, v in sorted(acc.items()) if v]
+        ent = [(k, v) for k, v in sorted(bracket_coords(r, xs, ((j, 1),)).items()) if v]
         if ent:
             cols[j] = ent
     return cols

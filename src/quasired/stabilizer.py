@@ -48,7 +48,9 @@ from .rootsys import (
     RootSystem,
     SimpleType,
     ad_columns,
+    bracket_coords,
     build_root_system,
+    killing_coords,
 )
 from .seaweed import (
     BiparabolicSpec,
@@ -228,12 +230,10 @@ def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
     r = P.spec.system()
     if u.system is not r:
         raise ValueError("form element lives over a different root system")
-    f: dict[int, int] = {}  # den * kappa(u, .) on the basis
     den = lcm(*[c.denominator for c in u.coords.values()])
-    for i, c in u.coords.items():
-        c = c.numerator * (den // c.denominator)
-        for j, v in r.killing_row(i):
-            f[j] = f.get(j, 0) + c * v
+    f = killing_coords(  # den * kappa(u, .) on the basis, in ints
+        r, [(i, c.numerator * (den // c.denominator)) for i, c in u.coords.items()]
+    )
     g = gcd(*f.values())
     w = {j: f[j] // g for j in sorted(f) if f[j]}
     support = tuple(w)
@@ -258,10 +258,7 @@ def killing_radical_on(S: Subspace) -> Subspace:
     rows = S.int_rows
     gram = []
     for x in rows:
-        f: dict[int, int] = {}  # kappa(x, .) on the basis
-        for i, c in x:
-            for j, k in r.killing_row(i):
-                f[j] = f.get(j, 0) + c * k
+        f = killing_coords(r, x)
         gram.append(
             {b: v for b, y in enumerate(rows) if (v := sum(c * f.get(j, 0) for j, c in y))}
         )
@@ -284,12 +281,7 @@ def is_abelian(S: Subspace) -> bool:
     r = S.system
     for a, x in enumerate(rows):
         for y in rows[a + 1 :]:
-            acc: dict[int, int] = {}
-            for i, ci in x:
-                for j, cj in y:
-                    for k, c in r.bracket_basis(i, j):
-                        acc[k] = acc.get(k, 0) + ci * cj * c
-            if any(acc.values()):
+            if any(bracket_coords(r, x, y).values()):
                 return False
     return True
 
@@ -498,11 +490,15 @@ def certificate_from_text(text: str) -> TorusCertificate:
             k = int(key)
             if not 0 <= k < r.dim:
                 raise ValueError(f"row index {k} out of range 0..{r.dim - 1}")
+            if k in entries:
+                raise ValueError(f"row index {k} repeated in {row!r}")
             entries[k] = _parse_fraction(val)
         nz = sorted((k, v) for k, v in entries.items() if v)
         # a printed row is an rref row: its first nonzero entry is 1/1
         if not nz or nz[0][1] != 1:
             raise ValueError(f"row {row!r} does not start with 1/1")
         int_rows.append(_sparse_int_row(nz))
+    if int(fields.get("stabilizer-dim", len(rows))) != len(rows):
+        raise ValueError(f"stabilizer-dim {fields['stabilizer-dim']} over {len(rows)} rows")
     stab = Subspace(r, tuple(int_rows))
     return TorusCertificate(spec, cv, stab, None, int(fields.get("trial", 0)))

@@ -17,7 +17,7 @@ from quasired.classify import (
     single_root_test,
     transitivity_descend,
 )
-from quasired.rootsys import SimpleType
+from quasired.rootsys import MAX_CLASSICAL_RANK, SimpleType, _cartan_and_symmetrizer
 from quasired.seaweed import parabolic, seaweed_index
 
 D6_NON_QR = [
@@ -296,25 +296,55 @@ def test_identify_subsystem_shapes():
     assert t == SimpleType("A", 3)
 
 
-def test_identify_subsystem_cartan_consistency():
-    # the mapping must transport the Cartan matrix of the named type
-    from quasired.rootsys import _cartan_and_symmetrizer
+# every type up to rank 8, and the range `quasired tables` covers
+TYPES_TO_RANK_8 = (
+    [("A", l) for l in range(1, 9)]
+    + [("B", l) for l in range(2, 9)]
+    + [("C", l) for l in range(3, 9)]
+    + [("D", l) for l in range(4, 9)]
+    + [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
+)
+TABLE_TYPES = TYPES_TO_RANK_8 + [(f, l) for f in "ABCD" for l in (9, 10)]
 
-    cases = [
-        ("E", 8, frozenset({2, 4, 5, 6, 7, 8})),
-        ("E", 7, frozenset({2, 3, 4, 5, 6, 7})),
-        ("F", 4, frozenset({2, 3, 4})),
-        ("C", 5, frozenset({2, 3, 4, 5})),
-        ("B", 6, frozenset({4, 5, 6})),
-        ("D", 7, frozenset({4, 5, 6, 7})),
-    ]
-    for family, rank, sub in cases:
+
+def _transports_cartan(rs, t, mapping):
+    C_new, _ = _cartan_and_symmetrizer(t)
+    return all(
+        C_new[i][j] == rs.cartan[oi - 1][oj - 1]
+        for i, oi in enumerate(mapping)
+        for j, oj in enumerate(mapping)
+    )
+
+
+def test_identify_subsystem_cartan_consistency():
+    # the mapping must transport the Cartan matrix of the named type, on
+    # every connected subset of every type up to rank 8; up to size 5 it must
+    # also be the least such mapping (ties come from diagram automorphisms)
+    seen = 0
+    for family, rank in TYPES_TO_RANK_8:
         rs = system(family, rank)
-        t, mapping = identify_subsystem(rs, sub)
-        C_new, _ = _cartan_and_symmetrizer(t)
-        for i, oi in enumerate(mapping):
-            for j, oj in enumerate(mapping):
-                assert C_new[i][j] == rs.cartan[oi - 1][oj - 1], (family, sub, t)
+        for sub in all_subsets(rank):
+            if not sub or not rs.is_connected(sub):
+                continue
+            seen += 1
+            t, mapping = identify_subsystem(rs, sub)
+            assert sorted(mapping) == sorted(sub), (family, rank, sub)
+            assert _transports_cartan(rs, t, mapping), (family, rank, sub, t)
+            if len(sub) <= 5:
+                least = min(
+                    m for m in itertools.permutations(sorted(sub))
+                    if _transports_cartan(rs, t, m)
+                )
+                assert mapping == least, (family, rank, sub)
+    assert seen == 596
+
+
+@pytest.mark.parametrize(
+    "family,rank", TABLE_TYPES + [(f, MAX_CLASSICAL_RANK) for f in "ABCD"]
+)
+def test_identify_subsystem_labels_a_full_system_by_itself(family, rank):
+    rs = system(family, rank)
+    assert identify_subsystem(rs, rs.full_subset()) == (rs.type, tuple(range(1, rank + 1)))
 
 
 def test_transitivity_descend_examples():

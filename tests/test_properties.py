@@ -66,7 +66,12 @@ def test_certificate_text_round_trip_and_tampering(family, rank, seed):
         for factor in (2, -1, 0):
             with pytest.raises(ValueError):
                 certificate_from_text(_scale_row(text, which, factor))
-        assert not reverify_certificate(certificate_from_text(_drop_row(text, which)))
+        dropped = _drop_row(text, which)
+        with pytest.raises(ValueError):  # stabilizer-dim no longer counts the rows
+            certificate_from_text(dropped)
+        dim = cert.stab.dim
+        dropped = dropped.replace(f"stabilizer-dim: {dim}\n", f"stabilizer-dim: {dim - 1}\n")
+        assert not reverify_certificate(certificate_from_text(dropped))
 
 
 # Coxeter numbers h: |Phi+| = l h / 2 and the highest root has height h - 1

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -52,10 +53,28 @@ def test_positive_root_counts(family, rank):
     assert rs.dim == 2 * rs.n_pos + rank
 
 
-@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 4), ("C", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6)])
+@pytest.mark.parametrize("family,rank", ALL_TYPES)
 def test_roots_match_reflection_closure(family, rank):
+    # the same roots, in (height, lex) order
     rs = system(family, rank)
-    assert set(rs.positive_roots) == reflection_closure(rs.cartan)
+    closure = reflection_closure(rs.cartan)
+    assert rs.positive_roots == tuple(sorted(closure, key=lambda r: (sum(r), r)))
+
+
+# sha256 of repr(positive_roots) at the largest classical rank
+ROOT_ORDER_DIGESTS = {
+    "A": "a294973f8e60042bb8d0b0cf114f438bab674fa3b828d44c1206f270b017f7a6",
+    "B": "3c6f71d18487dc89d1014c63e88d6144da63605e0496182fb17810e18e1defd3",
+    "C": "b8ff338ef46e09b3b36c9d1febd75cd726f6dd6cd1f4918ab10fc9d89dde85e7",
+    "D": "0b5a8bbf759c9693b764da470ef63873b4e689fae41a4b1271c68a5f52039822",
+}
+
+
+@pytest.mark.parametrize("family", sorted(ROOT_ORDER_DIGESTS))
+def test_root_order_is_pinned_at_the_rank_cap(family):
+    rs = system(family, MAX_CLASSICAL_RANK)
+    digest = hashlib.sha256(repr(rs.positive_roots).encode()).hexdigest()
+    assert digest == ROOT_ORDER_DIGESTS[family]
 
 
 def test_dimension_a1_and_e8():

@@ -332,6 +332,22 @@ def test_form_stabilizer_is_invariant_under_scaling_the_form():
 
 
 _G2_HEADER = "quasired certificate v1\ntype: G2\npi1: 2\npi2: 1,2\n"
+# `quasired verify E 6 --pi1 2,3,4 --seed 7 --store FILE`
+_E6_CERT = """quasired certificate v1
+type: E6
+pi1: 2,3,4
+pi2: 1,2,3,4,5,6
+a: 1+2+3+4+5+6=-9/1; 1+3+4+5+6=-31/1; 3+4+5=33/1; 4=-44/1
+b: 2+3+4=-41/1; 4=18/1
+stabilizer-dim: 2
+trial: 0
+row: 2=1/1,44=-22/9
+row: 36=1/1,38=1/2,40=-1/2,41=-1/1
+"""
+
+
+def test_stored_e6_certificate_reverifies():
+    assert reverify_certificate(certificate_from_text(_E6_CERT))
 
 
 @pytest.mark.parametrize(
@@ -346,6 +362,8 @@ _G2_HEADER = "quasired certificate v1\ntype: G2\npi1: 2\npi2: 1,2\n"
         _G2_HEADER + "a: 1+2=3/1\nb: 2=1/1\nrow: 5=1/3,3=-1/1\n",
         _G2_HEADER + "a: 1+2=3/1\nb: 2=1/1\nrow: 3=0/1\n",
         f"quasired certificate v1\ntype: A{MAX_CLASSICAL_RANK + 1}\npi1: 1\npi2: 1\n",
+        _E6_CERT.replace("stabilizer-dim: 2", "stabilizer-dim: 7"),
+        _E6_CERT.replace("44=-22/9\n", "44=-22/9,2=1/1\n"),
     ],
     ids=[
         "empty",
@@ -357,6 +375,8 @@ _G2_HEADER = "quasired certificate v1\ntype: G2\npi1: 2\npi2: 1,2\n"
         "row-leading-minus-1",
         "row-all-zero",
         "rank-over-cap",
+        "stabilizer-dim-not-row-count",
+        "row-index-repeated",
     ],
 )
 def test_certificate_parser_raises_value_error_only(text):
