@@ -115,7 +115,12 @@ def half_difference_roots(
     in the k_minus set), though in type B of odd rank that set can contain a
     second node as well.
     """
-    r = c.system
+    # memoized per system too: cascade equality ignores the system
+    return _half_difference_roots(c.system, c)
+
+
+@cache
+def _half_difference_roots(r: RootSystem, c: Cascade):
     out = []
     seen: set[Root] = set()
     for up in c.nodes:

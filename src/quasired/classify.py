@@ -105,13 +105,19 @@ class FlagSpec:
         if self.dims[-1] > self.N // 2:
             raise ValueError("isotropic dimension exceeds N/2")
 
+    @property
+    def scanned(self) -> tuple[int, ...]:
+        """The dimensions the flag criterion scans: all of them, less the last
+        when it is odd and equals N/2."""
+        if self.dims[-1] % 2 == 1 and 2 * self.dims[-1] == self.N:
+            return self.dims[:-1]
+        return self.dims
+
 
 def dkt_flag_test(f: FlagSpec) -> bool:
-    """Flag criterion: drop the last subspace when its dimension is odd and
-    equals N/2, then require no two adjacent dimensions to both be odd."""
-    dims = f.dims
-    if dims[-1] % 2 == 1 and 2 * dims[-1] == f.N:
-        dims = dims[:-1]
+    """Flag criterion: no two adjacent dimensions of ``f.scanned`` are both
+    odd."""
+    dims = f.scanned
     return not any(a % 2 == 1 and b % 2 == 1 for a, b in zip(dims, dims[1:]))
 
 
@@ -202,14 +208,11 @@ def classify_parabolic(t: SimpleType, subset) -> Verdict:
     elif t.family in ("B", "D"):
         flag = pi_to_flag(t, sub)
         qr = dkt_flag_test(flag)
-        adjusted = flag.dims
-        if adjusted[-1] % 2 == 1 and 2 * adjusted[-1] == flag.N:
-            adjusted = adjusted[:-1]
         trace.append(
             "dkt-flag: N={} dims=({}) scanned=({}) -> {}".format(
                 flag.N,
                 ",".join(map(str, flag.dims)),
-                ",".join(map(str, adjusted)),
+                ",".join(map(str, flag.scanned)),
                 "qr" if qr else "not-qr",
             )
         )

@@ -18,7 +18,12 @@ from importlib import resources
 from pathlib import Path
 
 from .cascade import kostant_cascade
-from .classify import classify_parabolic, enumerate_index_zero, non_qr_subsets
+from .classify import (
+    classify_parabolic,
+    enumerate_index_zero,
+    non_qr_subsets,
+    single_root_test,
+)
 from .rootsys import SimpleType, build_root_system
 from .seaweed import BiparabolicSpec, seaweed_index
 from .stabilizer import certificate_to_text, certify_quasi_reductive
@@ -36,18 +41,30 @@ def _parse_subset(txt: str | None, rank: int, default_full: bool) -> frozenset[i
     try:
         vals = frozenset(int(p) for p in txt.split(","))
     except ValueError:
-        raise SystemExit2(f"cannot parse root list {txt!r}")
+        raise ValueError(f"cannot parse root list {txt!r}") from None
     if not all(1 <= v <= rank for v in vals):
-        raise SystemExit2(f"root indices in {sorted(vals)} out of range 1..{rank}")
+        raise ValueError(f"root indices in {sorted(vals)} out of range 1..{rank}")
     return vals
-
-
-class SystemExit2(Exception):
-    """Usage-level error, reported on stderr with exit code 2."""
 
 
 def _subset_text(s) -> str:
     return ",".join(str(i) for i in sorted(s)) if s else "(empty)"
+
+
+def _spec_output(
+    spec: BiparabolicSpec, as_json: bool, head: dict, text_tail: list, json_tail: dict
+) -> str:
+    """The output of a biparabolic query: type, pi1, pi2 and the ``head``
+    fields, then ``text_tail`` lines or ``json_tail`` keys."""
+    if as_json:
+        out = {"type": str(spec.ambient), "pi1": sorted(spec.pi1), "pi2": sorted(spec.pi2)}
+        return json.dumps({**out, **head, **json_tail}, sort_keys=True)
+    lines = [
+        f"type: {spec.ambient}",
+        f"pi1: {_subset_text(spec.pi1)}",
+        f"pi2: {_subset_text(spec.pi2)}",
+    ]
+    return "\n".join(lines + [f"{k}: {v}" for k, v in head.items()] + text_tail)
 
 
 # ---------------------------------------------------------------------------
@@ -88,25 +105,7 @@ def cmd_cascade(
 
 
 def cmd_index(spec: BiparabolicSpec, as_json: bool) -> tuple[int, str]:
-    idx = seaweed_index(spec)
-    if as_json:
-        return 0, json.dumps(
-            {
-                "type": str(spec.ambient),
-                "pi1": sorted(spec.pi1),
-                "pi2": sorted(spec.pi2),
-                "index": idx,
-            },
-            sort_keys=True,
-        )
-    return 0, "\n".join(
-        [
-            f"type: {spec.ambient}",
-            f"pi1: {_subset_text(spec.pi1)}",
-            f"pi2: {_subset_text(spec.pi2)}",
-            f"index: {idx}",
-        ]
-    )
+    return 0, _spec_output(spec, as_json, {"index": seaweed_index(spec)}, [], {})
 
 
 def cmd_classify(
@@ -132,63 +131,31 @@ def cmd_verify(
     spec: BiparabolicSpec, seed: int, trials: int, as_json: bool, store: str | None
 ) -> tuple[int, str]:
     cert = certify_quasi_reductive(spec, trials=trials, seed=seed)
-    idx = seaweed_index(spec)
+    head = {"seed": seed, "index": seaweed_index(spec)}
     if cert is None:
-        if as_json:
-            txt = json.dumps(
-                {
-                    "type": str(spec.ambient),
-                    "pi1": sorted(spec.pi1),
-                    "pi2": sorted(spec.pi2),
-                    "seed": seed,
-                    "trials": trials,
-                    "index": idx,
-                    "certificate": None,
-                },
-                sort_keys=True,
-            )
-        else:
-            txt = "\n".join(
-                [
-                    f"type: {spec.ambient}",
-                    f"pi1: {_subset_text(spec.pi1)}",
-                    f"pi2: {_subset_text(spec.pi2)}",
-                    f"seed: {seed}",
-                    f"index: {idx}",
-                    f"certificate: none ({trials} trials exhausted)",
-                ]
-            )
-        return EXHAUSTED, txt
+        return EXHAUSTED, _spec_output(
+            spec,
+            as_json,
+            head,
+            [f"certificate: none ({trials} trials exhausted)"],
+            {"trials": trials, "certificate": None},
+        )
     text = certificate_to_text(cert)
     if store:
         Path(store).write_text(text)
-    if as_json:
-        out = {
-            "type": str(spec.ambient),
-            "pi1": sorted(spec.pi1),
-            "pi2": sorted(spec.pi2),
-            "seed": seed,
-            "trial": cert.trial,
-            "index": idx,
-            "stabilizer_dim": cert.stab.dim,
-            "certificate": text,
-        }
-        return 0, json.dumps(out, sort_keys=True)
-    lines = [
-        f"type: {spec.ambient}",
-        f"pi1: {_subset_text(spec.pi1)}",
-        f"pi2: {_subset_text(spec.pi2)}",
-        f"seed: {seed}",
-        f"index: {idx}",
+    tail = [
         f"certificate: found (trial {cert.trial})",
         f"stabilizer_dim: {cert.stab.dim}",
         "checks: dim-equals-index abelian killing-nondegenerate semisimple",
+        f"stored: {store}" if store else text.rstrip("\n"),
     ]
-    if store:
-        lines.append(f"stored: {store}")
-    else:
-        lines.append(text.rstrip("\n"))
-    return 0, "\n".join(lines)
+    return 0, _spec_output(
+        spec,
+        as_json,
+        head,
+        tail,
+        {"trial": cert.trial, "stabilizer_dim": cert.stab.dim, "certificate": text},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +212,6 @@ def generate_tables(selection: list[tuple[str, int]] | None) -> dict[str, str]:
             rows.append([fam, rank, len(kostant_cascade(r, r.full_subset()))])
         out["cascade_sizes.csv"] = _csv_text(["family", "rank", "k"], rows)
         out["cascade_sizes.md"] = _md_text(["family", "rank", "k"], rows)
-
-        from .classify import single_root_test
 
         rows = []
         for fam, rank in _ALL_TYPES:
@@ -364,13 +329,13 @@ def run(argv=None) -> tuple[int, str]:
     try:
         if args.command == "tables":
             if (args.family is None) != (args.rank is None):
-                raise SystemExit2("tables needs both family and rank, or neither")
+                raise ValueError("tables needs both family and rank, or neither")
             selection = None
             if args.family is not None:
                 SimpleType(args.family, args.rank)
                 # each table enumerates all 2^rank subsets
                 if (args.family, args.rank) not in _ALL_TYPES:
-                    raise SystemExit2(f"tables covers ranks up to 10, not {args.rank}")
+                    raise ValueError(f"tables covers ranks up to 10, not {args.rank}")
                 selection = [(args.family, args.rank)]
             outdir = args.out or os.environ.get(
                 "QUASIRED_TABLES_DIR", "quasired_tables"
@@ -391,7 +356,7 @@ def run(argv=None) -> tuple[int, str]:
         if args.command == "index":
             return cmd_index(spec, args.json)
         return cmd_verify(spec, args.seed, args.trials, args.json, args.store)
-    except (SystemExit2, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         return USAGE_ERROR, f"error: {exc}"
 
 

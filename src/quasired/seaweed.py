@@ -183,21 +183,12 @@ def build_u_minus(spec: BiparabolicSpec) -> AlgebraElement:
 
 
 def _coroot_ratio(r: RootSystem, mid: Root, up: Root, lo: Root) -> Fraction:
-    """The scalar c with h_mid = c*(h_up - h_lo), solved exactly."""
-    hm = r.coroot_coeffs(mid)
-    hu = r.coroot_coeffs(up)
-    hl = r.coroot_coeffs(lo)
-    c = None
-    for m, u, l in zip(hm, hu, hl):
-        if u - l:
-            cand = Fraction(m, u - l)
-            if c is None:
-                c = cand
-            elif c != cand:
-                raise ValueError("coroot is not proportional to the difference")
-        elif m:
-            raise ValueError("coroot is not proportional to the difference")
-    assert c is not None and c != 0
+    """The scalar c with h_mid = c*(h_up - h_lo), solved exactly; a ValueError
+    when h_mid is not proportional to the difference."""
+    hu, hl = r.coroot_coeffs(up), r.coroot_coeffs(lo)
+    diff = [[Fraction(u - l)] for u, l in zip(hu, hl)]
+    (c,) = _solve_exact(diff, [Fraction(m) for m in r.coroot_coeffs(mid)])
+    assert c != 0
     return c
 
 

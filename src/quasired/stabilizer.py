@@ -49,13 +49,13 @@ from .rootsys import (
     SimpleType,
     ad_columns,
     bracket_coords,
-    build_root_system,
     killing_coords,
 )
 from .seaweed import (
     BiparabolicSpec,
     CoefficientVector,
     SubalgebraBasis,
+    _checked_maps,
     biparabolic_basis,
     build_u,
     sample_cv,
@@ -384,14 +384,10 @@ def certify_quasi_reductive(
 def reverify_certificate(cert: TorusCertificate) -> bool:
     """Recompute the stabilizer from (spec, cv) and re-run the three checks."""
     spec = cert.spec
-    fresh, checks = _attempt(
+    fresh, _ = _attempt(
         spec, cert.cv, cert.trial, biparabolic_basis(spec), seaweed_index(spec)
     )
-    return (
-        fresh is not None
-        and checks.all_true
-        and fresh.stab == cert.stab
-    )
+    return fresh is not None and fresh.stab == cert.stab
 
 
 # ---------------------------------------------------------------------------
@@ -409,19 +405,27 @@ def _parse_subset(txt: str) -> frozenset[int]:
     return frozenset(int(p) for p in txt.split(","))
 
 
+_CERT_HEADER = "quasired certificate v1"
+# the lines after the header, in this order and each once; the rows follow
+_CERT_FIELDS = ("type", "pi1", "pi2", "a", "b", "stabilizer-dim", "trial")
+
+
 def certificate_to_text(cert: TorusCertificate) -> str:
-    lines = ["quasired certificate v1"]
-    lines.append(f"type: {cert.spec.ambient.family}{cert.spec.ambient.rank}")
-    lines.append(f"pi1: {_subset_text(cert.spec.pi1)}")
-    lines.append(f"pi2: {_subset_text(cert.spec.pi2)}")
-    for name, entries in (("a", cert.cv.a), ("b", cert.cv.b)):
-        parts = [
-            f"{'+'.join(str(i) for i in sorted(k))}={v.numerator}/{v.denominator}"
-            for k, v in entries
-        ]
-        lines.append(f"{name}: " + "; ".join(parts))
-    lines.append(f"stabilizer-dim: {cert.stab.dim}")
-    lines.append(f"trial: {cert.trial}")
+    spec = cert.spec
+    coeffs = lambda entries: "; ".join(
+        f"{'+'.join(str(i) for i in sorted(k))}={v.numerator}/{v.denominator}"
+        for k, v in entries
+    )
+    values = {
+        "type": f"{spec.ambient.family}{spec.ambient.rank}",
+        "pi1": _subset_text(spec.pi1),
+        "pi2": _subset_text(spec.pi2),
+        "a": coeffs(cert.cv.a),
+        "b": coeffs(cert.cv.b),
+        "stabilizer-dim": cert.stab.dim,
+        "trial": cert.trial,
+    }
+    lines = [_CERT_HEADER] + [f"{key}: {values[key]}" for key in _CERT_FIELDS]
     for x in cert.stab.int_rows:
         # each entry divided by the positive leading entry, in lowest terms
         lead = x[0][1]
@@ -440,23 +444,33 @@ def _parse_fraction(txt: str) -> Fraction:
     return Fraction(int(num), int(den))
 
 
+def _parse_coeffs(txt: str) -> dict[frozenset[int], Fraction]:
+    out = {}
+    for part in filter(None, (p.strip() for p in txt.split(";"))):
+        key, _, val = part.partition("=")
+        sup = frozenset(int(p) for p in key.split("+"))
+        if sup in out:
+            raise ValueError(f"coefficient key {key.strip()!r} repeated")
+        out[sup] = _parse_fraction(val)
+    return out
+
+
 def certificate_from_text(text: str) -> TorusCertificate:
-    """Parse the canonical text form; malformed text raises ValueError."""
+    """Parse the canonical text form: the header, one line for each of
+    ``_CERT_FIELDS`` in that order, then the ``row:`` lines; blank lines are
+    skipped. Any other layout or malformed value raises ValueError, and so do
+    coefficient keys that are not the supports of the spec's cascades, so a
+    parsed certificate can always be re-verified."""
     lines = [l for l in text.splitlines() if l.strip()]
-    if not lines or lines[0].strip() != "quasired certificate v1":
+    if not lines or lines[0].strip() != _CERT_HEADER:
         raise ValueError("unrecognized certificate header")
-    fields = {}
-    rows = []
-    for line in lines[1:]:
-        key, _, val = line.partition(":")
-        key = key.strip()
-        if key == "row":
-            rows.append(val.strip())
-        else:
-            fields[key] = val.strip()
-    missing = {"type", "pi1", "pi2"} - fields.keys()
-    if missing:
-        raise ValueError(f"missing certificate fields {sorted(missing)}")
+    n = len(_CERT_FIELDS)
+    keyed = [(k.strip(), v.strip()) for k, _, v in (l.partition(":") for l in lines[1:])]
+    for i, want in enumerate(_CERT_FIELDS + ("row",) * (len(keyed) - n)):
+        got = keyed[i][0] if i < len(keyed) else None
+        if got != want:
+            raise ValueError(f"certificate line {i + 2}: expected {want!r}, got {got!r}")
+    fields, rows = dict(keyed[:n]), [v for _, v in keyed[n:]]
     m = re.fullmatch(r"([A-G])(\d+)", fields["type"])
     if not m:
         raise ValueError(f"bad type field {fields['type']!r}")
@@ -464,24 +478,8 @@ def certificate_from_text(text: str) -> TorusCertificate:
     spec = BiparabolicSpec(
         stype, _parse_subset(fields["pi1"]), _parse_subset(fields["pi2"])
     )
-
-    def parse_coeffs(txt):
-        out = {}
-        if not txt:
-            return out
-        for part in txt.split(";"):
-            part = part.strip()
-            if not part:
-                continue
-            key, _, val = part.partition("=")
-            sup = frozenset(int(p) for p in key.split("+"))
-            out[sup] = _parse_fraction(val)
-        return out
-
-    cv = CoefficientVector.from_maps(
-        parse_coeffs(fields.get("a", "")), parse_coeffs(fields.get("b", ""))
-    )
-    r = build_root_system(stype)
+    cv = CoefficientVector.from_maps(_parse_coeffs(fields["a"]), _parse_coeffs(fields["b"]))
+    r, *_ = _checked_maps(spec, cv)
     int_rows = []
     for row in rows:
         entries = {}
@@ -498,7 +496,7 @@ def certificate_from_text(text: str) -> TorusCertificate:
         if not nz or nz[0][1] != 1:
             raise ValueError(f"row {row!r} does not start with 1/1")
         int_rows.append(_sparse_int_row(nz))
-    if int(fields.get("stabilizer-dim", len(rows))) != len(rows):
+    if int(fields["stabilizer-dim"]) != len(rows):
         raise ValueError(f"stabilizer-dim {fields['stabilizer-dim']} over {len(rows)} rows")
     stab = Subspace(r, tuple(int_rows))
-    return TorusCertificate(spec, cv, stab, None, int(fields.get("trial", 0)))
+    return TorusCertificate(spec, cv, stab, None, int(fields["trial"]))

@@ -255,3 +255,32 @@ def test_verify_stdout_is_pinned(capsys, argv, code, want):
     assert cli.main(argv) == code
     captured = capsys.readouterr()
     assert captured.out == want and captured.err == ""
+
+
+# the B/D rule line: the last flag dimension is dropped from the scan only
+# when it is odd and equals N/2, which only type D of odd rank reaches
+@pytest.mark.parametrize(
+    "argv,want",
+    [
+        (
+            ["classify", "D", "5", "--pi", "1,2,4"],
+            "type: D5\npi: 1,2,4\nquasi_reductive: yes\nindex: 1\n"
+            "rule: dkt-flag: N=10 dims=(3,5) scanned=(3) -> qr\n",
+        ),
+        (
+            ["classify", "D", "4", "--pi", "2"],
+            "type: D4\npi: 2\nquasi_reductive: no\nindex: 1\n"
+            "rule: dkt-flag: N=8 dims=(1,3,4) scanned=(1,3,4) -> not-qr\n",
+        ),
+        (
+            ["classify", "B", "3", "--pi", "2"],
+            "type: B3\npi: 2\nquasi_reductive: no\nindex: 1\n"
+            "rule: dkt-flag: N=7 dims=(1,3) scanned=(1,3) -> not-qr\n",
+        ),
+    ],
+    ids=["d5-last-dropped", "d4-last-kept", "b3-odd-last-kept"],
+)
+def test_classify_flag_scan_is_pinned(capsys, argv, want):
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.out == want and captured.err == ""

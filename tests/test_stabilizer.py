@@ -331,7 +331,17 @@ def test_form_stabilizer_is_invariant_under_scaling_the_form():
     assert form_stabilizer(P, u).rows == form_stabilizer(P, u * Fraction(1, 7)).rows
 
 
-_G2_HEADER = "quasired certificate v1\ntype: G2\npi1: 2\npi2: 1,2\n"
+# `quasired verify G 2 --pi1 2 --seed 1 --store FILE`
+_G2_CERT = """quasired certificate v1
+type: G2
+pi1: 2
+pi2: 1,2
+a: 1+2=-33/1; 2=22/1
+b: 2=47/1
+stabilizer-dim: 1
+trial: 0
+row: 0=1/1,8=22/47
+"""
 # `quasired verify E 6 --pi1 2,3,4 --seed 7 --store FILE`
 _E6_CERT = """quasired certificate v1
 type: E6
@@ -346,24 +356,36 @@ row: 36=1/1,38=1/2,40=-1/2,41=-1/1
 """
 
 
+def _g2_row(row):
+    return _G2_CERT.replace("row: 0=1/1,8=22/47", f"row: {row}")
+
+
 def test_stored_e6_certificate_reverifies():
     assert reverify_certificate(certificate_from_text(_E6_CERT))
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text,match",
     [
-        "",
-        "quasired certificate v1\npi1: -\npi2: 1\n",
-        _G2_HEADER + "a: 1+2=3/0\n",
-        _G2_HEADER + "a: 1+2=3/1\nb: 2=1/1\nrow: 999=1/1\n",
-        _G2_HEADER + "a: 1+2=3/1\nb: 2=1/1\nrow: -1=1/1\n",
-        _G2_HEADER + "a: 1+2=3/1\nb: 2=1/1\nrow: 3=2/1,5=1/3\n",
-        _G2_HEADER + "a: 1+2=3/1\nb: 2=1/1\nrow: 5=1/3,3=-1/1\n",
-        _G2_HEADER + "a: 1+2=3/1\nb: 2=1/1\nrow: 3=0/1\n",
-        f"quasired certificate v1\ntype: A{MAX_CLASSICAL_RANK + 1}\npi1: 1\npi2: 1\n",
-        _E6_CERT.replace("stabilizer-dim: 2", "stabilizer-dim: 7"),
-        _E6_CERT.replace("44=-22/9\n", "44=-22/9,2=1/1\n"),
+        ("", "unrecognized certificate header"),
+        (_E6_CERT.replace("type: E6", "type: "), "bad type field ''"),
+        (_G2_CERT.replace("=-33/1", "=-33/0"), "zero denominator"),
+        (_g2_row("999=1/1"), "row index 999 out of range"),
+        (_g2_row("-1=1/1"), "row index -1 out of range"),
+        (_g2_row("3=2/1,5=1/3"), "does not start with 1/1"),
+        (_g2_row("5=1/3,3=-1/1"), "does not start with 1/1"),
+        (_g2_row("3=0/1"), "does not start with 1/1"),
+        (
+            _G2_CERT.replace("type: G2", f"type: A{MAX_CLASSICAL_RANK + 1}"),
+            f"rank {MAX_CLASSICAL_RANK + 1} out of range",
+        ),
+        (_E6_CERT.replace("stabilizer-dim: 2", "stabilizer-dim: 7"), "stabilizer-dim 7 over 2"),
+        (_E6_CERT.replace("44=-22/9\n", "44=-22/9,2=1/1\n"), "row index 2 repeated"),
+        (_E6_CERT.replace("4=-44/1\n", "4=-44/1; 4=5/1\n"), "coefficient key '4' repeated"),
+        (_E6_CERT.replace("b: 2+3+4", "a: 4=5/1\nb: 2+3+4"), "expected 'b', got 'a'"),
+        (_E6_CERT.replace("4=-44/1\n", "5=-44/1\n"), "keys for a must match the pi2 cascade"),
+        (_E6_CERT.replace("trial: 0\n", "trial: 0\nnote: 1\n"), "expected 'row', got 'note'"),
+        (_E6_CERT.replace("trial: 0\n", ""), "expected 'trial', got 'row'"),
     ],
     ids=[
         "empty",
@@ -377,8 +399,13 @@ def test_stored_e6_certificate_reverifies():
         "rank-over-cap",
         "stabilizer-dim-not-row-count",
         "row-index-repeated",
+        "a-key-repeated",
+        "a-line-repeated",
+        "a-key-not-in-cascade",
+        "unknown-line",
+        "trial-missing",
     ],
 )
-def test_certificate_parser_raises_value_error_only(text):
-    with pytest.raises(ValueError):
+def test_certificate_parser_raises_value_error_only(text, match):
+    with pytest.raises(ValueError, match=match):
         certificate_from_text(text)
