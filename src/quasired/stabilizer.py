@@ -1,28 +1,48 @@
 """Stabilizers of linear forms and machine-checkable torus certificates.
 
 The stabilizer of the form kappa(u, .) restricted to a subalgebra P is the
-kernel of the matrix kappa(u, [P_i, P_j]); everything is computed exactly,
-in integers. kappa(u, .) is scaled to a primitive integer functional w, and
-the matrix is sum_k w_k C_k with C_k the integer constants of
+kernel of the skew matrix M = kappa(u, [P_i, P_j]); everything is computed
+exactly, in integers. kappa(u, .) is scaled to a primitive integer
+functional w, and M is sum_k w_k C_k with C_k the integer constants of
 ``bracket_into(k)``. Its nonzero pattern depends only on the support of w,
-and in a certificate search that support is fixed by the spec: every entry
-is one w_k = (coefficient) * kappa(x_eps, x_-eps) times a constant, never 0.
-So the pattern is compiled once per search, on the first trial: the blocks
-(the connected components of the pattern), their cells and a sparse pivot
-order for each. Later trials multiply their weights into the cells and
-eliminate each block in that order. Any pivot order is exact, because a
-pivot that is 0 for some draw is replaced and each block's kernel basis is
-re-reduced to its canonical rref; ``rank`` and ``rref`` keep the dense loop.
-The kernel is the direct sum of the block kernels. Each block's rref rows
-vanish outside the block, so in the union of all of them no row has a
-nonzero entry in another row's pivot column; ordered by pivot, the union is
-therefore the canonical rref of the whole kernel, the rows one elimination
-of the full matrix would give. A ``Subspace`` stores only these rows, as
-sparse primitive integer rows with positive leading entries, which makes
-them canonical. The abelian and Killing checks and the comparison in
-``reverify_certificate`` run on them, and they stay integers until a
-certificate prints each entry divided by its row's leading entry. A parsed
-row must start with 1/1, so it equals exactly the row that was printed.
+and in a certificate search that support is fixed by the spec: every weight
+w_k = (coefficient) * kappa(x_eps, x_-eps) is nonzero. So the pattern is
+compiled once per search, on the first trial, and most of the kernel work
+is done there.
+
+The compile peels leaf pairs off the pattern graph, by the leaf-removal rule
+of Karp and Sipser for matchings (FOCS 1981). A cell with one term w_k * c
+is nonzero for every draw; a cell with several terms can cancel, so it
+counts as an edge but never makes a leaf. Take a live vertex v whose only
+live neighbour is u, through a cell of one term, and remove v and u. This is
+exact for a skew matrix. Row v of the live matrix is M[v][u] x_u = 0, so
+x_u = 0. Row u gives x_v = sum_s M[u][s] x_s / M[v][u] over the other live
+neighbours s of u. No other live row involves v, and x_u = 0, so the rest of
+x lies in the kernel of M restricted to the remaining vertices. Each vector
+of that kernel therefore extends in exactly one way, and
+dim ker M = (isolated vertices) + dim ker(core), where the isolated vertices
+and the core (the vertices with edges) are what is left when no leaf
+remains. Each block, a connected component of the pattern, is compiled to
+its isolated vertices, its core and its steps; a block that peels to nothing
+has no kernel and is dropped.
+
+A trial multiplies its weights into the core's cells and eliminates the core
+by ``linalg._kernel`` in the pivot order the first trial took (any order is
+exact: a pivot that is 0 for some draw is replaced and the result is
+re-reduced), starts from its kernel vectors and the unit vectors of the
+isolated vertices, and extends each over the steps in reverse order, a
+back-substitution. Each block's vectors are then re-reduced to their
+canonical rref; ``rank`` and ``rref`` keep the dense loop. The kernel is the
+direct sum of the block kernels. Each block's rref rows vanish outside the
+block, so in the union of all of them no row has a nonzero entry in another
+row's pivot column; ordered by pivot, the union is therefore the canonical
+rref of the whole kernel, the rows one elimination of the full matrix would
+give. A ``Subspace`` stores only these rows, as sparse primitive integer
+rows with positive leading entries, which makes them canonical. The abelian
+and Killing checks and the comparison in ``reverify_certificate`` run on
+them, and they stay integers until a certificate prints each entry divided
+by its row's leading entry. A parsed row must start with 1/1, so it equals
+exactly the row that was printed.
 
 A torus certificate packages a coefficient draw whose stabilizer passes
 three exact checks: its dimension equals the index, it is abelian, and the
@@ -123,34 +143,75 @@ class Subspace:
 
 @dataclass
 class _Block:
-    """One connected block of a form pattern: its sorted basis indices, its
-    cells above the diagonal as (row, column, weight index, constant), whose
-    entry is weight * constant (and minus that below the diagonal), cells
-    with several terms as (row, column, ((weight index, constant), ...)),
-    and the pivots the first elimination took."""
+    """One connected block of a form pattern, peeled (module docstring).
+
+    ``idx`` are the sorted basis indices its kernel rows can be nonzero on:
+    the vertices left live by peeling and the v of each step; every kernel
+    vector is 0 on the others. The positions below are into ``idx``.
+    ``isolated`` are the live vertices with no live neighbour, and ``core``
+    those with one or more. The core's cells above the diagonal are
+    ``cells``, as (row, column, weight index, constant) with entry
+    weight * constant (and minus that below the diagonal), and ``sums``, as
+    (row, column, ((weight index, constant), ...)), with rows and columns
+    counted in ``core``. ``steps`` are the peeled pairs, last peeled first,
+    as (v, weight index, constant, rest): M[v][u] is weight * constant, and
+    rest lists the terms (s, weight index, constant) of M[u][s] over the
+    neighbours s of u that were live then and are in ``idx``. A pair whose
+    u had no other live neighbour gives x_v = 0 and is left out. ``order``
+    is the pivot order the first elimination of the core took."""
 
     idx: tuple[int, ...]
+    isolated: list[int]
+    core: list[int]
     cells: list[tuple[int, int, int, int]]
     sums: list[tuple[int, int, tuple[tuple[int, int], ...]]]
+    steps: list[tuple[int, int, int, list[tuple[int, int, int]]]]
     order: list[tuple[int, int]] | None = None
 
     def kernel(self, w: dict[int, int]) -> list[tuple[tuple[int, int], ...]]:
         """The kernel rows of the block under the weights w, as sparse
         primitive integer rows over basis indices with positive leading
         entries."""
-        rows: list[dict[int, int]] = [{} for _ in self.idx]
-        for a, b, k, c in self.cells:
-            v = w[k] * c
-            rows[a][b] = v
-            rows[b][a] = -v
-        for a, b, terms in self.sums:
-            v = sum(w[k] * c for k, c in terms)
-            if v:
+        n = len(self.idx)
+        vecs = []
+        if self.core:
+            rows: list[dict[int, int]] = [{} for _ in self.core]
+            for a, b, k, c in self.cells:
+                v = w[k] * c
                 rows[a][b] = v
                 rows[b][a] = -v
-        red, pivots, taken = linalg._kernel(rows, len(self.idx), self.order or ())
-        if self.order is None:
-            self.order = taken
+            for a, b, terms in self.sums:
+                v = sum(w[k] * c for k, c in terms)
+                if v:
+                    rows[a][b] = v
+                    rows[b][a] = -v
+            red, _, taken = linalg._kernel(rows, len(self.core), self.order or ())
+            if self.order is None:
+                self.order = taken
+            for kr in red:
+                x = [0] * n
+                for t, v in zip(self.core, kr):
+                    x[t] = v
+                vecs.append(x)
+        for t in self.isolated:
+            x = [0] * n
+            x[t] = 1
+            vecs.append(x)
+        # back-substitution: x_u = 0 and x_v = sum_s M[u][s] x_s / M[v][u],
+        # scaling x by the reduced denominator to keep it integral
+        for x in vecs:
+            for v, k, c, rest in self.steps:
+                num = 0
+                for s, j, e in rest:
+                    if x[s]:
+                        num += w[j] * e * x[s]
+                if num:
+                    d = w[k] * c
+                    g = gcd(num, d) if d > 0 else -gcd(num, d)
+                    if d != g:
+                        x[:] = [y * (d // g) for y in x]
+                    x[v] = num // g
+        red, pivots = linalg._eliminate(vecs, True)
         idx = self.idx
         return [
             tuple((idx[t], v if kr[p] > 0 else -v) for t, v in enumerate(kr) if v)
@@ -161,11 +222,10 @@ class _Block:
 @dataclass
 class _FormPattern:
     """The form matrix kappa(u, [e_a, e_b]) over the basis of P for every u
-    whose functional kappa(u, .) has the given support: the rows of indices
-    in no cell, which lie in every kernel, and the blocks left to eliminate."""
+    whose functional kappa(u, .) has the given support, as its peeled
+    blocks that have a kernel."""
 
     support: tuple[int, ...]
-    fixed: list[tuple[tuple[int, int], ...]]
     blocks: list[_Block]
 
 
@@ -186,9 +246,40 @@ def _form_pattern(P: SubalgebraBasis, support: tuple[int, ...]) -> _FormPattern:
         for i, j, c in r.bracket_into(k):
             if i in terms and j in terms:
                 terms[i].setdefault(j, []).append((k, c))
-    fixed, blocks = [], []
+    return _FormPattern(support, _peel_blocks(terms))
+
+
+def _peel_blocks(terms: dict[int, dict[int, list[tuple[int, int]]]]) -> list[_Block]:
+    """The blocks of the skew pattern terms, whose cell terms[i][j] lists
+    the (weight index, constant) of M[i][j], peeled (module docstring)."""
+    live = {i: len(t) for i, t in terms.items()}  # live vertex: live neighbours
+    steps = {}  # v -> (step number, v, u, the other live neighbours of u)
+    leaves = [i for i, d in live.items() if d == 1]
+    for v in leaves:  # grows as peeling makes new leaves
+        if live.get(v) != 1:
+            continue
+        tv = terms[v]
+        for u in tv:
+            if u in live:
+                break
+        if len(tv[u]) != 1:
+            continue  # a cell of several terms can cancel for some draw
+        del live[v], live[u]
+        rest = []
+        for s in terms[u]:
+            d = live.get(s)
+            if d is not None:
+                rest.append(s)
+                live[s] = d - 1
+                if d == 2:
+                    leaves.append(s)
+        if rest:  # else x_v = 0 in every kernel vector
+            steps[v] = (len(steps), v, u, rest)
+    # the blocks are the connected components of the pattern; one that
+    # peels to nothing has no kernel, and no live vertex to start from
+    blocks = []
     seen: set[int] = set()
-    for start in idx:
+    for start in live:
         if start in seen:
             continue
         seen.add(start)
@@ -198,24 +289,36 @@ def _form_pattern(P: SubalgebraBasis, support: tuple[int, ...]) -> _FormPattern:
                 if j not in seen:
                     seen.add(j)
                     block.append(j)
-        block.sort()
-        local = {i: t for t, i in enumerate(block)}
+        # every kernel vector is 0 on the u of each step and on the v of a
+        # pair left out of steps
+        kept = sorted([i for i in block if i in live or i in steps])
+        core = [i for i in kept if live.get(i)]
+        mine = sorted([steps[i] for i in kept if i in steps], reverse=True)  # last first
+        local = {i: t for t, i in enumerate(kept)}
+        at = local if len(core) == len(kept) else {i: t for t, i in enumerate(core)}
         cells, sums = [], []
-        for i in block:
+        for i in core:
             for j, ts in terms[i].items():
-                if i > j:
+                if i > j or j not in at:
                     continue
                 if len(ts) == 1:
-                    cells.append((local[i], local[j], *ts[0]))
+                    cells.append((at[i], at[j], *ts[0]))
                 else:
-                    sums.append((local[i], local[j], tuple(ts)))
-        if not cells and not sums:
-            fixed.append(((start, 1),))
-        elif len(block) == 2 and not sums:
-            continue  # [[0, a], [-a, 0]] with a = w_k * c != 0: no kernel
-        else:
-            blocks.append(_Block(tuple(block), cells, sums))
-    return _FormPattern(support, fixed, blocks)
+                    sums.append((at[i], at[j], tuple(ts)))
+        back = []
+        for _, v, u, rest in mine:
+            tu = terms[u]  # x_s = 0 for the s of rest that are not kept
+            rest = [(local[s], k, c) for s in rest if s in local for k, c in tu[s]]
+            back.append((local[v], *terms[v][u][0], rest))
+        blocks.append(_Block(
+            tuple(kept),
+            [local[i] for i in kept if live.get(i) == 0],
+            [local[i] for i in core],
+            cells,
+            sums,
+            back,
+        ))
+    return blocks
 
 
 def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
@@ -241,12 +344,9 @@ def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
     if pattern is None or pattern.support != support:
         pattern = _form_pattern(P, support)
         object.__setattr__(P, "form_pattern", pattern)
-    rows = list(pattern.fixed)
-    for block in pattern.blocks:
-        rows += block.kernel(w)
     # ordered by pivot, the block rows are the canonical rref of the kernel
     # (module docstring)
-    rows.sort()
+    rows = sorted(x for block in pattern.blocks for x in block.kernel(w))
     return Subspace(r, tuple(rows))
 
 
@@ -460,7 +560,10 @@ def certificate_from_text(text: str) -> TorusCertificate:
     ``_CERT_FIELDS`` in that order, then the ``row:`` lines; blank lines are
     skipped. Any other layout or malformed value raises ValueError, and so do
     coefficient keys that are not the supports of the spec's cascades, so a
-    parsed certificate can always be re-verified."""
+    parsed certificate can always be re-verified. Each value must be written
+    as ``certificate_to_text`` writes it, so printing a parsed certificate
+    gives back its text up to blank lines and spaces around keys and
+    values."""
     lines = [l for l in text.splitlines() if l.strip()]
     if not lines or lines[0].strip() != _CERT_HEADER:
         raise ValueError("unrecognized certificate header")
@@ -499,4 +602,10 @@ def certificate_from_text(text: str) -> TorusCertificate:
     if int(fields["stabilizer-dim"]) != len(rows):
         raise ValueError(f"stabilizer-dim {fields['stabilizer-dim']} over {len(rows)} rows")
     stab = Subspace(r, tuple(int_rows))
-    return TorusCertificate(spec, cv, stab, None, int(fields["trial"]))
+    cert = TorusCertificate(spec, cv, stab, None, int(fields["trial"]))
+    printed = certificate_to_text(cert).splitlines()[1:]
+    for (key, value), line in zip(keyed, printed):
+        want = line.partition(": ")[2]
+        if value != want:
+            raise ValueError(f"{key} value {value!r} is not written as printed: {want!r}")
+    return cert

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -7,8 +8,13 @@ from pathlib import Path
 import pytest
 
 from quasired import cli
-from quasired.rootsys import MAX_CLASSICAL_RANK
-from quasired.stabilizer import certificate_from_text, reverify_certificate
+from quasired.classify import classify_parabolic
+from quasired.rootsys import MAX_CLASSICAL_RANK, SimpleType
+from quasired.stabilizer import (
+    certificate_from_text,
+    certificate_to_text,
+    reverify_certificate,
+)
 
 
 def run(*argv):
@@ -64,6 +70,23 @@ def test_verify_command_success(tmp_path):
     assert "certificate: found" in out
     cert = certificate_from_text(store.read_text())
     assert reverify_certificate(cert)
+
+
+@pytest.mark.parametrize("family,rank", [("G", 2), ("F", 4), ("E", 6)])
+def test_every_printed_certificate_parses_back_to_itself(family, rank):
+    # `verify` on every parabolic of the type: each certificate it prints
+    # parses, prints back to the same text and re-verifies
+    for n in range(rank + 1):
+        for sub in itertools.combinations(range(1, rank + 1), n):
+            pi1 = ",".join(map(str, sub))
+            code, out = run("verify", family, str(rank), "--pi1", pi1, "--json")
+            qr = classify_parabolic(SimpleType(family, rank), sub).quasi_reductive
+            assert code == (0 if qr else cli.EXHAUSTED), pi1
+            if qr:
+                text = json.loads(out)["certificate"]
+                cert = certificate_from_text(text)
+                assert certificate_to_text(cert) == text, pi1
+                assert reverify_certificate(cert), pi1
 
 
 def test_verify_command_exhausted():

@@ -9,6 +9,8 @@ from quasired.classify import classify_parabolic
 from quasired.rootsys import SimpleType
 from quasired.seaweed import biparabolic_basis, build_u, parabolic, sample_cv, seaweed_index
 from quasired.stabilizer import (
+    certificate_from_text,
+    certificate_to_text,
     certify_quasi_reductive,
     form_stabilizer,
     is_abelian,
@@ -57,6 +59,9 @@ def test_certificates_agree_with_classification_e7_e8():
                     cert is not None and not cert.checks.all_true
                 ):
                     mismatches.append((family, rank, sub))
+                if cert is not None:
+                    text = certificate_to_text(cert)
+                    assert certificate_to_text(certificate_from_text(text)) == text, sub
                 if not v.quasi_reductive:
                     non_qr[rank] += 1
                     known_torus_trials += _non_qr_trials(spec, v.torus_dim)

@@ -4,12 +4,15 @@ against the dense oracle routes.
 ``linalg._kernel`` eliminates sparse rows in a pivot order chosen for
 sparsity or replayed from an earlier matrix; ``form_oracle.dense_kernel``
 runs one dense Gauss-Jordan elimination. ``form_stabilizer`` compiles the
-form matrix into blocks once per basis and support, and eliminates each
-block on its own; ``form_oracle.dense_form_stabilizer`` takes the kernel of
-the whole matrix in one piece. All of them return canonical rref rows, so
-they must agree exactly.
+form matrix once per basis and support into blocks whose leaf pairs are
+peeled off, and per draw only eliminates each block's residual core and
+back-substitutes over the peeled pairs; ``form_oracle.dense_form_stabilizer``
+takes the kernel of the whole matrix in one piece. All of them return
+canonical rref rows, so they must agree exactly. Synthetic skew patterns
+drive the peeling through ``stabilizer._peel_blocks`` directly.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -20,7 +23,7 @@ from form_oracle import dense_form_stabilizer, dense_kernel
 from quasired import linalg, stabilizer
 from quasired.rootsys import AlgebraElement, SimpleType
 from quasired.seaweed import BiparabolicSpec, biparabolic_basis, build_u, sample_cv
-from quasired.stabilizer import certify_quasi_reductive, form_stabilizer
+from quasired.stabilizer import _sparse_int_row, certify_quasi_reductive, form_stabilizer
 
 TYPES = [("G", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("E", 6)]
 
@@ -31,11 +34,27 @@ def _random_spec(rng, family, rank):
     return BiparabolicSpec(SimpleType(family, rank), p1, p2)
 
 
+def _every_spec(family, rank):
+    """Every seaweed (pi1, pi2) of the type; for E6, whose 4096 pairs take
+    too long for the dense oracle, every parabolic in both orientations."""
+    st = SimpleType(family, rank)
+    subsets = [
+        frozenset(s)
+        for n in range(rank + 1)
+        for s in itertools.combinations(range(1, rank + 1), n)
+    ]
+    full = frozenset(range(1, rank + 1))
+    if family == "E":
+        return [BiparabolicSpec(st, *p) for s in subsets for p in ((s, full), (full, s))]
+    return [BiparabolicSpec(st, p1, p2) for p1 in subsets for p2 in subsets]
+
+
 @pytest.mark.parametrize("family,rank", TYPES)
 def test_cascade_forms_match_dense_route(family, rank):
     rng = random.Random(f"{family}{rank}")
-    for _ in range(8):
-        spec = _random_spec(rng, family, rank)
+    specs = _every_spec(family, rank)
+    assert len(specs) == {2: 16, 3: 64, 4: 256, 6: 128}[rank]
+    for spec in specs:
         P = biparabolic_basis(spec)
         u = build_u(spec, sample_cv(spec, rng))
         assert form_stabilizer(P, u).rows == dense_form_stabilizer(P, u).rows, spec
@@ -214,3 +233,69 @@ def test_cartan_forms_sharing_a_pattern_match_dense_route(family, rank):
         S = form_stabilizer(P, u)
         assert P.form_pattern is pattern
         assert S.dim > rank and S.rows == dense_form_stabilizer(P, u).rows, h
+
+
+def _skew_terms(n, edges):
+    """The pattern of a skew matrix on vertices 0..n-1: edges maps (i, j),
+    i < j, to the (weight index, constant) terms of M[i][j]."""
+    terms = {i: {} for i in range(n)}
+    for (i, j), ts in edges.items():
+        terms[i][j] = list(ts)
+        terms[j][i] = [(k, -c) for k, c in ts]
+    return terms
+
+
+def _peeled_kernel(terms, w):
+    blocks = stabilizer._peel_blocks(terms)
+    return sorted(row for block in blocks for row in block.kernel(w)), blocks
+
+
+def _dense_rows(terms, w):
+    n = len(terms)
+    M = [[sum(w[k] * c for k, c in terms[i].get(j, ())) for j in range(n)] for i in range(n)]
+    return sorted(_sparse_int_row(enumerate(r)) for r in dense_kernel(M, n)[0])
+
+
+def test_peeling_a_path_scales_by_the_back_substitution_denominator():
+    # 0 - 1 - 2 plus the lone vertex 3: peeling the leaf 0 with 1 leaves 2
+    # isolated, and x_0 = M[1][2] / M[0][1], which is no integer here
+    terms = _skew_terms(4, {(0, 1): [(7, 1)], (1, 2): [(8, 1)]})
+    rows, (block, lone) = _peeled_kernel(terms, {7: 3, 8: 2})
+    assert block.idx == (0, 2) and len(block.steps) == 1
+    assert block.isolated == [1] and block.core == []
+    assert lone.idx == (3,) and lone.isolated == [0] and lone.steps == []
+    assert rows == [((0, 2), (2, 3)), ((3, 1),)]
+    for w in ({7: 3, 8: 2}, {7: -3, 8: 2}, {7: 4, 8: -6}, {7: -5, 8: -7}):
+        assert _peeled_kernel(terms, w)[0] == _dense_rows(terms, w), w
+
+
+def test_peeling_leaves_an_even_cycle_to_the_core():
+    # no vertex of the 4-cycle is a leaf; its Pfaffian M01 M23 + M03 M12
+    # vanishes for the second weights, which gives a 2-dimensional kernel
+    cycle = {(0, 1): [(1, 1)], (1, 2): [(2, 1)], (2, 3): [(3, 1)], (0, 3): [(4, 1)]}
+    terms = _skew_terms(4, cycle)
+    _, (block,) = _peeled_kernel(terms, {1: 1, 2: 1, 3: 1, 4: 1})
+    assert block.steps == [] and block.isolated == [] and len(block.core) == 4
+    for w, dim in (({1: 1, 2: 1, 3: 1, 4: 1}, 0), ({1: 1, 2: 1, 3: 1, 4: -1}, 2)):
+        rows = _peeled_kernel(terms, w)[0]
+        assert len(rows) == dim and rows == _dense_rows(terms, w), w
+
+
+def test_peeling_skips_a_leaf_whose_cell_has_several_terms():
+    # a cell of one term is nonzero for every weight, so its pair is peeled
+    # and the block dropped; a cell of two terms cancels for some weights
+    # and stays in the core, where the cancelled block keeps both vertices
+    single = _skew_terms(2, {(0, 1): [(1, 2)]})
+    assert stabilizer._peel_blocks(single) == []
+    double = _skew_terms(2, {(0, 1): [(1, 2), (2, 1)]})
+    _, (block,) = _peeled_kernel(double, {1: 1, 2: 1})
+    assert block.steps == [] and len(block.core) == 2
+    for w, dim in (({1: 1, 2: 1}, 0), ({1: 1, 2: -2}, 2)):
+        rows = _peeled_kernel(double, w)[0]
+        assert len(rows) == dim and rows == _dense_rows(double, w), w
+    # in the path 0 = 1 - 2 the leaf 2 is peeled with 1, never the leaf 0
+    terms = _skew_terms(3, {(0, 1): [(1, 2), (2, 1)], (1, 2): [(3, 1)]})
+    _, (block,) = _peeled_kernel(terms, {1: 1, 2: 1, 3: 1})
+    assert block.idx == (0, 2) and block.isolated == [0]
+    for w in ({1: 1, 2: 1, 3: 5}, {1: 1, 2: -2, 3: 5}):
+        assert _peeled_kernel(terms, w)[0] == _dense_rows(terms, w), w

@@ -386,6 +386,38 @@ def test_stored_e6_certificate_reverifies():
         (_E6_CERT.replace("4=-44/1\n", "5=-44/1\n"), "keys for a must match the pi2 cascade"),
         (_E6_CERT.replace("trial: 0\n", "trial: 0\nnote: 1\n"), "expected 'row', got 'note'"),
         (_E6_CERT.replace("trial: 0\n", ""), "expected 'trial', got 'row'"),
+        (
+            _E6_CERT.replace("pi1: 2,3,4", "pi1: 4,3,2"),
+            "pi1 value '4,3,2' is not written as printed: '2,3,4'",
+        ),
+        (_E6_CERT.replace("pi1: 2,3,4", "pi1: 2,2,3,4"), "pi1 value '2,2,3,4' is not written"),
+        (
+            _E6_CERT.replace("pi2: 1,2,3,4,5,6", "pi2: 1,2,3,4,6,5"),
+            "pi2 value '1,2,3,4,6,5' is not",
+        ),
+        (_E6_CERT.replace("; 3+4+5=", "; 5+4+3="), "a value '.*5\\+4\\+3=33/1.*' is not written"),
+        (_E6_CERT.replace("; 4=-44/1", "; 4+4=-44/1"), "a value '.*4\\+4=-44/1' is not written"),
+        (
+            _E6_CERT.replace("1+2+3+4+5+6=-9/1; 1+3+4+5+6=-31/1", "1+3+4+5+6=-31/1; 1+2+3+4+5+6=-9/1"),
+            "a value '1\\+3\\+4\\+5\\+6=-31/1; 1.*' is not written",
+        ),
+        (_E6_CERT.replace("3+4+5=33/1", "3+4+5=66/2"), "a value '.*=66/2.*' is not written"),
+        (_E6_CERT.replace("4=18/1", "4=-18/-1"), "b value '.*=-18/-1' is not written"),
+        (_E6_CERT.replace("44=-22/9", "44=-44/18"), "row value '2=1/1,44=-44/18' is not written"),
+        (_E6_CERT.replace("38=1/2", "38=-1/-2"), "row value '.*38=-1/-2.*' is not written"),
+        (
+            _E6_CERT.replace("2=1/1,44=-22/9", "44=-22/9,2=1/1"),
+            "row value '44=-22/9,2=1/1' is not written",
+        ),
+        (
+            _E6_CERT.replace("2=1/1,44=-22/9", "2=1/1,3=0/1,44=-22/9"),
+            "row value '2=1/1,3=0/1,44=-22/9' is not",
+        ),
+        (
+            _E6_CERT.replace("type: E6", "type: E06"),
+            "type value 'E06' is not written as printed: 'E6'",
+        ),
+        (_E6_CERT.replace("trial: 0", "trial: 00"), "trial value '00' is not written"),
     ],
     ids=[
         "empty",
@@ -404,6 +436,20 @@ def test_stored_e6_certificate_reverifies():
         "a-key-not-in-cascade",
         "unknown-line",
         "trial-missing",
+        "pi1-unsorted",
+        "pi1-repeated",
+        "pi2-unsorted",
+        "a-key-unsorted",
+        "a-key-index-repeated",
+        "a-keys-reordered",
+        "a-not-lowest-terms",
+        "b-negative-denominator",
+        "row-not-lowest-terms",
+        "row-negative-denominator",
+        "row-entries-reordered",
+        "row-zero-entry",
+        "type-zero-padded",
+        "trial-zero-padded",
     ],
 )
 def test_certificate_parser_raises_value_error_only(text, match):
