@@ -299,3 +299,27 @@ def test_peeling_skips_a_leaf_whose_cell_has_several_terms():
     assert block.idx == (0, 2) and block.isolated == [0]
     for w in ({1: 1, 2: 1, 3: 5}, {1: 1, 2: -2, 3: 5}):
         assert _peeled_kernel(terms, w)[0] == _dense_rows(terms, w), w
+
+
+def test_peeling_matches_dense_on_random_skew_patterns():
+    # random patterns over four weights, with cells of one or two terms;
+    # the small weight range makes two-term cells cancel now and then
+    rng = random.Random(20084)
+    peeled = cancelled = 0
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        density = rng.choice([0.15, 0.3, 0.5])
+        edges = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    ks = rng.sample(range(4), rng.choice([1, 1, 2]))
+                    edges[i, j] = [(k, rng.choice([-2, -1, 1, 3])) for k in ks]
+        terms = _skew_terms(n, edges)
+        for _ in range(3):
+            w = {k: rng.choice([-3, -2, -1, 1, 2, 5]) for k in range(4)}
+            rows, blocks = _peeled_kernel(terms, w)
+            assert rows == _dense_rows(terms, w), (edges, w)
+            peeled += sum(len(b.steps) for b in blocks)
+            cancelled += any(not sum(w[k] * c for k, c in ts) for ts in edges.values())
+    assert peeled > 300 and cancelled > 20
