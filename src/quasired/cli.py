@@ -130,8 +130,9 @@ def cmd_classify(
 def cmd_verify(
     spec: BiparabolicSpec, seed: int, trials: int, as_json: bool, store: str | None
 ) -> tuple[int, str]:
-    cert = certify_quasi_reductive(spec, trials=trials, seed=seed)
-    head = {"seed": seed, "index": seaweed_index(spec)}
+    index = seaweed_index(spec)
+    cert = certify_quasi_reductive(spec, trials=trials, seed=seed, _index=index)
+    head = {"seed": seed, "index": index}
     if cert is None:
         return EXHAUSTED, _spec_output(
             spec,

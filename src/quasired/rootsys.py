@@ -39,8 +39,8 @@ def _exact_div(num: int, den: int) -> int:
 
 
 # Largest classical rank, so that every query ends: at rank 40 a cold cascade,
-# index or classify takes about 2 s and one verify trial on A40 about 11 s
-# (CPython 3.11, one core), and the cost grows steeply beyond.
+# index or classify takes about 2 s and a cold one-trial verify on A40 about
+# 4 s (CPython 3.11, one core), and the cost grows steeply beyond.
 MAX_CLASSICAL_RANK = 40
 
 _FAMILY_BOUNDS = {
@@ -107,7 +107,7 @@ class RootSystem:
     coroots, subsystems, brackets, Killing values; cascades in
     :mod:`quasired.cascade`) is memoized on first use with
     ``functools.cache`` on the function that computes it, and its
-    ``cache_info()`` (e.g. ``RootSystem.bracket_basis.cache_info()``) reports
+    ``cache_info()`` (e.g. ``RootSystem.bracket_row.cache_info()``) reports
     the size. The caches hold ``self``, which is harmless: instances are
     shared via :func:`build_root_system` and never freed.
     """
@@ -124,7 +124,10 @@ class RootSystem:
         for i in range(self.rank):
             for j in range(self.rank):
                 assert self.bilinear[i][j] == self.bilinear[j][i]
-        self.positive_roots: tuple[Root, ...] = self._generate_positive()
+        pairings = self._generate_positive()
+        self.positive_roots: tuple[Root, ...] = tuple(sorted(pairings, key=lambda r: (sum(r), r)))
+        # <beta, alpha_i^v> for i = 1..l, per positive root beta in root order
+        self._pairings = tuple(tuple(pairings[b]) for b in self.positive_roots)
         self.n_pos = len(self.positive_roots)
         self.dim = 2 * self.n_pos + self.rank
         self.pos_index = {r: i for i, r in enumerate(self.positive_roots)}
@@ -238,10 +241,11 @@ class RootSystem:
 
     # -- root generation ------------------------------------------------------
 
-    def _generate_positive(self) -> tuple[Root, ...]:
+    def _generate_positive(self) -> dict[Root, list[int]]:
         """Grow the roots by height: b + alpha_i is a root iff p > <b, alpha_i^v>,
         p the length of the alpha_i-string below b (0 unless b[i] > 0). Each root
-        carries its pairings; adding alpha_i adds row i of the Cartan matrix."""
+        carries its pairings; adding alpha_i adds row i of the Cartan matrix.
+        Returns every positive root with its pairings."""
         C = self.cartan
         pairings: dict[Root, list[int]] = {
             tuple(int(i == j) for j in range(self.rank)): C[i] for i in range(self.rank)
@@ -261,7 +265,7 @@ class RootSystem:
                             pairings[g] = [x + y for x, y in zip(pb, C[i])]
                             nxt.append(g)
             layer = nxt
-        return tuple(sorted(pairings, key=lambda r: (sum(r), r)))
+        return pairings
 
     # -- structure constants --------------------------------------------------
 
@@ -354,23 +358,32 @@ class RootSystem:
         return self.negative(self.positive_roots[idx - self.n_pos - self.rank])
 
     @cache
+    def bracket_row(self, i: int) -> dict[int, tuple[tuple[int, int], ...]]:
+        """Every nonzero bracket [e_i, e_j] as {j: ((k, c), ...)} in increasing
+        j, with c the integer coefficient of e_k: N_{a,b} from the structure
+        table for two roots, h_a for the opposite root, and the Cartan integers
+        <b, alpha_m^v> between a root vector and h_m."""
+        lo, hi = self.n_pos, self.n_pos + self.rank
+        if lo <= i < hi:  # [h_m, x_b] = <b, alpha_m^v> x_b
+            cs = [(p, c) for p, pb in enumerate(self._pairings) if (c := pb[i - lo])]
+            return {**{p: ((p, c),) for p, c in cs}, **{p + hi: ((p + hi, -c),) for p, c in cs}}
+        a = self.index_root(i)
+        # x_a with a = sign * beta_p; x_{-a} has index opp
+        p, sign, opp = (i, 1, i + hi) if i < lo else (i - hi, -1, i - hi)
+        row = {
+            j: ((self.idx_x(tuple(x + y for x, y in zip(a, self.index_root(j)))), n),)
+            for j, n in self._struct_table()[i].items()
+        }
+        # [x_a, x_{-a}] = h_a, and [x_a, h_m] = -<a, alpha_m^v> x_a
+        row[opp] = tuple((lo + k, c) for k, c in enumerate(self.coroot_coeffs(a)) if c)
+        for m, c in enumerate(self._pairings[p]):
+            if c:
+                row[lo + m] = ((i, -sign * c),)
+        return dict(sorted(row.items()))
+
     def bracket_basis(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
         """Sparse bracket of two basis vectors, with integer coefficients."""
-        ri, rj = self.index_root(i), self.index_root(j)
-        if ri is None and rj is None:
-            return ()
-        if ri is None:
-            c = self.pairing(rj, self.simple_root(i - self.n_pos + 1))
-            return ((j, c),) if c else ()
-        if rj is None:
-            c = self.pairing(ri, self.simple_root(j - self.n_pos + 1))
-            return ((i, -c),) if c else ()
-        s = tuple(x + y for x, y in zip(ri, rj))
-        if not any(s):
-            co = self.coroot_coeffs(ri)
-            return tuple((self.idx_h(k + 1), c) for k, c in enumerate(co) if c)
-        n = self._struct_table()[i].get(j)
-        return ((self.idx_x(s), n),) if n else ()
+        return self.bracket_row(i).get(j, ())
 
     @cache
     def bracket_into(self, k: int) -> tuple[tuple[int, int, int], ...]:
@@ -386,10 +399,10 @@ class RootSystem:
                 if c:
                     out += [(p, p + hi, c), (p + hi, p, -c)]
             return tuple(sorted(out))
-        for h in range(lo, hi):
-            c = self.pairing(g, self.simple_root(h - lo + 1))
+        p, sign = (k, 1) if k < lo else (k - hi, -1)  # g = sign * beta_p
+        for m, c in enumerate(self._pairings[p]):
             if c:
-                out += [(h, k, c), (k, h, -c)]
+                out += [(lo + m, k, sign * c), (k, lo + m, -sign * c)]
         table = self._struct_table()
         for i in [*range(lo), *range(hi, self.dim)]:
             b = tuple(x - y for x, y in zip(g, self.index_root(i)))
@@ -411,8 +424,7 @@ class RootSystem:
     @cache
     def _killing_h(self) -> tuple[tuple[int, ...], ...]:
         """kappa(h_i, h_j) = 2 * sum over beta > 0 of <beta, alpha_i^v><beta, alpha_j^v>."""
-        simple = [self.simple_root(i) for i in range(1, self.rank + 1)]
-        vals = [[self.pairing(b, a) for a in simple] for b in self.positive_roots]
+        vals = self._pairings
         return tuple(
             tuple(2 * sum(v[i] * v[j] for v in vals) for j in range(self.rank))
             for i in range(self.rank)
@@ -560,10 +572,13 @@ def bracket_coords(r: RootSystem, xs, ys) -> dict:
     (i, c) in xs and in ys (read once per entry of xs); cancelled entries stay 0."""
     acc: dict = {}
     for i, ci in xs:
+        row = r.bracket_row(i)
         for j, cj in ys:
-            cij = ci * cj
-            for k, c in r.bracket_basis(i, j):
-                acc[k] = acc.get(k, 0) + cij * c
+            terms = row.get(j)
+            if terms:
+                cij = ci * cj
+                for k, c in terms:
+                    acc[k] = acc.get(k, 0) + cij * c
     return acc
 
 

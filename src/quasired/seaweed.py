@@ -56,27 +56,35 @@ def parabolic(ambient: SimpleType, subset) -> BiparabolicSpec:
 
 @dataclass(frozen=True)
 class SubalgebraBasis:
-    """Ordered basis of a biparabolic: n+ of pi2, the Cartan, n- of pi1."""
+    """The Chevalley basis vectors spanning a biparabolic, by their indices
+    in increasing order: n+ of pi2, the Cartan, n- of pi1."""
 
     spec: BiparabolicSpec
-    elements: tuple[AlgebraElement, ...]
+    indices: tuple[int, ...]
     # owned by ``stabilizer.form_stabilizer``: the form pattern compiled for
     # the last support it saw, freed with the basis
     form_pattern: object = field(default=None, init=False, compare=False, repr=False)
 
+    def __post_init__(self) -> None:
+        ix = tuple(self.indices)
+        object.__setattr__(self, "indices", ix)
+        in_range = not ix or 0 <= ix[0] and ix[-1] < self.spec.system().dim
+        if not in_range or ix != tuple(sorted(set(ix))):
+            raise ValueError("basis indices must be increasing and within the algebra")
+
     @property
     def dim(self) -> int:
-        return len(self.elements)
+        return len(self.indices)
 
 
 def biparabolic_basis(spec: BiparabolicSpec) -> SubalgebraBasis:
     r = spec.system()
-    elems = [x_vector(r, a) for a in r.subsystem_positive(spec.pi2)]
-    elems += [AlgebraElement(r, [(r.idx_h(i), 1)]) for i in range(1, r.rank + 1)]
-    elems += [
-        x_vector(r, r.negative(a)) for a in r.subsystem_positive(spec.pi1)
-    ]
-    return SubalgebraBasis(spec, tuple(elems))
+    pos, hi = r.pos_index, r.n_pos + r.rank
+    return SubalgebraBasis(spec, (
+        *[pos[a] for a in r.subsystem_positive(spec.pi2)],
+        *range(r.n_pos, hi),
+        *[pos[a] + hi for a in r.subsystem_positive(spec.pi1)],
+    ))
 
 
 def seaweed_dim(spec: BiparabolicSpec) -> int:

@@ -231,17 +231,9 @@ class _FormPattern:
 
 def _form_pattern(P: SubalgebraBasis, support: tuple[int, ...]) -> _FormPattern:
     r = P.spec.system()
-    idx = sorted({k for p in P.elements for k in p.coords})
-    # span(P) lies in the span of the e_idx, so it is that span exactly when
-    # the elements are independent; single basis vectors on distinct indices are
-    if len(idx) != P.dim or (
-        any(len(p.coords) != 1 for p in P.elements)
-        and linalg.rank([p.dense() for p in P.elements]) != P.dim
-    ):
-        raise ValueError("span(P) must be spanned by Chevalley basis vectors")
     # terms[i][j]: the (k, c) with c the e_k coefficient of [e_i, e_j]; the
     # pattern is symmetric, as kappa(u, [e_j, e_i]) = -kappa(u, [e_i, e_j])
-    terms: dict[int, dict[int, list[tuple[int, int]]]] = {i: {} for i in idx}
+    terms: dict[int, dict[int, list[tuple[int, int]]]] = {i: {} for i in P.indices}
     for k in support:
         for i, j, c in r.bracket_into(k):
             if i in terms and j in terms:
@@ -325,8 +317,7 @@ def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
     """Stabilizer of the restricted form: all x in span(P) with
     kappa(u, [x, p]) = 0 for every p in P.
 
-    span(P) must be spanned by Chevalley basis vectors, as every biparabolic
-    is. The form pattern (module docstring) is compiled for the support of
+    The form pattern (module docstring) is compiled for the support of
     kappa(u, .) and kept in ``P.form_pattern`` until a call with another
     support replaces it.
     """
@@ -461,17 +452,26 @@ def _attempt(
     return TorusCertificate(spec, cv, S, checks, trial), checks
 
 
+# Most trials one search may take, so that every search ends; the CLI's
+# default is 20.
+MAX_TRIALS = 1000
+
+
 def certify_quasi_reductive(
-    spec: BiparabolicSpec, trials: int = 20, seed: int = 0
+    spec: BiparabolicSpec, trials: int = 20, seed: int = 0, *, _index: int | None = None
 ) -> TorusCertificate | None:
     """Search seeded random coefficient draws for a torus certificate.
 
     A returned certificate proves quasi-reductivity; exhausting the trials
-    proves nothing and is reported as None.
+    proves nothing and is reported as None. ``_index``, when given, is
+    ``seaweed_index(spec)`` as the caller already computed it.
     """
     if trials < 1:
         raise ValueError("at least one trial is required")
-    P, index = biparabolic_basis(spec), seaweed_index(spec)
+    if trials > MAX_TRIALS:
+        raise ValueError(f"at most {MAX_TRIALS} trials are allowed, not {trials}")
+    P = biparabolic_basis(spec)
+    index = seaweed_index(spec) if _index is None else _index
     rng = random.Random(seed)
     for t in range(trials):
         cv = sample_cv(spec, rng)

@@ -1,8 +1,9 @@
 """The dense route to form stabilizers and kernels, kept as a test oracle.
 
-It builds the full n x n form matrix kappa(u, [e_a, e_b]) over the basis
-indices of P from ``bracket_basis``, takes its kernel with ``dense_kernel``
-in one piece and reads the rref rows off directly. It shares no block
+It takes P as any basis of algebra elements p_1..p_n, builds the full
+n x n form matrix kappa(u, [p_a, p_b]) with ``bracket_coords``, takes its
+kernel with ``dense_kernel`` in one piece and reduces the kernel vectors,
+mapped back through the p_a, to the canonical rref rows. It shares no block
 splitting, ``bracket_into`` table, form pattern or sparse elimination with
 ``stabilizer.form_stabilizer``; only the dense ``linalg._eliminate`` loop.
 """
@@ -12,7 +13,7 @@ from __future__ import annotations
 from math import lcm
 
 from quasired import linalg
-from quasired.rootsys import AlgebraElement, RootSystem, killing_functional
+from quasired.rootsys import AlgebraElement, RootSystem, bracket_coords, killing_functional
 from quasired.seaweed import SubalgebraBasis
 from quasired.stabilizer import Subspace, _sparse_int_row
 
@@ -41,19 +42,36 @@ def dense_kernel(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
     return linalg._eliminate(basis, True)
 
 
-def dense_form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
+def basis_elements(P: SubalgebraBasis) -> list[AlgebraElement]:
+    """The Chevalley basis vectors e_i, i in P.indices, as elements."""
     r = P.spec.system()
-    idx = sorted({k for p in P.elements for k in p.coords})
+    return [AlgebraElement(r, [(i, 1)]) for i in P.indices]
+
+
+def dense_form_stabilizer(elements, u: AlgebraElement) -> Subspace:
+    """The stabilizer of kappa(u, .) restricted to the span of the
+    independent elements, each scaled to a primitive integer vector first
+    (which keeps the span)."""
+    r = u.system
     w = killing_functional(r, u)
-    n = len(idx)
+    ps = [
+        list(zip(p.coords, linalg._primitive_int_row(list(p.coords.values()))))
+        for p in elements
+    ]
+    n = len(ps)
     M = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            val = 0
-            for k, c in r.bracket_basis(idx[a], idx[b]):
-                val += c * w[k]
+            val = sum(c * w[k] for k, c in bracket_coords(r, ps[a], ps[b]).items())
             M[a][b] = val
             M[b][a] = -val
     red, _ = dense_kernel(M, n)
-    # rref rows placed on increasing indices are still in rref
-    return Subspace(r, tuple(_sparse_int_row(zip(idx, c)) for c in red))
+    vecs = []
+    for kr in red:
+        v = [0] * r.dim
+        for ca, p in zip(kr, ps):
+            if ca:
+                for k, c in p:
+                    v[k] += ca * c
+        vecs.append(v)
+    return subspace_from_vectors(r, vecs)

@@ -3,7 +3,9 @@
 Killing values are checked against the trace tr(ad e_i ad e_j) read off the
 bracket table; pairings and coroots against their rational formulas over the
 bilinear form; the structure constants against SHA-256 digests of the whole
-bracket table, so that no sign can move unnoticed.
+bracket table, so that no sign can move unnoticed; and each memoized
+bracket row against the brackets computed pair by pair from their
+definitions.
 """
 
 import hashlib
@@ -129,3 +131,34 @@ def test_bracket_into_inverts_bracket_basis(family, rank):
                 into[k].append((i, j, c))
     for k in range(rs.dim):
         assert rs.bracket_into(k) == tuple(into[k]), k
+
+
+def direct_bracket(rs, i, j):
+    """[e_i, e_j] from its definition, pair by pair: N_{a,b} x_{a+b}, h_a for
+    b = -a, and <b, alpha_m^v> against h_m."""
+    a, b = rs.index_root(i), rs.index_root(j)
+    if a is None and b is None:
+        return ()
+    if a is None:
+        c = rs.pairing(b, rs.simple_root(i - rs.n_pos + 1))
+        return ((j, c),) if c else ()
+    if b is None:
+        c = rs.pairing(a, rs.simple_root(j - rs.n_pos + 1))
+        return ((i, -c),) if c else ()
+    s = tuple(x + y for x, y in zip(a, b))
+    if not any(s):
+        return tuple((rs.idx_h(k + 1), c) for k, c in enumerate(rs.coroot_coeffs(a)) if c)
+    if not rs.is_root(s):
+        return ()
+    return ((rs.idx_x(s), rs.struct_const(a, b)),)
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("G", 2), ("B", 3), ("C", 4), ("D", 4), ("F", 4), ("E", 6)]
+)
+def test_bracket_row_matches_direct_brackets(family, rank):
+    rs = system(family, rank)
+    for i in range(rs.dim):
+        want = {j: t for j in range(rs.dim) if (t := direct_bracket(rs, i, j))}
+        row = rs.bracket_row(i)
+        assert row == want and list(row) == sorted(row), i

@@ -11,6 +11,7 @@ from quasired import cli
 from quasired.classify import classify_parabolic
 from quasired.rootsys import MAX_CLASSICAL_RANK, SimpleType
 from quasired.stabilizer import (
+    MAX_TRIALS,
     certificate_from_text,
     certificate_to_text,
     reverify_certificate,
@@ -93,6 +94,19 @@ def test_verify_command_exhausted():
     code, out = run("verify", "F", "4", "--pi1", "1", "--trials", "3", "--seed", "5")
     assert code == cli.EXHAUSTED
     assert "exhausted" in out
+
+
+def test_verify_trials_are_bounded(capsys):
+    # a huge count fails at once instead of starting a search that does not end
+    for trials in (MAX_TRIALS + 1, 10**9):
+        code, out = run("verify", "E", "8", "--pi1", "1", "--trials", str(trials))
+        assert code == cli.USAGE_ERROR
+        assert out == f"error: at most {MAX_TRIALS} trials are allowed, not {trials}"
+    code, out = run("verify", "E", "8", "--pi1", "1", "--trials", "0")
+    assert code == cli.USAGE_ERROR and out == "error: at least one trial is required"
+    assert cli.main(["verify", "E", "8", "--pi1", "1", "--trials", str(10**9)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out and str(MAX_TRIALS) in captured.err
 
 
 def test_verify_general_seaweed():

@@ -6,7 +6,15 @@ import pytest
 
 from conftest import system
 from quasired.cascade import kostant_cascade, well_interlaced
-from quasired.rootsys import SimpleType, bracket, killing_functional
+from quasired.rootsys import (
+    AlgebraElement,
+    SimpleType,
+    bracket,
+    bracket_coords,
+    h_vector,
+    killing_functional,
+    x_vector,
+)
 from quasired.seaweed import (
     BiparabolicSpec,
     CoefficientVector,
@@ -27,9 +35,9 @@ from quasired.stabilizer import is_semisimple_element
 def stabilizes(spec, u, x):
     r = spec.system()
     w = killing_functional(r, u)
-    for p in biparabolic_basis(spec).elements:
-        z = bracket(r, x, p)
-        if sum((c * w[k] for k, c in z.coords.items()), Fraction(0)):
+    for p in biparabolic_basis(spec).indices:
+        z = bracket_coords(r, x.coords.items(), ((p, 1),))
+        if sum((c * w[k] for k, c in z.items()), Fraction(0)):
             return False
     return True
 
@@ -60,13 +68,36 @@ def test_basis_closed_under_bracket():
     rs = system("B", 3)
     spec = BiparabolicSpec(st, {1, 2}, {2, 3})
     P = biparabolic_basis(spec)
-    span_idx = set()
-    for e in P.elements:
-        span_idx.update(e.coords)
-    for x in P.elements:
-        for y in P.elements:
-            z = bracket(rs, x, y)
+    span_idx = set(P.indices)
+    for i in P.indices:
+        for j in P.indices:
+            z = bracket(rs, AlgebraElement(rs, [(i, 1)]), AlgebraElement(rs, [(j, 1)]))
             assert set(z.coords) <= span_idx
+
+
+@pytest.mark.parametrize(
+    "family,rank", [("G", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("E", 6)]
+)
+def test_basis_indices_match_element_construction(family, rank):
+    # every seaweed of the type; for E6 every parabolic in both orientations
+    rs = system(family, rank)
+    st = SimpleType(family, rank)
+    full = rs.full_subset()
+    subs = list(all_subsets(rank))
+    if family == "E":
+        pairs = [p for s in subs for p in ((s, full), (full, s))]
+    else:
+        pairs = [(p1, p2) for p1 in subs for p2 in subs]
+    for p1, p2 in pairs:
+        spec = BiparabolicSpec(st, p1, p2)
+        # n+ of pi2, the Cartan, n- of pi1, built as elements
+        els = [x_vector(rs, a) for a in rs.subsystem_positive(p2)]
+        els += [h_vector(rs, i) for i in range(1, rank + 1)]
+        els += [x_vector(rs, rs.negative(a)) for a in rs.subsystem_positive(p1)]
+        want = [i for e in els for i in e.coords]
+        P = biparabolic_basis(spec)
+        assert list(P.indices) == want == sorted(set(want)), (p1, p2)
+        assert P.dim == seaweed_dim(spec)
 
 
 def test_index_examples():

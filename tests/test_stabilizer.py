@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import system
-from form_oracle import subspace_from_vectors
+from form_oracle import basis_elements, dense_form_stabilizer, subspace_from_vectors
 from minpoly_oracle import is_squarefree, minimal_polynomial
 from quasired import linalg
 from quasired.cascade import kostant_cascade
@@ -29,6 +29,7 @@ from quasired.seaweed import (
     seaweed_index,
 )
 from quasired.stabilizer import (
+    MAX_TRIALS,
     SubalgebraBasis,
     Subspace,
     _sparse_int_row,
@@ -85,23 +86,24 @@ def test_form_stabilizer_dim_at_least_index_random():
 
 
 def test_form_stabilizer_basis_invariance():
+    # the stabilizer depends on span(P) only: the index basis through the
+    # compiled pattern and a recombined element basis through the dense
+    # oracle give the same canonical rows
     st = SimpleType("C", 3)
-    rs = system("C", 3)
     spec = parabolic(st, {1, 3})
     P = biparabolic_basis(spec)
     rng = random.Random(31)
     cv = sample_cv(spec, rng)
     u = build_u(spec, cv)
-    S1 = form_stabilizer(P, u)
     # random invertible triangular recombination of the basis
-    els = list(P.elements)
+    els = basis_elements(P)
     n = len(els)
     for _ in range(60):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
             els[i] = els[i] + Fraction(rng.randint(-3, 3)) * els[j]
-    S2 = form_stabilizer(SubalgebraBasis(spec, tuple(els)), u)
-    assert S1.rows == S2.rows
+    assert sum(len(e.coords) for e in els) > 2 * n  # really recombined
+    assert form_stabilizer(P, u).rows == dense_form_stabilizer(els, u).rows
 
 
 def test_e7_rank5_parabolic_stabilizer_fixed_coefficients():
@@ -294,6 +296,16 @@ def test_certify_trials_validation():
         certify_quasi_reductive(parabolic(SimpleType("A", 1), frozenset()), trials=0, seed=1)
 
 
+def test_certify_trials_are_bounded():
+    # a huge count fails at once instead of starting a search that does not end
+    spec = parabolic(SimpleType("E", 8), {1})
+    for trials in (MAX_TRIALS + 1, 10**9):
+        with pytest.raises(ValueError, match=str(MAX_TRIALS)):
+            certify_quasi_reductive(spec, trials=trials, seed=1)
+    cert = certify_quasi_reductive(parabolic(SimpleType("G", 2), {2}), trials=MAX_TRIALS)
+    assert cert is not None and cert.trial == 0
+
+
 def test_certificate_parser_rejects_garbage():
     with pytest.raises(ValueError):
         certificate_from_text("not a certificate\n")
@@ -312,14 +324,13 @@ def test_killing_form_on_certified_stabilizer_matches_gram():
     assert linalg.rank(gram) == len(els)
 
 
-def test_form_stabilizer_rejects_dependent_basis():
-    # the supports still cover P.dim indices, but the span has lost a dimension
+def test_subalgebra_basis_rejects_bad_indices():
+    # unsorted, repeated, or outside 0..dim-1 (G2 has dimension 14)
     spec = parabolic(SimpleType("G", 2), {2})
-    P = biparabolic_basis(spec)
-    e = P.elements[0] + P.elements[1]
-    bad = SubalgebraBasis(spec, (e, e) + P.elements[2:])
-    with pytest.raises(ValueError):
-        form_stabilizer(bad, build_u(spec, sample_cv(spec, random.Random(3))))
+    for indices in [(1, 0, 2), (0, 2, 2), (-1, 0), (0, 14)]:
+        with pytest.raises(ValueError):
+            SubalgebraBasis(spec, indices)
+    assert SubalgebraBasis(spec, (0, 13)).dim == 2
 
 
 def test_form_stabilizer_is_invariant_under_scaling_the_form():
