@@ -23,9 +23,11 @@ integer pass over that order fills N_{a,b} for every ordered pair of roots
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from operator import sub
 
 from .linalg import SparseCols
 
@@ -39,8 +41,9 @@ def _exact_div(num: int, den: int) -> int:
 
 
 # Largest classical rank, so that every query ends: at rank 40 a cold cascade,
-# index or classify takes about 2 s and a cold one-trial verify on A40 about
-# 4 s (CPython 3.11, one core), and the cost grows steeply beyond.
+# index or classify takes under 2 s and a cold one-trial verify about 1 s on
+# A40 and 4 s on B40, C40 and D40 (CPython 3.11, one core), and the cost
+# grows steeply beyond.
 MAX_CLASSICAL_RANK = 40
 
 _FAMILY_BOUNDS = {
@@ -131,6 +134,9 @@ class RootSystem:
         self.n_pos = len(self.positive_roots)
         self.dim = 2 * self.n_pos + self.rank
         self.pos_index = {r: i for i, r in enumerate(self.positive_roots)}
+        # the basis index of x_{-a} at the index of x_a; h_m at its own
+        lo, hi = self.n_pos, self.n_pos + self.rank
+        self._opp = (*range(hi, self.dim), *range(lo, hi), *range(lo))
         self._pos_set = frozenset(self.positive_roots)
 
     # -- root-level queries -------------------------------------------------
@@ -269,70 +275,68 @@ class RootSystem:
 
     # -- structure constants --------------------------------------------------
 
-    def _string_p(self, a: Root, b: Root) -> int:
-        p = 0
-        cur = tuple(x - y for x, y in zip(b, a))
-        while self.is_root(cur):
-            p += 1
-            cur = tuple(x - y for x, y in zip(cur, a))
-        return p
-
     @cache
-    def _struct_table(self) -> tuple[dict[int, int], ...]:
-        """N_{a,b} for every ordered pair of roots a, b whose sum is a root,
-        as {idx_x(b): N_{a,b}} at position idx_x(a).
+    def _struct_table(self) -> tuple[dict[int, tuple[int, int]], ...]:
+        """Every [x_a, x_b] = N_{a,b} x_{a+b} with a + b a root, over basis
+        indices: {j: (k, N)} at position i for [e_i, e_j] = N e_k.
 
         Positive sums g are visited in (height, lex) order. The extraspecial
-        pair of g (least first root) gets p + 1; every other positive pair
-        (al, be) summing to g follows from the Jacobi relation on
-        (a, b, -al, -be), whose mixed-sign constants belong to lower sums.
+        pair (a, b) of g (least first root) gets p + 1, p the length of the
+        a-string below b, which the lower entries [x_{-a}, x_{b - ka}] walk;
+        every other positive pair (al, be) summing to g follows from the
+        Jacobi relation on (a, b, -al, -be), whose mixed-sign constants
+        belong to lower sums.
         """
-        table: tuple[dict[int, int], ...] = tuple({} for _ in range(self.dim))
-        idx, neg, norm2, order = self.idx_x, self.negative, self.norm2, self.pos_index
+        roots, order, opp = self.positive_roots, self.pos_index, self._opp
+        norms = [self.norm2(r) for r in roots]
+        nrm = norms + [0] * self.rank + norms
+        table: tuple[dict[int, tuple[int, int]], ...] = tuple({} for _ in range(self.dim))
+        shared: dict[tuple[int, int], tuple[int, int]] = {}  # one tuple per (k, N)
 
-        def N(x: Root, y: Root) -> int:
-            return table[idx(x)].get(idx(y), 0)
-
-        def put(a: Root, b: Root, n: int) -> None:
+        def put(a: int, b: int, g: int, n: int) -> None:
             # N_{b,a} = N_{-a,-b} = -N_{a,b}; for a + b + c = 0,
             # N_{a,b}/(c,c) = N_{b,c}/(a,a) = N_{c,a}/(b,b)
-            c = neg(tuple(x + y for x, y in zip(a, b)))
-            cc = norm2(c)
-            for x, y, v in (
-                (a, b, n),
-                (b, c, _exact_div(n * norm2(a), cc)),
-                (c, a, _exact_div(n * norm2(b), cc)),
+            c = opp[g]
+            for x, y, z, v in (
+                (a, b, g, n),
+                (b, c, opp[a], _exact_div(n * nrm[a], nrm[g])),
+                (c, a, opp[b], _exact_div(n * nrm[b], nrm[g])),
             ):
-                i, j, mi, mj = idx(x), idx(y), idx(neg(x)), idx(neg(y))
-                table[i][j] = table[mj][mi] = v
-                table[j][i] = table[mi][mj] = -v
+                for i, j, k in ((x, y, z), (opp[y], opp[x], opp[z])):
+                    table[i][j] = shared.setdefault((k, v), (k, v))
+                    table[j][i] = shared.setdefault((k, -v), (k, -v))
 
-        for g in self.positive_roots[self.rank :]:  # height >= 2
-            pairs = []
-            for a in self.positive_roots[: order[g]]:
-                b = tuple(x - y for x, y in zip(g, a))
-                if order.get(b, -1) > order[a]:
-                    pairs.append((a, b))
-            (a, b), *rest = pairs
-            put(a, b, self._string_p(a, b) + 1)
+        for g in range(self.rank, self.n_pos):  # height >= 2
+            top = roots[g]
+            # a first root a before b = g - a has at most half the height of g
+            (a, b), *rest = [
+                (a, b)
+                for a in range(bisect_right(roots, sum(top) // 2, key=sum))
+                if (b := order.get(tuple(map(sub, top, roots[a])), -1)) > a
+            ]
+            n, t, down = 1, b, table[opp[a]]
+            while t in down:  # [x_{-a}, x_t] = N x_{t - a}
+                n, t = n + 1, down[t][0]
+            put(a, b, g, n)
             for al, be in rest:
                 # N_{al,be} N_{a,b} / (g,g) = N_{b,-al} N_{a,-be} / (b-al, b-al)
                 #   - N_{a,-al} N_{b,-be} / (a-al, a-al), a term vanishing
-                #   where its difference is not a root
-                t1 = N(b, neg(al)) * N(a, neg(be))
-                t2 = N(a, neg(al)) * N(b, neg(be))
-                n1 = norm2(tuple(x - y for x, y in zip(b, al)))
-                n2 = norm2(tuple(x - y for x, y in zip(a, al)))
-                num = norm2(g) * (t1 * n2 - t2 * n1)
-                put(al, be, _exact_div(num, n1 * n2 * N(a, b)))
+                #   (with its norm read as 1) where its difference is not a root
+                t1 = t2 = 0
+                n1 = n2 = 1
+                if e := table[b].get(opp[al]):
+                    t1, n1 = e[1] * table[a][opp[be]][1], nrm[e[0]]
+                if e := table[a].get(opp[al]):
+                    t2, n2 = e[1] * table[b][opp[be]][1], nrm[e[0]]
+                put(al, be, g, _exact_div(nrm[g] * (t1 * n2 - t2 * n1), n1 * n2 * n))
         return table
 
     def struct_const(self, a: Root, b: Root) -> int:
         """[x_a, x_b] = N_{a,b} x_{a+b}; ValueError unless a, b, a + b are roots."""
-        n = self._struct_table()[self.idx_x(a)].get(self.idx_x(b))
-        if n is None:
+        e = self._struct_table()[self.idx_x(a)].get(self.idx_x(b))
+        if e is None:
             raise ValueError(f"{a} + {b} is not a root")
-        return n
+        return e[1]
 
     # -- Chevalley basis indexing ----------------------------------------------
 
@@ -367,15 +371,11 @@ class RootSystem:
         if lo <= i < hi:  # [h_m, x_b] = <b, alpha_m^v> x_b
             cs = [(p, c) for p, pb in enumerate(self._pairings) if (c := pb[i - lo])]
             return {**{p: ((p, c),) for p, c in cs}, **{p + hi: ((p + hi, -c),) for p, c in cs}}
-        a = self.index_root(i)
-        # x_a with a = sign * beta_p; x_{-a} has index opp
-        p, sign, opp = (i, 1, i + hi) if i < lo else (i - hi, -1, i - hi)
-        row = {
-            j: ((self.idx_x(tuple(x + y for x, y in zip(a, self.index_root(j)))), n),)
-            for j, n in self._struct_table()[i].items()
-        }
+        p, sign = (i, 1) if i < lo else (i - hi, -1)  # x_a with a = sign * beta_p
+        row = {j: (e,) for j, e in self._struct_table()[i].items()}
         # [x_a, x_{-a}] = h_a, and [x_a, h_m] = -<a, alpha_m^v> x_a
-        row[opp] = tuple((lo + k, c) for k, c in enumerate(self.coroot_coeffs(a)) if c)
+        h_a = self.coroot_coeffs(self.positive_roots[p])
+        row[self._opp[i]] = tuple((lo + k, sign * c) for k, c in enumerate(h_a) if c)
         for m, c in enumerate(self._pairings[p]):
             if c:
                 row[lo + m] = ((i, -sign * c),)
@@ -391,34 +391,30 @@ class RootSystem:
         of e_k in [e_i, e_j]: ``bracket_basis`` inverted for one target."""
         lo, hi = self.n_pos, self.n_pos + self.rank
         out = []
-        g = self.index_root(k)
-        if g is None:
+        if lo <= k < hi:
             # [x_a, x_{-a}] = h_a
             for p, a in enumerate(self.positive_roots):
                 c = self.coroot_coeffs(a)[k - lo]
                 if c:
                     out += [(p, p + hi, c), (p + hi, p, -c)]
             return tuple(sorted(out))
-        p, sign = (k, 1) if k < lo else (k - hi, -1)  # g = sign * beta_p
+        p, sign = (k, 1) if k < lo else (k - hi, -1)  # x_g with g = sign * beta_p
         for m, c in enumerate(self._pairings[p]):
             if c:
                 out += [(lo + m, k, sign * c), (k, lo + m, -sign * c)]
-        table = self._struct_table()
-        for i in [*range(lo), *range(hi, self.dim)]:
-            b = tuple(x - y for x, y in zip(g, self.index_root(i)))
-            if self.is_root(b):
-                j = self.idx_x(b)
-                out.append((i, j, table[i][j]))
+        # [e_i, e_j] for each [x_{-g}, e_i] = N e_t, with e_j = x_{-t} the opposite of e_t
+        table, opp = self._struct_table(), self._opp
+        out += [(i, opp[t], table[i][opp[t]][1]) for i, (t, _) in table[opp[k]].items()]
         return tuple(sorted(out))
 
     @cache
     def killing_row(self, i: int) -> tuple[tuple[int, int], ...]:
         """Every (j, kappa(e_i, e_j)) with a nonzero value: the one opposite
         root index for a root vector, the Cartan block for h_i."""
-        lo, hi = self.n_pos, self.n_pos + self.rank
-        if lo <= i < hi:
+        lo = self.n_pos
+        if lo <= i < lo + self.rank:
             return tuple((lo + j, v) for j, v in enumerate(self._killing_h()[i - lo]) if v)
-        j = i + hi if i < lo else i - hi
+        j = self._opp[i]
         return ((j, self._killing_root(self.positive_roots[min(i, j)])),)
 
     @cache

@@ -100,7 +100,6 @@ class Subspace:
     ``int_rows`` are sparse primitive integer rows of (index, value) in index
     order, each with a positive leading entry; dividing a row by that entry
     gives a row of the canonical rref, so equal subspaces have equal rows.
-    ``rows`` and ``elements()`` build the rational views on each call.
     """
 
     __slots__ = ("system", "int_rows")
@@ -108,11 +107,6 @@ class Subspace:
     def __init__(self, system: RootSystem, int_rows) -> None:
         self.system = system
         self.int_rows = int_rows
-
-    @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The canonical rref rows as dense Fraction rows."""
-        return tuple(tuple(e.dense()) for e in self.elements())
 
     @property
     def dim(self) -> int:
@@ -130,15 +124,6 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace({self.system.type}, dim={self.dim})"
-
-    def elements(self) -> tuple[AlgebraElement, ...]:
-        return tuple(
-            AlgebraElement(self.system, [(k, Fraction(v, x[0][1])) for k, v in x])
-            for x in self.int_rows
-        )
-
-    def contains(self, x: AlgebraElement) -> bool:
-        return linalg.rank([*self.rows, x.dense()]) == self.dim
 
 
 @dataclass

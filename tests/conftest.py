@@ -29,6 +29,22 @@ def reflection_closure(cartan) -> set[tuple[int, ...]]:
     return {r for r in roots if all(c >= 0 for c in r)}
 
 
+def root_set(cartan) -> frozenset[tuple[int, ...]]:
+    """Every root, positive and negative, from ``reflection_closure``."""
+    pos = reflection_closure(cartan)
+    return frozenset(pos | {tuple(-c for c in r) for r in pos})
+
+
+def string_below(roots, a, b) -> int:
+    """The length p of the a-string below b: the largest p with b - p*a a
+    root, found by stepping down from b through the given set of roots (a
+    root string has no gaps)."""
+    p = 0
+    while tuple(y - (p + 1) * x for x, y in zip(a, b)) in roots:
+        p += 1
+    return p
+
+
 def jacobi_defect(rs, i, j, k):
     """Sum of the three cyclic double brackets on basis indices; must vanish."""
     acc = {}

@@ -10,6 +10,7 @@ splitting, ``bracket_into`` table, form pattern or sparse elimination with
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 from quasired import linalg
@@ -22,6 +23,15 @@ def subspace_from_vectors(r: RootSystem, vectors) -> Subspace:
     """The span of dense vectors, as a Subspace in canonical rref."""
     rows, _ = linalg.rref([list(v) for v in vectors])
     return Subspace(r, tuple(_sparse_int_row(enumerate(row)) for row in rows))
+
+
+def subspace_elements(S: Subspace) -> tuple[AlgebraElement, ...]:
+    """The canonical rref rows of S as elements: each integer row divided by
+    its leading entry."""
+    return tuple(
+        AlgebraElement(S.system, [(k, Fraction(v, row[0][1])) for k, v in row])
+        for row in S.int_rows
+    )
 
 
 def dense_kernel(rows, ncols: int) -> tuple[list[list[int]], list[int]]:

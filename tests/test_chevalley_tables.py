@@ -89,6 +89,9 @@ def test_pairing_and_coroots_match_fraction_formulas(family, rank):
 
 # one digest of the nonzero bracket_basis(i, j), i < j, per type
 BRACKET_DIGESTS = {
+    ("A", 1): "d156ddb3192f2b126b5aa993b6ec647e388d93d1ff96171ee49ad48cb18d7298",
+    ("A", 5): "b689fdcca2aee96a63431f525dd422b132c68b3b5b231b9ec6faa914a9f10f06",
+    ("B", 2): "d5db887bb5f8f895fc6cd522203047cccd9957d5bcefa024aa2d7f2baa023b42",
     ("G", 2): "9c49f71cb187033bd7a68012909bcd83f07c77be3cfbf963968765b5b4fe0c29",
     ("F", 4): "5ebf35cff8aa1ade74658fb9dbbf4e0df26ac4426505ca4b9d52c3fb313a079c",
     ("E", 6): "a773096041b822ced83f868aa300e48103e093adf6605548d014494acc5b09b0",

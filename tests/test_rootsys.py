@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import jacobi_defect, reflection_closure, system
+from conftest import jacobi_defect, reflection_closure, root_set, string_below, system
 from quasired import linalg
 from quasired.rootsys import (
     MAX_CLASSICAL_RANK,
@@ -152,12 +152,11 @@ def test_bracket_rejects_mixed_systems():
 def test_struct_const_magnitudes_small_types():
     for family, rank in [("G", 2), ("B", 3), ("C", 3), ("A", 3)]:
         rs = system(family, rank)
-        allroots = list(rs.positive_roots) + [rs.negative(r) for r in rs.positive_roots]
-        for a in allroots:
-            for b in allroots:
-                s = tuple(x + y for x, y in zip(a, b))
-                if any(s) and rs.is_root(s):
-                    assert abs(rs.struct_const(a, b)) == rs._string_p(a, b) + 1
+        roots = root_set(rs.cartan)
+        for a in roots:
+            for b in roots:
+                if tuple(x + y for x, y in zip(a, b)) in roots:
+                    assert abs(rs.struct_const(a, b)) == string_below(roots, a, b) + 1
 
 
 @pytest.mark.parametrize(
