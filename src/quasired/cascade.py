@@ -201,8 +201,7 @@ def tilde_pi(r: RootSystem, subset) -> tuple[Subset, int | None]:
         raise ValueError("subset must be nonempty")
     if not r.is_connected(sub):
         raise ValueError(f"subset {sorted(sub)} is not connected")
-    eps = r.highest_root(sub)
-    tail = frozenset(i for i in sub if r.pairing(r.simple_root(i), eps) == 0)
+    tail = frozenset().union(*(n.support for n in kostant_cascade(r, sub).nodes[1:]))
     attach = None
     if sub == r.full_subset() and r.type.family in ("E", "F", "G"):
         rest = sub - tail

@@ -1,11 +1,17 @@
 """Simple root systems and their Chevalley bases over exact rationals.
 
 Structure constants, pairings, coroot coefficients and Killing values on the
-Chevalley basis are all integers and are stored as plain ints. The Killing
-values follow in closed form from the roots rather than from a trace:
+Chevalley basis are all integers and are stored as plain ints. Every one of
+them derives from the Cartan pairings <beta, alpha_i^v> that root generation
+carries for each positive root beta, and from the symmetrizer d (with
+(alpha_i, alpha_i) = 2 d_i):
+    (lam, beta) = sum_i lam_i d_i <beta, alpha_i^v>,
+    <lam, beta^v> = 2 (lam, beta) / (beta, beta).
+The Killing values follow in closed form rather than from a trace:
     kappa(h_i, h_j) = 2 * sum over beta > 0 of <beta, alpha_i^v> <beta, alpha_j^v>,
-    kappa(x_a, x_{-a}) = kappa(h_a, h_a) / 2,
-and kappa vanishes on every other pair of basis vectors.
+    kappa(x_a, x_{-a}) (a, a) = kappa(h_1, h_1) d_1 for every root a,
+since kappa is a multiple of the invariant form (Bourbaki, Lie VI 1.1), and
+kappa vanishes on every other pair of basis vectors.
 
 A root is an integer coefficient tuple over the simple roots alpha_1..alpha_l.
 Simple roots are numbered as in Bourbaki; for G2 the convention here takes
@@ -41,8 +47,8 @@ def _exact_div(num: int, den: int) -> int:
 
 
 # Largest classical rank, so that every query ends: at rank 40 a cold cascade,
-# index or classify takes under 2 s and a cold one-trial verify about 1 s on
-# A40 and 4 s on B40, C40 and D40 (CPython 3.11, one core), and the cost
+# index or classify takes about 0.5 s and a cold one-trial verify about 1 s on
+# A40 and 3 s on B40, C40 and D40 (CPython 3.11, one core), and the cost
 # grows steeply beyond.
 MAX_CLASSICAL_RANK = 40
 
@@ -106,8 +112,8 @@ def _cartan_and_symmetrizer(t: SimpleType) -> tuple[list[list[int]], list[int]]:
 class RootSystem:
     """Immutable root and Chevalley tables for one simple type.
 
-    Construction fills the root list eagerly; every other table (norms,
-    coroots, subsystems, brackets, Killing values; cascades in
+    Construction fills the root list, its pairings and its norms eagerly;
+    every other table (coroots, subsystems, brackets, Killing values; cascades in
     :mod:`quasired.cascade`) is memoized on first use with
     ``functools.cache`` on the function that computes it, and its
     ``cache_info()`` (e.g. ``RootSystem.bracket_row.cache_info()``) reports
@@ -118,19 +124,15 @@ class RootSystem:
     def __init__(self, stype: SimpleType):
         self.type = stype
         self.rank = stype.rank
-        self.cartan, self.symmetrizer = _cartan_and_symmetrizer(stype)
-        # bilinear form on the root lattice: (alpha_i, alpha_j) = d_j * C[i][j]
-        self.bilinear = [
-            [self.symmetrizer[j] * self.cartan[i][j] for j in range(self.rank)]
-            for i in range(self.rank)
-        ]
-        for i in range(self.rank):
-            for j in range(self.rank):
-                assert self.bilinear[i][j] == self.bilinear[j][i]
+        self.cartan, self.symmetrizer = C, d = _cartan_and_symmetrizer(stype)
+        # (alpha_i, alpha_j) = d_j C[i][j] is symmetric: every norm and pairing rests on it
+        assert all(d[j] * C[i][j] == d[i] * C[j][i] for i in range(self.rank) for j in range(i))
         pairings = self._generate_positive()
         self.positive_roots: tuple[Root, ...] = tuple(sorted(pairings, key=lambda r: (sum(r), r)))
         # <beta, alpha_i^v> for i = 1..l, per positive root beta in root order
         self._pairings = tuple(tuple(pairings[b]) for b in self.positive_roots)
+        # (beta, beta) per positive root beta in root order
+        self._norms = tuple(self._form(b, p) for p, b in enumerate(self.positive_roots))
         self.n_pos = len(self.positive_roots)
         self.dim = 2 * self.n_pos + self.rank
         self.pos_index = {r: i for i, r in enumerate(self.positive_roots)}
@@ -162,25 +164,23 @@ class RootSystem:
     def height(v: Root) -> int:
         return sum(v)
 
-    @cache
-    def norm2(self, v: Root) -> int:
-        return self.bilinear_value(v, v)
+    def _form(self, lam: Root, p: int) -> int:
+        """(lam, beta) for the positive root beta at index p."""
+        return sum(m * d * c for m, d, c in zip(lam, self.symmetrizer, self._pairings[p]))
 
-    def bilinear_value(self, u: Root, v: Root) -> int:
-        B = self.bilinear
-        tot = 0
-        for i, a in enumerate(u):
-            if a:
-                for j, b in enumerate(v):
-                    if b:
-                        tot += a * b * B[i][j]
-        return tot
+    def _positive_index(self, a: Root) -> tuple[int, int]:
+        """(p, sign) with a = sign * positive_roots[p]; ValueError unless a is a root."""
+        k = self.idx_x(a)
+        return (k, 1) if k < self.n_pos else (k - self.n_pos - self.rank, -1)
+
+    def norm2(self, a: Root) -> int:
+        """(a, a) for a root a."""
+        return self._norms[self._positive_index(a)[0]]
 
     def pairing(self, lam: Root, alpha: Root) -> int:
         """The integer <lam, alpha^v> = lam(h_alpha)."""
-        if not self.is_root(alpha):
-            raise ValueError(f"{alpha} is not a root")
-        return _exact_div(2 * self.bilinear_value(lam, alpha), self.norm2(alpha))
+        p, sign = self._positive_index(alpha)
+        return sign * _exact_div(2 * self._form(lam, p), self._norms[p])
 
     def root_sum(self, a: Root, b: Root) -> Root | None:
         s = tuple(x + y for x, y in zip(a, b))
@@ -228,7 +228,8 @@ class RootSystem:
 
     @cache
     def _subsystem_positive(self, subset: frozenset[int]) -> tuple[Root, ...]:
-        return tuple(r for r in self.positive_roots if self.support(r) <= subset)
+        outside = [i for i in range(self.rank) if i + 1 not in subset]
+        return tuple(r for r in self.positive_roots if not any(r[i] for i in outside))
 
     def highest_root(self, subset) -> Root:
         """The highest root of the subsystem generated by a connected subset."""
@@ -288,8 +289,7 @@ class RootSystem:
         belong to lower sums.
         """
         roots, order, opp = self.positive_roots, self.pos_index, self._opp
-        norms = [self.norm2(r) for r in roots]
-        nrm = norms + [0] * self.rank + norms
+        nrm = self._norms + (0,) * self.rank + self._norms
         table: tuple[dict[int, tuple[int, int]], ...] = tuple({} for _ in range(self.dim))
         shared: dict[tuple[int, int], tuple[int, int]] = {}  # one tuple per (k, N)
 
@@ -415,7 +415,8 @@ class RootSystem:
         if lo <= i < lo + self.rank:
             return tuple((lo + j, v) for j, v in enumerate(self._killing_h()[i - lo]) if v)
         j = self._opp[i]
-        return ((j, self._killing_root(self.positive_roots[min(i, j)])),)
+        scale = self._killing_h()[0][0] * self.symmetrizer[0]
+        return ((j, _exact_div(scale, self._norms[min(i, j)])),)
 
     @cache
     def _killing_h(self) -> tuple[tuple[int, ...], ...]:
@@ -425,15 +426,6 @@ class RootSystem:
             tuple(2 * sum(v[i] * v[j] for v in vals) for j in range(self.rank))
             for i in range(self.rank)
         )
-
-    @cache
-    def _killing_root(self, a: Root) -> int:
-        """kappa(x_a, x_{-a}) = kappa(h_a, h_a) / 2 for a positive root a."""
-        K = self._killing_h()
-        co = self.coroot_coeffs(a)
-        h2 = sum(ci * cj * K[i][j] for i, ci in enumerate(co) for j, cj in enumerate(co))
-        assert h2 % 2 == 0
-        return h2 // 2
 
 
 @cache

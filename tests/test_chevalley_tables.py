@@ -9,6 +9,7 @@ definitions.
 """
 
 import hashlib
+import random
 from fractions import Fraction
 
 import pytest
@@ -73,17 +74,23 @@ def form(rs, u, v):
 
 @pytest.mark.parametrize(
     "family,rank",
-    [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8), ("B", 4), ("C", 4), ("D", 5)],
+    [
+        ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8), ("B", 4), ("C", 4), ("D", 5),
+        ("B", 9), ("C", 9), ("D", 9),
+    ],
 )
 def test_pairing_and_coroots_match_fraction_formulas(family, rank):
     rs = system(family, rank)
     roots = all_roots(rs)
+    rng = random.Random(rank)
+    # lattice vectors that are mostly not roots
+    lams = roots + [tuple(rng.randint(-9, 9) for _ in range(rank)) for _ in range(50)]
     for alpha in roots:
         n2 = form(rs, alpha, alpha)
         assert rs.norm2(alpha) == n2
         expected = [Fraction(2 * m * d, n2) for m, d in zip(alpha, rs.symmetrizer)]
         assert list(rs.coroot_coeffs(alpha)) == expected
-        for lam in roots:
+        for lam in lams:
             assert rs.pairing(lam, alpha) == Fraction(2 * form(rs, lam, alpha), n2)
 
 

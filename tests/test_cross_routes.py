@@ -2,7 +2,7 @@
 
 Each test pits two unrelated implementations of the same fact against each
 other: flag combinatorics against stabilizer search, bracket eigenvalues
-against the bilinear pairing, constructed stabilizer elements against kernel
+against the pairing formula, constructed stabilizer elements against kernel
 computations.
 """
 

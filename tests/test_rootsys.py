@@ -143,6 +143,14 @@ def test_bracket_g2_simple_pair_coefficient():
     assert abs(coeff) == 1  # the string through alpha_2 starts at alpha_2
 
 
+@pytest.mark.parametrize("v", [(5, 5), (0, 0), (2, 0), (1, -1)])
+def test_root_numbers_reject_non_roots(v):
+    rs = system("G", 2)
+    for f in (rs.norm2, rs.coroot_coeffs, lambda a: rs.pairing(rs.simple_root(1), a)):
+        with pytest.raises(ValueError, match="not a root"):
+            f(v)
+
+
 def test_bracket_rejects_mixed_systems():
     rs1, rs2 = system("A", 2), system("A", 3)
     with pytest.raises(ValueError):
