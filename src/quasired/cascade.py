@@ -36,11 +36,12 @@ class CascadeNode:
 
 @dataclass(frozen=True)
 class Cascade:
-    """Ordered cascade of a subset of simple roots."""
+    """Ordered cascade of a subset of simple roots, in its root system:
+    equal subsets of different systems give unequal cascades."""
 
     source: Subset
     nodes: tuple[CascadeNode, ...]
-    system: RootSystem = field(compare=False, repr=False)
+    system: RootSystem = field(repr=False)
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -103,6 +104,7 @@ def k_minus_set(c: Cascade, alpha: Root) -> tuple[CascadeNode, ...]:
     return tuple(n for n in c.nodes if r.root_sum(n.eps, alpha) is not None)
 
 
+@cache
 def half_difference_roots(
     c: Cascade,
 ) -> tuple[tuple[Root, CascadeNode, CascadeNode], ...]:
@@ -115,12 +117,7 @@ def half_difference_roots(
     in the k_minus set), though in type B of odd rank that set can contain a
     second node as well.
     """
-    # memoized per system too: cascade equality ignores the system
-    return _half_difference_roots(c.system, c)
-
-
-@cache
-def _half_difference_roots(r: RootSystem, c: Cascade):
+    r = c.system
     out = []
     seen: set[Root] = set()
     for up in c.nodes:

@@ -38,10 +38,11 @@ def _parse_subset(txt: str | None, rank: int, default_full: bool) -> frozenset[i
     txt = txt.strip()
     if not txt:
         return frozenset()
-    try:
-        vals = frozenset(int(p) for p in txt.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse root list {txt!r}") from None
+    parts = [p.strip() for p in txt.split(",")]
+    # int() would also take "1_0", "+1" and non-ASCII digits
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise ValueError(f"cannot parse root list {txt!r}")
+    vals = frozenset(map(int, parts))
     if not all(1 <= v <= rank for v in vals):
         raise ValueError(f"root indices in {sorted(vals)} out of range 1..{rank}")
     return vals

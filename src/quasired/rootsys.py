@@ -115,7 +115,8 @@ class RootSystem:
     Construction fills the root list, its pairings and its norms eagerly;
     every other table (coroots, subsystems, brackets, Killing values; cascades in
     :mod:`quasired.cascade`) is memoized on first use with
-    ``functools.cache`` on the function that computes it, and its
+    ``functools.cache`` on the function that computes it, keyed by what
+    determines it (the basis or root index, the subset), and its
     ``cache_info()`` (e.g. ``RootSystem.bracket_row.cache_info()``) reports
     the size. The caches hold ``self``, which is harmless: instances are
     shared via :func:`build_root_system` and never freed.
@@ -139,7 +140,6 @@ class RootSystem:
         # the basis index of x_{-a} at the index of x_a; h_m at its own
         lo, hi = self.n_pos, self.n_pos + self.rank
         self._opp = (*range(hi, self.dim), *range(lo, hi), *range(lo))
-        self._pos_set = frozenset(self.positive_roots)
 
     # -- root-level queries -------------------------------------------------
 
@@ -150,12 +150,10 @@ class RootSystem:
         return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
 
     def is_root(self, v: Root) -> bool:
-        if v in self._pos_set:
-            return True
-        return tuple(-c for c in v) in self._pos_set
+        return v in self.pos_index or tuple(-c for c in v) in self.pos_index
 
     def is_positive(self, v: Root) -> bool:
-        return v in self._pos_set
+        return v in self.pos_index
 
     def negative(self, v: Root) -> Root:
         return tuple(-c for c in v)
@@ -186,11 +184,20 @@ class RootSystem:
         s = tuple(x + y for x, y in zip(a, b))
         return s if self.is_root(s) else None
 
-    @cache
     def coroot_coeffs(self, a: Root) -> tuple[int, ...]:
         """h_a expanded over the simple coroots h_1..h_l; h_{-a} = -h_a."""
-        da2 = self.norm2(a)  # = 2 d_a, sign-independent
-        return tuple(_exact_div(2 * m * d, da2) for m, d in zip(a, self.symmetrizer))
+        p, sign = self._positive_index(a)
+        return tuple(sign * c for c in self._coroots()[p])
+
+    @cache
+    def _coroots(self) -> tuple[tuple[int, ...], ...]:
+        """h_beta = sum_i 2 d_i beta_i / (beta, beta) h_i over h_1..h_l, per
+        positive root beta in root order."""
+        d = self.symmetrizer
+        return tuple(
+            tuple(_exact_div(2 * m * di, n) for m, di in zip(b, d))
+            for b, n in zip(self.positive_roots, self._norms)
+        )
 
     # -- subsets of simple roots ---------------------------------------------
 
@@ -341,11 +348,10 @@ class RootSystem:
     # -- Chevalley basis indexing ----------------------------------------------
 
     def idx_x(self, a: Root) -> int:
-        if a in self._pos_set:
-            return self.pos_index[a]
-        na = self.negative(a)
-        if na in self._pos_set:
-            return self.n_pos + self.rank + self.pos_index[na]
+        if (p := self.pos_index.get(a)) is not None:
+            return p
+        if (p := self.pos_index.get(self.negative(a))) is not None:
+            return self.n_pos + self.rank + p
         raise ValueError(f"{a} is not a root")
 
     def idx_h(self, i: int) -> int:
@@ -374,7 +380,7 @@ class RootSystem:
         p, sign = (i, 1) if i < lo else (i - hi, -1)  # x_a with a = sign * beta_p
         row = {j: (e,) for j, e in self._struct_table()[i].items()}
         # [x_a, x_{-a}] = h_a, and [x_a, h_m] = -<a, alpha_m^v> x_a
-        h_a = self.coroot_coeffs(self.positive_roots[p])
+        h_a = self._coroots()[p]
         row[self._opp[i]] = tuple((lo + k, sign * c) for k, c in enumerate(h_a) if c)
         for m, c in enumerate(self._pairings[p]):
             if c:
@@ -393,8 +399,8 @@ class RootSystem:
         out = []
         if lo <= k < hi:
             # [x_a, x_{-a}] = h_a
-            for p, a in enumerate(self.positive_roots):
-                c = self.coroot_coeffs(a)[k - lo]
+            for p, h_a in enumerate(self._coroots()):
+                c = h_a[k - lo]
                 if c:
                     out += [(p, p + hi, c), (p + hi, p, -c)]
             return tuple(sorted(out))

@@ -10,7 +10,7 @@ the stacked cascade eps vectors.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -57,13 +57,11 @@ def parabolic(ambient: SimpleType, subset) -> BiparabolicSpec:
 @dataclass(frozen=True)
 class SubalgebraBasis:
     """The Chevalley basis vectors spanning a biparabolic, by their indices
-    in increasing order: n+ of pi2, the Cartan, n- of pi1."""
+    in increasing order: n+ of pi2, the Cartan, n- of pi1. Equal bases hash
+    alike, so tables keyed by a basis are shared by bases built separately."""
 
     spec: BiparabolicSpec
     indices: tuple[int, ...]
-    # owned by ``stabilizer.form_stabilizer``: the form pattern compiled for
-    # the last support it saw, freed with the basis
-    form_pattern: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         ix = tuple(self.indices)
@@ -194,8 +192,8 @@ def _coroot_ratio(r: RootSystem, mid: Root, up: Root, lo: Root) -> Fraction:
     """The scalar c with h_mid = c*(h_up - h_lo), solved exactly; a ValueError
     when h_mid is not proportional to the difference."""
     hu, hl = r.coroot_coeffs(up), r.coroot_coeffs(lo)
-    diff = [[Fraction(u - l)] for u, l in zip(hu, hl)]
-    (c,) = _solve_exact(diff, [Fraction(m) for m in r.coroot_coeffs(mid)])
+    diff = [[u - l] for u, l in zip(hu, hl)]
+    (c,) = _solve_exact(diff, list(r.coroot_coeffs(mid)))
     assert c != 0
     return c
 
@@ -311,9 +309,8 @@ def rank2_data(r: RootSystem, subset) -> RankTwoData:
         raise ValueError("no four-node eps decomposition exists for this pair")
     # solve h_{eps(subset)} = sum c_k h_{eps_{j_k}}
     top = r.highest_root(sub)
-    rows = [[Fraction(r.coroot_coeffs(eps[j])[t]) for j in found] for t in range(r.rank)]
-    target = [Fraction(v) for v in r.coroot_coeffs(top)]
-    sol = _solve_exact(rows, target)
+    rows = [list(t) for t in zip(*[r.coroot_coeffs(eps[j]) for j in found])]
+    sol = _solve_exact(rows, list(r.coroot_coeffs(top)))
     return RankTwoData(i1, i2, found, tuple(sol))
 
 

@@ -60,6 +60,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 
 from . import linalg
@@ -204,17 +205,13 @@ class _Block:
         ]
 
 
-@dataclass
-class _FormPattern:
+# one entry: every trial of a search shares its (P, support), and a larger
+# cache would keep the patterns of finished searches alive
+@lru_cache(maxsize=1)
+def _form_pattern(P: SubalgebraBasis, support: tuple[int, ...]) -> tuple[_Block, ...]:
     """The form matrix kappa(u, [e_a, e_b]) over the basis of P for every u
     whose functional kappa(u, .) has the given support, as its peeled
     blocks that have a kernel."""
-
-    support: tuple[int, ...]
-    blocks: list[_Block]
-
-
-def _form_pattern(P: SubalgebraBasis, support: tuple[int, ...]) -> _FormPattern:
     r = P.spec.system()
     # terms[i][j]: the (k, c) with c the e_k coefficient of [e_i, e_j]; the
     # pattern is symmetric, as kappa(u, [e_j, e_i]) = -kappa(u, [e_i, e_j])
@@ -223,7 +220,7 @@ def _form_pattern(P: SubalgebraBasis, support: tuple[int, ...]) -> _FormPattern:
         for i, j, c in r.bracket_into(k):
             if i in terms and j in terms:
                 terms[i].setdefault(j, []).append((k, c))
-    return _FormPattern(support, _peel_blocks(terms))
+    return tuple(_peel_blocks(terms))
 
 
 def _peel_blocks(terms: dict[int, dict[int, list[tuple[int, int]]]]) -> list[_Block]:
@@ -302,9 +299,9 @@ def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
     """Stabilizer of the restricted form: all x in span(P) with
     kappa(u, [x, p]) = 0 for every p in P.
 
-    The form pattern (module docstring) is compiled for the support of
-    kappa(u, .) and kept in ``P.form_pattern`` until a call with another
-    support replaces it.
+    The form pattern (module docstring) is compiled by ``_form_pattern``
+    for P and the support of kappa(u, .), and kept until a call with
+    another basis or support replaces it.
     """
     r = P.spec.system()
     if u.system is not r:
@@ -315,14 +312,9 @@ def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
     )
     g = gcd(*f.values())
     w = {j: f[j] // g for j in sorted(f) if f[j]}
-    support = tuple(w)
-    pattern = P.form_pattern
-    if pattern is None or pattern.support != support:
-        pattern = _form_pattern(P, support)
-        object.__setattr__(P, "form_pattern", pattern)
     # ordered by pivot, the block rows are the canonical rref of the kernel
     # (module docstring)
-    rows = sorted(x for block in pattern.blocks for x in block.kernel(w))
+    rows = sorted(x for block in _form_pattern(P, tuple(w)) for x in block.kernel(w))
     return Subspace(r, tuple(rows))
 
 

@@ -226,3 +226,17 @@ def test_condition_star():
 def test_cascade_cache_returns_same_object():
     rs = system("E", 6)
     assert kostant_cascade(rs, {1, 3}) is kostant_cascade(rs, frozenset({3, 1}))
+
+
+def test_cascades_of_different_systems_differ():
+    # the same source and nodes over another system is another cascade, so
+    # tables keyed by a cascade are not shared across systems
+    a3 = kostant_cascade(system("A", 3), {1})
+    b3 = kostant_cascade(system("B", 3), {1})
+    assert a3.source == b3.source and a3.nodes == b3.nodes
+    assert a3 != b3
+    c3 = kostant_cascade(system("C", 3), {2, 3})
+    b3 = kostant_cascade(system("B", 3), {2, 3})
+    assert half_difference_roots(c3) != half_difference_roots(b3)
+    assert [h for h, _, _ in half_difference_roots(c3)] == [(0, 1, 0)]
+    assert [h for h, _, _ in half_difference_roots(b3)] == [(0, 0, 1)]

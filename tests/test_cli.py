@@ -143,6 +143,27 @@ def test_usage_errors(tmp_path):
     assert exc.value.code == cli.USAGE_ERROR
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["classify", "A", "20", "--pi", "1_0"],
+        ["index", "E", "8", "--pi1", "\u0663"],
+        ["cascade", "E", "6", "--pi", "+1"],
+        ["verify", "G", "2", "--pi2", "1,-2"],
+        ["classify", "E", "6", "--pi", "1,,2"],
+        ["index", "E", "6", "--pi2", "\uff12"],
+    ],
+    ids=["underscore", "arabic-indic-digit", "plus-sign", "minus-sign", "empty-entry", "fullwidth-digit"],
+)
+def test_root_lists_take_only_ascii_digits(argv):
+    code, out = run(*argv)
+    assert code == cli.USAGE_ERROR and out.startswith("error: cannot parse root list")
+
+
+def test_root_list_entries_may_have_spaces_around_them():
+    assert run("classify", "E", "6", "--pi", " 1 , 3") == run("classify", "E", "6", "--pi", "1,3")
+
+
 def _fresh_process(argv):
     """quasired run in a new interpreter, on the same source tree."""
     src = str(Path(cli.__file__).resolve().parents[1])

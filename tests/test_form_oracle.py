@@ -23,7 +23,12 @@ from form_oracle import basis_elements, dense_form_stabilizer, dense_kernel
 from quasired import linalg, stabilizer
 from quasired.rootsys import AlgebraElement, SimpleType
 from quasired.seaweed import BiparabolicSpec, biparabolic_basis, build_u, sample_cv
-from quasired.stabilizer import _sparse_int_row, certify_quasi_reductive, form_stabilizer
+from quasired.stabilizer import (
+    _form_pattern,
+    _sparse_int_row,
+    certify_quasi_reductive,
+    form_stabilizer,
+)
 
 TYPES = [("G", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4), ("E", 6)]
 
@@ -175,15 +180,16 @@ def test_sparse_kernel_falls_back_where_a_replayed_pivot_is_zero():
 
 @pytest.mark.parametrize("family,rank", TYPES)
 def test_every_trial_of_a_search_matches_dense_route(monkeypatch, family, rank):
-    # trials of one search share their basis P and so one compiled pattern;
-    # failing every abelian check makes each search run all of its trials
+    # trials of one search share their basis P and support, and so one
+    # compiled pattern; failing every abelian check makes each search run
+    # all of its trials
     real = stabilizer.form_stabilizer
-    patterns = []
+    calls = []
 
     def form_stabilizer_checked(P, u):
         S = real(P, u)
         assert S == _dense(P, u), P.spec
-        patterns.append(P.form_pattern)
+        calls.append(P)
         return S
 
     monkeypatch.setattr(stabilizer, "form_stabilizer", form_stabilizer_checked)
@@ -191,8 +197,11 @@ def test_every_trial_of_a_search_matches_dense_route(monkeypatch, family, rank):
     rng = random.Random(f"search {family}{rank}")
     for _ in range(4):
         spec = _random_spec(rng, family, rank)
+        _form_pattern.cache_clear()
         assert certify_quasi_reductive(spec, trials=5, seed=rng.randrange(99)) is None
-    assert len(patterns) == 20 and len(set(map(id, patterns))) == 4
+        info = _form_pattern.cache_info()
+        assert (info.misses, info.hits) == (1, 4), spec
+    assert len(calls) == 20
 
 
 def _cartan_form(rs, h):
@@ -230,14 +239,29 @@ def test_cartan_forms_sharing_a_pattern_match_dense_route(family, rank):
             generic = h
         elif zeros and len(singular) < 3:
             singular.append(h)
+    _form_pattern.cache_clear()
     S = form_stabilizer(P, _cartan_form(rs, generic))
-    pattern = P.form_pattern
     assert S == _dense(P, _cartan_form(rs, generic))
     for h in singular:
         u = _cartan_form(rs, h)
         S = form_stabilizer(P, u)
-        assert P.form_pattern is pattern
         assert S.dim > rank and S == _dense(P, u), h
+    assert _form_pattern.cache_info().misses == 1
+
+
+def test_equal_bases_share_a_compile_and_another_support_recompiles():
+    spec = BiparabolicSpec(SimpleType("E", 6), frozenset({2, 3, 4}), frozenset(range(1, 7)))
+    P, Q = biparabolic_basis(spec), biparabolic_basis(spec)
+    assert P is not Q and P == Q
+    u = build_u(spec, sample_cv(spec, random.Random(3)))
+    _form_pattern.cache_clear()
+    assert form_stabilizer(P, u) == form_stabilizer(Q, u) == _dense(P, u)
+    assert (_form_pattern.cache_info().misses, _form_pattern.cache_info().hits) == (1, 1)
+    # a Cartan u: kappa(u, .) lives on h_1..h_6, another support
+    rs = system("E", 6)
+    h = _cartan_form(rs, [1, 2, 3, 4, 5, 7])
+    assert form_stabilizer(Q, h) == _dense(Q, h)
+    assert _form_pattern.cache_info().misses == 2
 
 
 def _skew_terms(n, edges):
