@@ -71,11 +71,9 @@ def _cascade_nodes(r: RootSystem, subset: Subset) -> tuple[CascadeNode, ...]:
 
 
 def kostant_cascade(r: RootSystem, subset) -> Cascade:
-    """Cascade of pairwise strongly orthogonal highest roots below a subset."""
-    key = frozenset(subset)
-    if not key <= r.full_subset():
-        raise ValueError(f"subset {sorted(key)} not within 1..{r.rank}")
-    return _cascade(r, key)
+    """Cascade of pairwise strongly orthogonal highest roots below a subset;
+    ``RootSystem.components`` rejects indices outside 1..rank."""
+    return _cascade(r, frozenset(subset))
 
 
 @cache
@@ -211,10 +209,8 @@ def condition_star(r: RootSystem, pi1, pi2) -> bool:
     """Whether every cross pair of simple roots sits under distinct nodes of
     the full cascade. Requires the two subsets to be orthogonal to each other."""
     s1, s2 = frozenset(pi1), frozenset(pi2)
-    for a in s1:
-        for b in s2:
-            if r.cartan[a - 1][b - 1] != 0:
-                raise ValueError("subsets must not be connected to each other")
+    if any(c & s1 and c & s2 for c in r.components(s1 | s2)):
+        raise ValueError("subsets must not be connected to each other")
     full = kostant_cascade(r, r.full_subset())
     for a in s1:
         na = k_plus(full, r.simple_root(a))

@@ -1,15 +1,16 @@
-"""Exact linear algebra: one fraction-free integer elimination core,
-kernels and sparse operators.
+"""Exact linear algebra: one fraction-free integer elimination core and
+kernels.
 
 Matrices are plain lists of rows with int or Fraction entries. Each row is
 scaled to a primitive integer row and eliminated by fraction-free integer
 cross multiplication, dividing out each new row's content, so no Fraction is
 built inside the loop. ``rank`` and ``rref`` run a dense column-order loop,
 which is fastest on the small dense matrices they get; kernels are taken by
-a sparse loop with a pivot order chosen for sparsity, whose result is then
-re-reduced to the canonical rref. Only ``rref`` and ``nullspace`` return
-rationals, and only for their output rows. Everything here is deterministic
-and exact.
+a sparse loop with a pivot order chosen for sparsity. That loop returns a
+raw kernel basis, which depends on the pivot order; each caller that
+publishes a kernel reduces it once, to the canonical rref. Only ``rref`` and
+``nullspace`` return rationals, and only for their output rows. Everything
+here is deterministic and exact.
 """
 
 from __future__ import annotations
@@ -18,9 +19,6 @@ from fractions import Fraction
 from math import gcd, lcm
 
 Row = list[Fraction]
-
-# sparse column format: col j -> list of (row i, value); values int or Fraction
-SparseCols = dict[int, list[tuple[int, int | Fraction]]]
 
 
 def _primitive_int_row(row) -> list[int]:
@@ -105,19 +103,19 @@ def _markowitz(work: dict[int, dict[int, int]], cols: dict[int, set[int]]) -> tu
 
 def _kernel(
     rows: list[dict[int, int]], ncols: int, order=()
-) -> tuple[list[list[int]], list[int], list[tuple[int, int]]]:
-    """Reduced echelon basis of the right kernel of a sparse integer matrix.
+) -> tuple[list[list[int]], list[tuple[int, int]]]:
+    """A basis of the right kernel of a sparse integer matrix, not reduced.
 
     ``rows`` are sparse rows {column: nonzero int} and are consumed. Each
     step takes as pivot the next (row, column) of ``order`` whose entry is
     still nonzero, or else an entry of least Markowitz cost, and clears its
     column from every other row by fraction-free cross multiplication. Any
-    sequence of nonzero pivots is exact, and the kernel vectors read off the
-    reduced rows are re-reduced by ``_eliminate``, so the result does not
-    depend on the order. Returns the kernel rows as primitive integer rows,
-    their pivot columns, and the pivots taken, which serve as ``order`` for
-    a matrix of the same pattern; dividing each kernel row by its pivot entry
-    gives the rows of ``nullspace``.
+    sequence of nonzero pivots is exact. Returns the basis, one integer
+    vector per free column f (a column no pivot took) in column order, which
+    is nonzero at f and zero at every other free column, and the pivots
+    taken, which serve as ``order`` for a matrix of the same pattern. The
+    basis depends on the pivots taken and its span does not; ``rref`` or
+    ``_eliminate`` of it is the canonical basis.
     """
     work = {t: row for t, row in enumerate(rows) if row}
     cols: dict[int, set[int]] = {}  # column -> the rows with an entry there
@@ -185,8 +183,7 @@ def _kernel(
         for p, a, e in on:
             v[p] = -e * (den // a)
         basis.append(v)
-    red, kpiv = _eliminate(basis, True)
-    return red, kpiv, taken
+    return basis, taken
 
 
 def nullspace(rows, ncols: int) -> list[Row]:
@@ -194,36 +191,24 @@ def nullspace(rows, ncols: int) -> list[Row]:
     sparse = [
         {j: v for j, v in enumerate(_primitive_int_row(r)) if v} for r in rows
     ]
-    red, pivots, _ = _kernel(sparse, ncols)
-    return [[Fraction(v, r[p]) for v in r] for r, p in zip(red, pivots)]
+    return rref(_kernel(sparse, ncols)[0])[0]
 
 
-# ---------------------------------------------------------------------------
-# sparse matrices
-
-def sparse_square(cols: SparseCols, dim: int) -> SparseCols:
-    out: SparseCols = {}
+def kernel_stabilizes(cols: dict[int, dict], dim: int) -> bool:
+    """Whether ker(M) == ker(M^2) for the dim x dim matrix M given by its
+    columns {j: {i: M[i][j]}}, i.e. the 0-eigenvalue carries no nilpotency.
+    ker(M) lies in ker(M^2), so they are equal when their dimensions are."""
+    square: dict[int, dict] = {}
     for j, col in cols.items():
-        acc: dict[int, int | Fraction] = {}
-        for k, a in col:
-            for i, b in cols.get(k, ()):
+        acc = square[j] = {}
+        for k, a in col.items():
+            for i, b in cols.get(k, {}).items():
                 acc[i] = acc.get(i, 0) + b * a
-        ent = [(i, c) for i, c in sorted(acc.items()) if c]
-        if ent:
-            out[j] = ent
-    return out
 
+    def nullity(m) -> int:
+        # of the transpose, whose rows are the columns, each made primitive
+        nz = [{i: v for i, v in col.items() if v} for col in m.values()]
+        rows = [dict(zip(c, _primitive_int_row(list(c.values())))) for c in nz]
+        return len(_kernel(rows, dim)[0])
 
-def sparse_to_rows(cols: SparseCols, dim: int) -> list[list[int | Fraction]]:
-    rows = [[0] * dim for _ in range(dim)]
-    for j, col in cols.items():
-        for i, a in col:
-            rows[i][j] = a
-    return rows
-
-
-def kernel_stabilizes(cols: SparseCols, dim: int) -> bool:
-    """Whether ker(M) == ker(M^2), i.e. the 0-eigenvalue carries no nilpotency."""
-    r1 = rank(sparse_to_rows(cols, dim))
-    r2 = rank(sparse_to_rows(sparse_square(cols, dim), dim))
-    return r1 == r2
+    return nullity(cols) == nullity(square)

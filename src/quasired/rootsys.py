@@ -35,8 +35,6 @@ from fractions import Fraction
 from functools import cache
 from operator import sub
 
-from .linalg import SparseCols
-
 Root = tuple[int, ...]
 
 
@@ -73,6 +71,8 @@ class SimpleType:
     def __post_init__(self) -> None:
         if self.family not in _FAMILY_BOUNDS:
             raise ValueError(f"unknown family {self.family!r}")
+        if type(self.rank) is not int:
+            raise ValueError(f"rank {self.rank!r} is not an int")
         lo, hi = _FAMILY_BOUNDS[self.family]
         if not lo <= self.rank <= hi:
             raise ValueError(f"rank {self.rank} out of range for family {self.family}")
@@ -208,8 +208,11 @@ class RootSystem:
         return frozenset(i + 1 for i, c in enumerate(a) if c)
 
     def components(self, subset) -> tuple[frozenset[int], ...]:
-        """Connected components of a subset of simple roots, by least index."""
+        """Connected components of a subset of simple roots, by least index;
+        ValueError unless the subset lies within 1..rank."""
         left = set(subset)
+        if not left <= self.full_subset():
+            raise ValueError(f"subset {sorted(left)} not within 1..{self.rank}")
         comps = []
         while left:
             seed = min(left)
@@ -243,8 +246,6 @@ class RootSystem:
         sub = frozenset(subset)
         if not sub:
             raise ValueError("empty subset has no highest root")
-        if not sub <= self.full_subset():
-            raise ValueError(f"subset {sorted(sub)} not within 1..{self.rank}")
         if not self.is_connected(sub):
             raise ValueError(f"subset {sorted(sub)} is not connected")
         roots = self.subsystem_positive(sub)
@@ -599,14 +600,14 @@ def killing(r: RootSystem, x: AlgebraElement, y: AlgebraElement) -> Fraction:
     return sum((c * f.get(k, 0) for k, c in y.coords.items()), Fraction(0))
 
 
-def ad_columns(r: RootSystem, x: AlgebraElement) -> SparseCols:
-    """Sparse column map of ad x."""
+def ad_columns(r: RootSystem, x: AlgebraElement) -> dict[int, dict[int, Fraction]]:
+    """The nonzero columns {j: {k: entry}} of ad x, column j being [x, e_j]."""
     xs = x.coords.items()
-    cols: SparseCols = {}
+    cols = {}
     for j in range(r.dim):
-        ent = [(k, v) for k, v in sorted(bracket_coords(r, xs, ((j, 1),)).items()) if v]
-        if ent:
-            cols[j] = ent
+        col = {k: v for k, v in bracket_coords(r, xs, ((j, 1),)).items() if v}
+        if col:
+            cols[j] = col
     return cols
 
 

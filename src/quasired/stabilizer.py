@@ -26,13 +26,13 @@ remains. Each block, a connected component of the pattern, is compiled to
 its isolated vertices, its core and its steps; a block that peels to nothing
 has no kernel and is dropped.
 
-A trial multiplies its weights into the core's cells and eliminates the core
-by ``linalg._kernel`` in the pivot order the first trial took (any order is
-exact: a pivot that is 0 for some draw is replaced and the result is
-re-reduced), starts from its kernel vectors and the unit vectors of the
-isolated vertices, and extends each over the steps in reverse order, a
-back-substitution. Each block's vectors are then re-reduced to their
-canonical rref; ``rank`` and ``rref`` keep the dense loop. The kernel is the
+A trial multiplies its weights into the core's cells and takes a raw basis
+of the core's kernel by ``linalg._kernel``, in the pivot order the first
+trial took (any order is exact: a pivot that is 0 for some draw is replaced,
+and only the span of the basis is used). It starts from those vectors and
+the unit vectors of the isolated vertices, and extends each over the steps
+in reverse order, a back-substitution. Each block's vectors are then reduced
+once, by ``linalg._eliminate``, to their canonical rref. The kernel is the
 direct sum of the block kernels. Each block's rref rows vanish outside the
 block, so in the union of all of them no row has a nonzero entry in another
 row's pivot column; ordered by pivot, the union is therefore the canonical
@@ -171,10 +171,10 @@ class _Block:
                 if v:
                     rows[a][b] = v
                     rows[b][a] = -v
-            red, _, taken = linalg._kernel(rows, len(self.core), self.order or ())
+            basis, taken = linalg._kernel(rows, len(self.core), self.order or ())
             if self.order is None:
                 self.order = taken
-            for kr in red:
+            for kr in basis:
                 x = [0] * n
                 for t, v in zip(self.core, kr):
                     x[t] = v
@@ -330,16 +330,17 @@ def killing_radical_on(S: Subspace) -> Subspace:
         gram.append(
             {b: v for b, y in enumerate(rows) if (v := sum(c * f.get(j, 0) for j, c in y))}
         )
+    basis, _ = linalg._kernel(gram, len(rows))
     vecs = []
-    for kr in linalg._kernel(gram, len(rows))[0]:
+    for kr in linalg._eliminate(basis, True)[0]:
         acc: dict[int, int] = {}
         for cj, x in zip(kr, rows):
             if cj:
                 for k, v in x:
                     acc[k] = acc.get(k, 0) + cj * v
-        # the rows of S and of the kernel are in rref up to one scale each, so
-        # the combination is zero in every other radical row's pivot column;
-        # its leading entry is its pivot
+        # the rows of S and the reduced kernel rows are in rref up to one
+        # scale each, so the combination is zero in every other radical
+        # row's pivot column; its leading entry is its pivot
         vecs.append(_sparse_int_row(sorted(acc.items())))
     return Subspace(r, tuple(vecs))
 

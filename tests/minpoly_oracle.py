@@ -11,17 +11,19 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from quasired.linalg import SparseCols, _primitive_int_row
+from quasired.linalg import _primitive_int_row
 
 Poly = list[Fraction]
+# an operator by its nonzero columns, {j: {i: entry}}, as ``ad_columns`` gives it
+Cols = dict[int, dict[int, Fraction]]
 
 
-def sparse_matvec(cols: SparseCols, v: list) -> list:
+def sparse_matvec(cols: Cols, v: list) -> list:
     n = len(v)
     out = [Fraction(0)] * n
     for j, vj in enumerate(v):
         if vj:
-            for i, a in cols.get(j, ()):
+            for i, a in cols.get(j, {}).items():
                 out[i] += a * vj
     return out
 
@@ -130,7 +132,7 @@ def _primitive_int_fractions(v) -> list[Fraction]:
     return [Fraction(x) for x in _primitive_int_row(v)]
 
 
-def _local_minpoly(cols: SparseCols, v0: list[Fraction], rows_sink=None) -> Poly:
+def _local_minpoly(cols: Cols, v0: list[Fraction], rows_sink=None) -> Poly:
     """Minimal polynomial of the vector v0 under the sparse operator.
 
     Krylov vectors are rescaled to primitive integer vectors to keep the
@@ -177,7 +179,7 @@ def _local_minpoly(cols: SparseCols, v0: list[Fraction], rows_sink=None) -> Poly
         assert step <= dim, "krylov iteration exceeded the dimension"
 
 
-def minimal_polynomial(cols: SparseCols, dim: int) -> Poly:
+def minimal_polynomial(cols: Cols, dim: int) -> Poly:
     """Monic minimal polynomial of a sparse operator, as lcm of local ones."""
     seen = Echelon()
     m: Poly = [Fraction(1)]

@@ -11,7 +11,9 @@ from quasired.cascade import (
     tilde_pi,
     well_interlaced,
 )
+from quasired.classify import identify_subsystem
 from quasired.rootsys import bracket, x_vector
+from quasired.seaweed import rank2_data
 
 
 def expected_k(family, l):
@@ -221,6 +223,26 @@ def test_condition_star():
     assert condition_star(rs6, {2, 4, 5}, {1}) is True
     with pytest.raises(ValueError):
         condition_star(rs6, {1, 3}, {4})  # connected to each other
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        # an unchecked index 0 would read Cartan row -1, and G2 {0, 1} as connected
+        pytest.param(lambda: system("G", 2).is_connected({0, 1}), id="is_connected-0"),
+        pytest.param(lambda: system("G", 2).components({1, 99}), id="components-99"),
+        pytest.param(lambda: system("E", 6).components({-1}), id="components-negative"),
+        pytest.param(lambda: tilde_pi(system("G", 2), {1, 99}), id="tilde_pi"),
+        pytest.param(lambda: rank2_data(system("E", 6), {2, 99}), id="rank2_data"),
+        pytest.param(lambda: identify_subsystem(system("G", 2), {99}), id="identify_subsystem"),
+        pytest.param(lambda: condition_star(system("G", 2), {99}, {1}), id="condition_star-pi1"),
+        pytest.param(lambda: condition_star(system("E", 6), {1}, {0}), id="condition_star-pi2"),
+        pytest.param(lambda: kostant_cascade(system("B", 3), {4}), id="kostant_cascade"),
+    ],
+)
+def test_simple_root_indices_outside_the_rank_are_rejected(call):
+    with pytest.raises(ValueError, match=r"not within 1\.\."):
+        call()
 
 
 def test_cascade_cache_returns_same_object():

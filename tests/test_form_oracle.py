@@ -8,8 +8,9 @@ form matrix once per basis and support into blocks whose leaf pairs are
 peeled off, and per draw only eliminates each block's residual core and
 back-substitutes over the peeled pairs; ``form_oracle.dense_form_stabilizer``
 takes the kernel of the whole matrix in one piece. All of them return
-canonical rref rows, so they must agree exactly. Synthetic skew patterns
-drive the peeling through ``stabilizer._peel_blocks`` directly.
+canonical rref rows once the raw basis of ``linalg._kernel`` is reduced,
+so they must agree exactly. Synthetic skew patterns drive the peeling
+through ``stabilizer._peel_blocks`` directly.
 """
 
 import itertools
@@ -106,8 +107,15 @@ def _sparse(dense):
 
 
 def _sparse_kernel(dense, ncols, order=()):
-    red, pivots, taken = linalg._kernel(_sparse(dense), ncols, order)
-    return _unit_rows(red, pivots), taken
+    """The reduced kernel, after checking the raw basis: one vector per free
+    column (one no pivot took), in column order, nonzero at its own free
+    column and zero at every other."""
+    basis, taken = linalg._kernel(_sparse(dense), ncols, order)
+    free = sorted(set(range(ncols)) - {c for _, c in taken})
+    assert len(basis) == len(free), dense
+    for v, f in zip(basis, free):
+        assert v[f] and not any(v[g] for g in free if g != f), (dense, v, f)
+    return _unit_rows(*linalg._eliminate(basis, True)), taken
 
 
 def _random_sparse(rng, m, n, per_row, values):

@@ -55,7 +55,7 @@ def _cols_from_rows(rows):
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             if v:
-                cols.setdefault(j, []).append((i, Fraction(v)))
+                cols.setdefault(j, {})[i] = Fraction(v)
     return cols
 
 

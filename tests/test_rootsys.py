@@ -87,6 +87,8 @@ def test_dimension_a1_and_e8():
     [
         ("A", 0), ("B", 1), ("C", 2), ("D", 3), ("E", 5), ("E", 9), ("F", 5), ("G", 3), ("H", 2),
         ("A", MAX_CLASSICAL_RANK + 1), ("D", 100000),
+        # a rank that is not an int
+        ("E", 6.5), ("E", 6.0), ("E", "6"), ("E", Fraction(6)), ("A", True),
     ],
 )
 def test_rank_bounds_rejected(family, rank):
@@ -230,7 +232,11 @@ def test_killing_nondegenerate():
 
 def ad_dense(rs, x):
     """The matrix of ad x, densified from its sparse columns."""
-    return linalg.sparse_to_rows(ad_columns(rs, x), rs.dim)
+    rows = [[0] * rs.dim for _ in range(rs.dim)]
+    for j, col in ad_columns(rs, x).items():
+        for i, v in col.items():
+            rows[i][j] = v
+    return rows
 
 
 def test_ad_matrix():

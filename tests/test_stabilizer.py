@@ -188,9 +188,25 @@ def test_semisimplicity_routes_agree():
     picks.append(x_vector(rs, a))
     picks.append(x_vector(rs, a) + x_vector(rs, rs.negative(a)))
     picks.append(h_vector(rs, 1))
+    # Fraction coordinates: each column of ad x is scaled to its own
+    # primitive integer row before the kernels are taken
+    xa, xma = x_vector(rs, a), x_vector(rs, rs.negative(a))
+    picks.append(xa + Fraction(1, 3) * xma)
+    picks.append(Fraction(2, 5) * h_vector(rs, 1) + xa)
+    picks.append(Fraction(2, 5) * h_vector(rs, 1) + Fraction(-3, 7) * h_vector(rs, 3))
+    picks.append(Fraction(1, 6) * xa + Fraction(5, 4) * xma + Fraction(2, 3) * h_vector(rs, 2))
+    for _ in range(4):
+        coords = [
+            (rng.randrange(rs.dim), Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
+            for _ in range(3)
+        ]
+        picks.append(AlgebraElement(rs, coords))
+    semisimple = 0
     for x in picks:
         mp = minimal_polynomial(ad_columns(rs, x), rs.dim)
         assert is_semisimple_element(x) == is_squarefree(mp)
+        semisimple += is_squarefree(mp)
+    assert 0 < semisimple < len(picks)
 
 
 def test_abelian_nondegenerate_stabilizers_are_semisimple_sweep():
