@@ -11,16 +11,20 @@ The decision procedure is:
   * E6 fails exactly when alpha_2 is an isolated component or the subset is
     one of two exceptional rank-five sets (additivity fails just for those).
 
-The failing-subset lists and the torus dimensions attached to them are
-classification data; indices are always recomputed from the cascade rank
-formula, and the test suite cross-checks the data against certificates and
-the flag criterion.
+The failing-subset lists are the classification theorem; indices are always
+recomputed from the cascade rank formula. Torus dimensions are read from the
+filled ``torus_dim`` cells of the vendored ``data/golden/non_qr_<type>.csv``.
+The test suite cross-checks the lists against certificates and the flag
+criterion, and re-derives every torus cell from generic stabilizers.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from dataclasses import dataclass
+from functools import cache
+from importlib import resources
 
 from . import linalg
 from .cascade import kostant_cascade, tilde_delta_plus, tilde_pi
@@ -35,59 +39,46 @@ from .seaweed import parabolic, seaweed_index
 
 Subset = frozenset[int]
 
-# connected subsets whose parabolic fails to be quasi-reductive, with the
-# dimension of the torus part of a generic stabilizer (None where unknown)
-_FAILING_CONNECTED: dict[tuple[str, int], dict[Subset, int | None]] = {
-    ("G", 2): {frozenset({1}): None},
-    ("F", 4): {frozenset({1}): 0},
-    ("E", 7): {
-        frozenset({1}): 0,
-        frozenset({4}): 0,
-        frozenset({6}): 0,
-        frozenset({1, 3, 4}): 1,
-        frozenset({4, 5, 6}): 1,
-        frozenset({1, 3, 4, 5, 6}): 2,
-    },
-    ("E", 8): {
-        frozenset({1}): 0,
-        frozenset({4}): 0,
-        frozenset({6}): 0,
-        frozenset({8}): 0,
-        frozenset({1, 3, 4}): 1,
-        frozenset({4, 5, 6}): 1,
-        frozenset({6, 7, 8}): 1,
-        frozenset({1, 3, 4, 5, 6}): 2,
-        frozenset({4, 5, 6, 7, 8}): 2,
-        frozenset({1, 3, 4, 5, 6, 7, 8}): 3,
-    },
+# the vendored reference tables, shipped as package data
+_GOLDEN_DIR = resources.files(__package__).joinpath("data/golden")
+
+# connected subsets whose parabolic fails to be quasi-reductive
+_FAILING_CONNECTED: dict[tuple[str, int], tuple[Subset, ...]] = {
+    ("G", 2): (frozenset({1}),),
+    ("F", 4): (frozenset({1}),),
+    ("E", 7): (
+        frozenset({1}), frozenset({4}), frozenset({6}),
+        frozenset({1, 3, 4}), frozenset({4, 5, 6}), frozenset({1, 3, 4, 5, 6}),
+    ),
+    ("E", 8): (
+        frozenset({1}), frozenset({4}), frozenset({6}), frozenset({8}),
+        frozenset({1, 3, 4}), frozenset({4, 5, 6}), frozenset({6, 7, 8}),
+        frozenset({1, 3, 4, 5, 6}), frozenset({4, 5, 6, 7, 8}),
+        frozenset({1, 3, 4, 5, 6, 7, 8}),
+    ),
 }
 
 # E6: a parabolic fails exactly when alpha_2 is isolated or the subset is one
-# of the two rank-five exceptions; torus dimensions per failing subset
+# of the two rank-five exceptions
 _E6_EXTRA: tuple[Subset, ...] = (
     frozenset({1, 2, 3, 4, 6}),
     frozenset({1, 2, 4, 5, 6}),
 )
-_E6_FAILING: dict[Subset, int] = {
-    frozenset({2}): 2,
-    frozenset({1, 2}): 1,
-    frozenset({2, 6}): 1,
-    frozenset({2, 3}): 1,
-    frozenset({2, 5}): 1,
-    frozenset({1, 2, 5}): 0,
-    frozenset({2, 3, 6}): 0,
-    frozenset({1, 2, 6}): 2,
-    frozenset({2, 3, 5}): 2,
-    frozenset({1, 2, 3}): 1,
-    frozenset({2, 5, 6}): 1,
-    frozenset({1, 2, 3, 5}): 0,
-    frozenset({2, 3, 5, 6}): 0,
-    frozenset({1, 2, 3, 6}): 0,
-    frozenset({1, 2, 5, 6}): 0,
-    frozenset({1, 2, 3, 5, 6}): 2,
-    frozenset({1, 2, 3, 4, 6}): 0,
-    frozenset({1, 2, 4, 5, 6}): 0,
-}
+
+
+@cache
+def _torus_dims(t: SimpleType) -> dict[Subset, int]:
+    """The filled ``torus_dim`` cells of the vendored ``non_qr_<type>.csv``,
+    keyed by subset; {} for a type with no table."""
+    table = _GOLDEN_DIR.joinpath(f"non_qr_{str(t).lower()}.csv")
+    if not table.is_file():
+        return {}
+    rows = csv.DictReader(table.read_text().splitlines())
+    return {
+        frozenset(map(int, row["subset"].split())): int(row["torus_dim"])
+        for row in rows
+        if row["torus_dim"]
+    }
 
 
 @dataclass(frozen=True)
@@ -126,7 +117,7 @@ def pi_to_flag(t: SimpleType, subset) -> FlagSpec:
     to the isotropic flag its parabolic stabilizes."""
     if t.family not in ("B", "D"):
         raise ValueError("flag dictionary applies to types B and D only")
-    sub = frozenset(subset)
+    sub = t.checked_subset(subset)
     l = t.rank
     if sub == frozenset(range(1, l + 1)):
         raise ValueError("the full subset corresponds to no proper flag")
@@ -167,6 +158,8 @@ class Verdict:
     quasi_reductive: bool
     index: int
     trace: tuple[str, ...]
+    # torus part of a generic stabilizer, read from the vendored non_qr table;
+    # None when quasi-reductive, when the cell is blank or there is no table
     torus_dim: int | None = None
 
     def to_dict(self) -> dict:
@@ -192,12 +185,9 @@ def _fmt(subset) -> str:
 
 def classify_parabolic(t: SimpleType, subset) -> Verdict:
     r = build_root_system(t)
-    sub = frozenset(subset)
-    if not sub <= r.full_subset():
-        raise ValueError(f"subset {sorted(sub)} not within 1..{t.rank}")
+    sub = t.checked_subset(subset)
     idx = seaweed_index(parabolic(t, sub))
     trace: list[str] = []
-    torus: int | None = None
 
     if sub == r.full_subset():
         trace.append("whole-algebra: reductive")
@@ -217,20 +207,18 @@ def classify_parabolic(t: SimpleType, subset) -> Verdict:
             )
         )
     elif (t.family, t.rank) in _FAILING_CONNECTED:
-        table = _FAILING_CONNECTED[(t.family, t.rank)]
+        failing = _FAILING_CONNECTED[(t.family, t.rank)]
         comps = r.components(sub)
         trace.append(
             "component-split: " + " | ".join(_fmt(c) for c in comps)
         )
         qr = True
         for c in comps:
-            if c in table:
+            if c in failing:
                 qr = False
                 trace.append(f"component {_fmt(c)}: in failing list")
             else:
                 trace.append(f"component {_fmt(c)}: allowed")
-        if not qr and sub in table:
-            torus = table[sub]
     else:  # E6
         comps = r.components(sub)
         qr = True
@@ -242,8 +230,7 @@ def classify_parabolic(t: SimpleType, subset) -> Verdict:
             trace.append(f"e6-rule: exceptional rank-five subset {_fmt(sub)}")
         if qr:
             trace.append("e6-rule: no isolated alpha_2 and not exceptional")
-        elif sub in _E6_FAILING:
-            torus = _E6_FAILING[sub]
+    torus = None if qr else _torus_dims(t).get(sub)
     return Verdict(
         t.family, t.rank, tuple(sorted(sub)), qr, idx, tuple(trace), torus
     )
@@ -316,7 +303,7 @@ def transitivity_descend(t: SimpleType, subset) -> ReductionStep:
     if t.family not in ("E", "F", "G"):
         raise ValueError("descent applies to exceptional types only")
     r = build_root_system(t)
-    sub = frozenset(subset)
+    sub = t.checked_subset(subset)
     tail, attach = tilde_pi(r, r.full_subset())
     if attach in sub:
         raise ValueError(

@@ -14,11 +14,11 @@ import json
 import os
 import sys
 from functools import cache
-from importlib import resources
 from pathlib import Path
 
 from .cascade import kostant_cascade
 from .classify import (
+    _GOLDEN_DIR,
     classify_parabolic,
     enumerate_index_zero,
     non_qr_subsets,
@@ -245,9 +245,8 @@ def generate_tables(selection: list[tuple[str, int]] | None) -> dict[str, str]:
 
 def _golden_dir_files() -> dict[str, str]:
     files = {}
-    base = resources.files("quasired").joinpath("data/golden")
-    if base.is_dir():
-        for entry in base.iterdir():
+    if _GOLDEN_DIR.is_dir():
+        for entry in _GOLDEN_DIR.iterdir():
             if entry.is_file():
                 files[entry.name] = entry.read_text()
     return files

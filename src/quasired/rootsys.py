@@ -80,6 +80,14 @@ class SimpleType:
     def __str__(self) -> str:
         return f"{self.family}{self.rank}"
 
+    def checked_subset(self, subset) -> frozenset[int]:
+        """The subset of simple roots as a frozenset; ValueError unless it
+        lies within 1..rank."""
+        sub = frozenset(subset)
+        if not sub <= frozenset(range(1, self.rank + 1)):
+            raise ValueError(f"subset {sorted(sub)} not within 1..{self.rank}")
+        return sub
+
 
 def _cartan_and_symmetrizer(t: SimpleType) -> tuple[list[list[int]], list[int]]:
     l = t.rank
@@ -210,9 +218,7 @@ class RootSystem:
     def components(self, subset) -> tuple[frozenset[int], ...]:
         """Connected components of a subset of simple roots, by least index;
         ValueError unless the subset lies within 1..rank."""
-        left = set(subset)
-        if not left <= self.full_subset():
-            raise ValueError(f"subset {sorted(left)} not within 1..{self.rank}")
+        left = set(self.type.checked_subset(subset))
         comps = []
         while left:
             seed = min(left)
@@ -233,11 +239,14 @@ class RootSystem:
         return len(self.components(subset)) == 1
 
     def subsystem_positive(self, subset) -> tuple[Root, ...]:
-        """Positive roots supported on the given simple roots."""
+        """Positive roots supported on the given simple roots; ValueError
+        unless the subset lies within 1..rank."""
         return self._subsystem_positive(frozenset(subset))
 
     @cache
     def _subsystem_positive(self, subset: frozenset[int]) -> tuple[Root, ...]:
+        # checked on a miss only, so a rejected subset leaves no cache entry
+        self.type.checked_subset(subset)
         outside = [i for i in range(self.rank) if i + 1 not in subset]
         return tuple(r for r in self.positive_roots if not any(r[i] for i in outside))
 

@@ -11,8 +11,8 @@ from quasired.cascade import (
     tilde_pi,
     well_interlaced,
 )
-from quasired.classify import identify_subsystem
-from quasired.rootsys import bracket, x_vector
+from quasired.classify import identify_subsystem, pi_to_flag, transitivity_descend
+from quasired.rootsys import SimpleType, bracket, x_vector
 from quasired.seaweed import rank2_data
 
 
@@ -238,11 +238,24 @@ def test_condition_star():
         pytest.param(lambda: condition_star(system("G", 2), {99}, {1}), id="condition_star-pi1"),
         pytest.param(lambda: condition_star(system("E", 6), {1}, {0}), id="condition_star-pi2"),
         pytest.param(lambda: kostant_cascade(system("B", 3), {4}), id="kostant_cascade"),
+        pytest.param(lambda: system("E", 6).subsystem_positive({1, 99}), id="subsystem_positive"),
+        # without the range check the flag of B4 {0, 9} is the Borel's
+        pytest.param(lambda: pi_to_flag(SimpleType("B", 4), {0, 9}), id="pi_to_flag"),
+        # 9 is no simple root of E6, let alone the attachment root
+        pytest.param(lambda: transitivity_descend(SimpleType("E", 6), {9}), id="transitivity_descend"),
     ],
 )
 def test_simple_root_indices_outside_the_rank_are_rejected(call):
     with pytest.raises(ValueError, match=r"not within 1\.\."):
         call()
+
+
+def test_rejected_subsystem_leaves_no_cache_entry():
+    rs = system("E", 6)
+    cached = type(rs)._subsystem_positive.cache_info().currsize
+    with pytest.raises(ValueError, match=r"subset \[1, 99\] not within 1\.\.6"):
+        rs.subsystem_positive({1, 99})
+    assert type(rs)._subsystem_positive.cache_info().currsize == cached
 
 
 def test_cascade_cache_returns_same_object():

@@ -2,9 +2,15 @@
 not merely with whatever the current build regenerates."""
 
 import csv
+import random
 from importlib import resources
 
 from test_classify import D6_NON_QR, E6_INDEX_ZERO, E6_NON_QR, FAILING_CONNECTED
+
+from quasired.classify import _torus_dims
+from quasired.rootsys import SimpleType
+from quasired.seaweed import biparabolic_basis, build_u, parabolic, sample_cv, seaweed_index
+from quasired.stabilizer import form_stabilizer, is_abelian, killing_radical_on
 
 
 def _read_golden(name):
@@ -84,3 +90,35 @@ def test_golden_failing_single_roots():
     assert seen[("D", 10)] == "2 4 6 8"
     assert seen[("A", 10)] == ""
     assert seen[("C", 10)] == ""
+
+
+NON_QR_TABLES = [("G", 2), ("F", 4), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]
+
+
+def test_torus_cells_rederived_from_generic_stabilizers():
+    """classify reads torus_dim back from the vendored tables, so re-derive
+    every cell: at three seeds the stabilizer S of a drawn form has the
+    index as dimension and is abelian, and dim S - dim rad_kappa(S) agrees
+    across the seeds and with every filled cell."""
+    cells = filled = 0
+    for family, rank in NON_QR_TABLES:
+        st = SimpleType(family, rank)
+        recorded = {}
+        for r in _read_golden(f"non_qr_{family.lower()}{rank}.csv"):
+            sub = _parse_subset(r["subset"])
+            spec = parabolic(st, sub)
+            P, index = biparabolic_basis(spec), seaweed_index(spec)
+            torus = set()
+            for seed in (1, 2, 3):
+                S = form_stabilizer(P, build_u(spec, sample_cv(spec, random.Random(seed))))
+                assert S.dim == index and is_abelian(S), (st, sub, seed)
+                torus.add(S.dim - killing_radical_on(S).dim)
+            assert len(torus) == 1, (st, sub, torus)
+            cells += 1
+            if r["torus_dim"]:
+                recorded[frozenset(sub)] = int(r["torus_dim"])
+                assert torus == {int(r["torus_dim"])}, (st, sub, torus)
+        # classify serves exactly the filled cells
+        assert _torus_dims(st) == recorded, st
+        filled += len(recorded)
+    assert (cells, filled) == (235, 35)
