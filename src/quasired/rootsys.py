@@ -84,9 +84,16 @@ class SimpleType:
         """The subset of simple roots as a frozenset; ValueError unless it
         lies within 1..rank."""
         sub = frozenset(subset)
-        if not sub <= frozenset(range(1, self.rank + 1)):
+        if not sub <= _one_to(self.rank):
             raise ValueError(f"subset {sorted(sub)} not within 1..{self.rank}")
         return sub
+
+
+@cache
+def _one_to(n: int) -> frozenset[int]:
+    """{1, ..., n}, built once per n: every spec and subset query checks
+    against it."""
+    return frozenset(range(1, n + 1))
 
 
 def _cartan_and_symmetrizer(t: SimpleType) -> tuple[list[list[int]], list[int]]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import linalg
 from .cascade import Cascade, Subset, half_difference_roots, kostant_cascade, tilde_pi
@@ -34,11 +35,8 @@ class BiparabolicSpec:
     pi2: Subset
 
     def __post_init__(self) -> None:
-        full = frozenset(range(1, self.ambient.rank + 1))
-        if not (frozenset(self.pi1) <= full and frozenset(self.pi2) <= full):
-            raise ValueError("pi1 and pi2 must be subsets of the simple roots")
-        object.__setattr__(self, "pi1", frozenset(self.pi1))
-        object.__setattr__(self, "pi2", frozenset(self.pi2))
+        object.__setattr__(self, "pi1", self.ambient.checked_subset(self.pi1))
+        object.__setattr__(self, "pi2", self.ambient.checked_subset(self.pi2))
 
     def system(self) -> RootSystem:
         return build_root_system(self.ambient)
@@ -134,19 +132,57 @@ class CoefficientVector:
         return dict(self.b)
 
 
-def sample_cv(spec: BiparabolicSpec, rng: random.Random) -> CoefficientVector:
-    """Random integer coefficients in [-50, 50] without 0, one per node."""
+class _Slot(NamedTuple):
+    """Where one cascade node's coefficient goes: its support, the basis
+    index of its vector in u, and the one entry (dual, kappa) of that
+    index's ``killing_row``."""
+
+    support: Subset
+    index: int
+    dual: int
+    kappa: int
+
+
+def _draw_layout(spec: BiparabolicSpec) -> tuple[tuple[_Slot, ...], tuple[_Slot, ...]]:
+    """The slots of the a coefficients (the pi2 cascade, on x_-eps) and of
+    the b coefficients (the pi1 cascade, on x_eps), in the order
+    ``sample_cv`` draws them."""
     r = spec.system()
 
-    def draw():
-        v = 0
-        while v == 0:
-            v = rng.randint(-50, 50)
-        return v
+    def slots(pi, shift):
+        out = []
+        for n in kostant_cascade(r, pi).nodes:
+            i = r.pos_index[n.eps] + shift
+            ((j, kappa),) = r.killing_row(i)
+            out.append(_Slot(n.support, i, j, kappa))
+        return tuple(out)
 
-    a = {n.support: draw() for n in kostant_cascade(r, spec.pi2).nodes}
-    b = {n.support: draw() for n in kostant_cascade(r, spec.pi1).nodes}
-    return CoefficientVector.from_maps(a, b)
+    # n_pos + rank is idx_x(-a) - idx_x(a) for every positive root a
+    return slots(spec.pi2, r.n_pos + r.rank), slots(spec.pi1, 0)
+
+
+def _draw(n: int, rng: random.Random) -> list[int]:
+    """n random integers in [-50, 50] without 0, redrawing each 0."""
+    out = []
+    while len(out) < n:
+        v = rng.randint(-50, 50)
+        if v:
+            out.append(v)
+    return out
+
+
+def _draw_cv(a: tuple[_Slot, ...], b: tuple[_Slot, ...], ds: list[int]) -> CoefficientVector:
+    """The coefficient vector of the draw ds over the slots a + b."""
+    return CoefficientVector.from_maps(
+        {s.support: d for s, d in zip(a, ds)},
+        {s.support: d for s, d in zip(b, ds[len(a):])},
+    )
+
+
+def sample_cv(spec: BiparabolicSpec, rng: random.Random) -> CoefficientVector:
+    """Random integer coefficients in [-50, 50] without 0, one per node."""
+    a, b = _draw_layout(spec)
+    return _draw_cv(a, b, _draw(len(a) + len(b), rng))
 
 
 def _checked_maps(spec: BiparabolicSpec, cv: CoefficientVector):
@@ -165,14 +201,20 @@ def _checked_maps(spec: BiparabolicSpec, cv: CoefficientVector):
     return r, c1, c2, am, bm
 
 
+def _slot_values(
+    spec: BiparabolicSpec, cv: CoefficientVector
+) -> tuple[tuple[_Slot, ...], list[Fraction]]:
+    """The slots of spec, a then b, and the coefficient of cv at each."""
+    *_, am, bm = _checked_maps(spec, cv)
+    a, b = _draw_layout(spec)
+    return a + b, [am[s.support] for s in a] + [bm[s.support] for s in b]
+
+
 def build_u(spec: BiparabolicSpec, cv: CoefficientVector) -> AlgebraElement:
     """The element sum(a_K x_{-eps_K}, K in pi2 cascade) +
     sum(b_L x_{eps_L}, L in pi1 cascade)."""
-    r, c1, c2, am, bm = _checked_maps(spec, cv)
-    neg = r.n_pos + r.rank  # idx_x(-a) - idx_x(a) for every positive root a
-    coords = [(r.pos_index[n.eps] + neg, am[n.support]) for n in c2.nodes]
-    coords += [(r.pos_index[n.eps], bm[n.support]) for n in c1.nodes]
-    return AlgebraElement(r, coords)
+    slots, values = _slot_values(spec, cv)
+    return AlgebraElement(spec.system(), [(s.index, v) for s, v in zip(slots, values)])
 
 
 def build_u_minus(spec: BiparabolicSpec) -> AlgebraElement:

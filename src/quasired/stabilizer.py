@@ -52,6 +52,20 @@ form on a biparabolic these three imply that every element is semisimple
 witnesses quasi-reductivity; exhausted draws prove nothing by themselves.
 ``is_semisimple_element`` stays as the direct check anyone can run on a
 single element.
+
+A certificate trial is integer-only from the draw to the verdict. Once per
+search, ``seaweed._draw_layout`` lists the cascade nodes in the order
+``sample_cv`` draws them, each with the basis index of its vector in u and
+the one entry (j, kappa) of that vector's ``killing_row``. A trial draws one
+integer d per node with the rng calls of ``sample_cv``, sets w_j = d * kappa
+and divides out the gcd: the functional ``form_stabilizer`` would compute
+for ``build_u`` of the draw, without building u or any Fraction. The
+Killing check takes the ``linalg.rank`` of the integer Gram matrix of S
+rather than the radical that ``killing_radical_on`` builds: the rows of S
+are independent, so the radical is 0 exactly when that rank is dim S. Only a
+trial that certifies builds its ``CoefficientVector``, and
+``reverify_certificate`` clears the denominators of a parsed one and runs the
+same trial.
 """
 
 from __future__ import annotations
@@ -77,9 +91,11 @@ from .seaweed import (
     CoefficientVector,
     SubalgebraBasis,
     _checked_maps,
+    _draw,
+    _draw_cv,
+    _draw_layout,
+    _slot_values,
     biparabolic_basis,
-    build_u,
-    sample_cv,
     seaweed_index,
 )
 
@@ -311,25 +327,41 @@ def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
         r, [(i, c.numerator * (den // c.denominator)) for i, c in u.coords.items()]
     )
     g = gcd(*f.values())
-    w = {j: f[j] // g for j in sorted(f) if f[j]}
+    return _weight_stabilizer(P, {j: f[j] // g for j in sorted(f) if f[j]})
+
+
+def _weight_stabilizer(P: SubalgebraBasis, w: dict[int, int]) -> Subspace:
+    """The stabilizer on P of the primitive integer functional w, given as
+    {j: w_j} over its support in increasing order."""
     # ordered by pivot, the block rows are the canonical rref of the kernel
     # (module docstring)
     rows = sorted(x for block in _form_pattern(P, tuple(w)) for x in block.kernel(w))
-    return Subspace(r, tuple(rows))
+    return Subspace(P.spec.system(), tuple(rows))
+
+
+def _killing_gram(S: Subspace) -> list[list[int]]:
+    """The integer Gram matrix kappa(x, y) over the rows x, y of S."""
+    r = S.system
+    rows = S.int_rows
+    gram = []
+    for x in rows:
+        f = killing_coords(r, x)
+        gram.append([sum(c * f.get(j, 0) for j, c in y) for y in rows])
+    return gram
+
+
+def _killing_nondegenerate(S: Subspace) -> bool:
+    """Whether the Killing form restricted to S is nondegenerate, i.e. its
+    Gram matrix over the rows of S has full rank."""
+    return linalg.rank(_killing_gram(S)) == S.dim
 
 
 def killing_radical_on(S: Subspace) -> Subspace:
     """The radical of the Killing form restricted to S, i.e. S intersected
     with its Killing orthogonal; zero exactly when the restriction is
     nondegenerate."""
-    r = S.system
     rows = S.int_rows
-    gram = []
-    for x in rows:
-        f = killing_coords(r, x)
-        gram.append(
-            {b: v for b, y in enumerate(rows) if (v := sum(c * f.get(j, 0) for j, c in y))}
-        )
+    gram = [{b: v for b, v in enumerate(g) if v} for g in _killing_gram(S)]
     basis, _ = linalg._kernel(gram, len(rows))
     vecs = []
     for kr in linalg._eliminate(basis, True)[0]:
@@ -342,7 +374,7 @@ def killing_radical_on(S: Subspace) -> Subspace:
         # scale each, so the combination is zero in every other radical
         # row's pivot column; its leading entry is its pivot
         vecs.append(_sparse_int_row(sorted(acc.items())))
-    return Subspace(r, tuple(vecs))
+    return Subspace(S.system, tuple(vecs))
 
 
 def is_abelian(S: Subspace) -> bool:
@@ -396,19 +428,20 @@ class TorusCertificate:
 
 
 def _attempt(
-    spec: BiparabolicSpec,
-    cv: CoefficientVector,
-    trial: int,
-    P: SubalgebraBasis,
-    index: int,
-):
-    """Run the three certificate checks on the stabilizer S of one draw;
-    P and index are ``biparabolic_basis`` and ``seaweed_index`` of spec.
+    P: SubalgebraBasis, index: int, slots, ds: list[int]
+) -> tuple[Subspace, CertChecks]:
+    """The stabilizer S of one integer draw and its three certificate checks;
+    P and index are ``biparabolic_basis`` and ``seaweed_index`` of the spec,
+    and ds holds one nonzero integer per slot of its ``_draw_layout``, a then
+    b. The slots' dual indices are distinct, so the weights d * kappa, with
+    their gcd divided out, are the functional ``form_stabilizer`` computes
+    for ``build_u`` of the draw (module docstring).
 
-    The checks are dim S == index, S abelian, and a nondegenerate Killing
-    restriction to S. They imply that every element of S is semisimple, so
-    S is a torus, under one hypothesis: S is the full stabilizer q^lambda
-    that ``form_stabilizer`` returns for the biparabolic q.
+    The checks, in order, are dim S == index, S abelian, and a nondegenerate
+    Killing restriction to S: the integer Gram matrix kappa(x, y) over the
+    rows of S has full rank. They imply that every element of S is
+    semisimple, so S is a torus, under one hypothesis: S is the full
+    stabilizer q^lambda of the form on the biparabolic q.
 
     * q^lambda is the Lie algebra of the algebraic stabilizer Q^lambda
       (characteristic 0), so it contains the semisimple and the nilpotent
@@ -419,15 +452,16 @@ def _attempt(
     * That puts n in the Killing radical of S, which the third check proved
       to be 0; hence x is semisimple.
     """
-    S = form_stabilizer(P, build_u(spec, cv))
+    pairs = sorted((s.dual, d * s.kappa) for s, d in zip(slots, ds))
+    g = gcd(*[v for _, v in pairs])
+    S = _weight_stabilizer(P, {j: v // g for j, v in pairs})
     if S.dim != index:
-        return None, CertChecks(False, False, False)
+        return S, CertChecks(False, False, False)
     if not is_abelian(S):
-        return None, CertChecks(True, False, False)
-    if killing_radical_on(S).dim != 0:
-        return None, CertChecks(True, True, False)
-    checks = CertChecks(True, True, True)
-    return TorusCertificate(spec, cv, S, checks, trial), checks
+        return S, CertChecks(True, False, False)
+    if not _killing_nondegenerate(S):
+        return S, CertChecks(True, True, False)
+    return S, CertChecks(True, True, True)
 
 
 # Most trials one search may take, so that every search ends; the CLI's
@@ -440,6 +474,8 @@ def certify_quasi_reductive(
 ) -> TorusCertificate | None:
     """Search seeded random coefficient draws for a torus certificate.
 
+    Trial t draws what the t-th ``sample_cv`` call on ``random.Random(seed)``
+    draws, and only a certifying trial builds its ``CoefficientVector``.
     A returned certificate proves quasi-reductivity; exhausting the trials
     proves nothing and is reported as None. ``_index``, when given, is
     ``seaweed_index(spec)`` as the caller already computed it.
@@ -450,22 +486,29 @@ def certify_quasi_reductive(
         raise ValueError(f"at most {MAX_TRIALS} trials are allowed, not {trials}")
     P = biparabolic_basis(spec)
     index = seaweed_index(spec) if _index is None else _index
+    a, b = _draw_layout(spec)
+    slots = a + b
     rng = random.Random(seed)
     for t in range(trials):
-        cv = sample_cv(spec, rng)
-        cert, _ = _attempt(spec, cv, t, P, index)
-        if cert is not None:
-            return cert
+        ds = _draw(len(slots), rng)
+        S, checks = _attempt(P, index, slots, ds)
+        if checks.all_true:
+            return TorusCertificate(spec, _draw_cv(a, b, ds), S, checks, t)
     return None
 
 
 def reverify_certificate(cert: TorusCertificate) -> bool:
-    """Recompute the stabilizer from (spec, cv) and re-run the three checks."""
+    """Recompute the stabilizer from (spec, cv) and re-run the three checks.
+
+    The rational coefficients are scaled to integers by the lcm of their
+    denominators, which scales u and keeps its stabilizer, and go through
+    the trial of the search."""
     spec = cert.spec
-    fresh, _ = _attempt(
-        spec, cert.cv, cert.trial, biparabolic_basis(spec), seaweed_index(spec)
-    )
-    return fresh is not None and fresh.stab == cert.stab
+    slots, values = _slot_values(spec, cert.cv)
+    den = lcm(*[v.denominator for v in values])
+    ds = [v.numerator * (den // v.denominator) for v in values]
+    S, checks = _attempt(biparabolic_basis(spec), seaweed_index(spec), slots, ds)
+    return checks.all_true and S == cert.stab
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,9 @@ def test_usage_errors(tmp_path):
     assert code == cli.USAGE_ERROR and "out of range" in out
     code, _ = run("index", "D", "100000")
     assert code == cli.USAGE_ERROR
+    # the CLI checks root lists itself, before BiparabolicSpec does
+    code, out = run("verify", "E", "6", "--pi1", "9")
+    assert (code, out) == (cli.USAGE_ERROR, "error: root indices in [9] out of range 1..6")
     # a single-type table enumerates all 2^rank subsets
     code, _ = run("tables", "A", "11", "--out", str(tmp_path))
     assert code == cli.USAGE_ERROR and not any(tmp_path.iterdir())

@@ -190,26 +190,36 @@ def test_sparse_kernel_falls_back_where_a_replayed_pivot_is_zero():
 def test_every_trial_of_a_search_matches_dense_route(monkeypatch, family, rank):
     # trials of one search share their basis P and support, and so one
     # compiled pattern; failing every abelian check makes each search run
-    # all of its trials
-    real = stabilizer.form_stabilizer
-    calls = []
+    # all of its trials. A trial draws integers and never builds u, so each
+    # trial's u is rebuilt by replaying sample_cv on the search's seed,
+    # which also pins the search's draws to those of sample_cv
+    real = stabilizer._weight_stabilizer
+    got = []
 
-    def form_stabilizer_checked(P, u):
-        S = real(P, u)
-        assert S == _dense(P, u), P.spec
-        calls.append(P)
+    def weight_stabilizer_recorded(P, w):
+        S = real(P, w)
+        got.append((P, S))
         return S
 
-    monkeypatch.setattr(stabilizer, "form_stabilizer", form_stabilizer_checked)
+    monkeypatch.setattr(stabilizer, "_weight_stabilizer", weight_stabilizer_recorded)
     monkeypatch.setattr(stabilizer, "is_abelian", lambda S: False)
     rng = random.Random(f"search {family}{rank}")
+    compared = 0
     for _ in range(4):
         spec = _random_spec(rng, family, rank)
+        seed = rng.randrange(99)
         _form_pattern.cache_clear()
-        assert certify_quasi_reductive(spec, trials=5, seed=rng.randrange(99)) is None
+        got.clear()
+        assert certify_quasi_reductive(spec, trials=5, seed=seed) is None
         info = _form_pattern.cache_info()
         assert (info.misses, info.hits) == (1, 4), spec
-    assert len(calls) == 20
+        assert len(got) == 5, spec
+        replay = random.Random(seed)
+        for P, S in got:
+            assert P == biparabolic_basis(spec)
+            assert S == _dense(P, build_u(spec, sample_cv(spec, replay))), spec
+            compared += 1
+    assert compared == 20
 
 
 def _cartan_form(rs, h):

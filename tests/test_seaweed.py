@@ -232,6 +232,15 @@ def test_additivity_identity():
         assert checked > 5
 
 
+def test_spec_subsets_outside_the_rank_are_rejected_by_checked_subset():
+    st = SimpleType("E", 6)
+    with pytest.raises(ValueError, match=r"^subset \[9\] not within 1\.\.6$"):
+        parabolic(st, {9})
+    with pytest.raises(ValueError, match=r"^subset \[0, 1\] not within 1\.\.6$"):
+        BiparabolicSpec(st, {1}, {0, 1})
+    assert BiparabolicSpec(st, [1, 1], (2,)).pi1 == frozenset({1})
+
+
 def test_build_u_counts():
     st = SimpleType("E", 7)
     rs = system("E", 7)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -37,6 +38,7 @@ from quasired.stabilizer import (
     MAX_TRIALS,
     SubalgebraBasis,
     Subspace,
+    _killing_nondegenerate,
     _sparse_int_row,
     certificate_from_text,
     certificate_to_text,
@@ -397,6 +399,56 @@ def _g2_row(row):
 
 def test_stored_e6_certificate_reverifies():
     assert reverify_certificate(certificate_from_text(_E6_CERT))
+
+
+def _divided_coefficients(text, q, only=None):
+    """The certificate text with each a:/b: coefficient divided by q, or only
+    the one at only = (field, support)."""
+    out = []
+    for line in text.splitlines():
+        field, _, value = line.partition(": ")
+        if field in ("a", "b"):
+            parts = []
+            for part in value.split("; "):
+                sup, _, num = part.partition("=")
+                v = Fraction(num) / (q if only in (None, (field, sup)) else 1)
+                parts.append(f"{sup}={v.numerator}/{v.denominator}")
+            line = f"{field}: {'; '.join(parts)}"
+        out.append(line)
+    return "\n".join(out) + "\n"
+
+
+def test_stored_e6_certificate_with_rational_coefficients_reverifies():
+    # u / 7 has the stabilizer of u; reverify_certificate clears the
+    # denominators before it runs the integer trial of the search
+    text = _divided_coefficients(_E6_CERT, 7)
+    assert "=-9/7; " in text and "=18/7\n" in text
+    cert = certificate_from_text(text)
+    assert certificate_to_text(cert) == text
+    assert {v.denominator for _, v in cert.cv.a + cert.cv.b} == {7}
+    assert reverify_certificate(cert)
+    assert cert.stab == certificate_from_text(_E6_CERT).stab
+    # the denominators count: one coefficient divided alone gives another
+    # form, whose stabilizer is not the printed rows
+    assert not reverify_certificate(certificate_from_text(_divided_coefficients(_E6_CERT, 7, ("a", "4"))))
+
+
+@pytest.mark.parametrize("family,rank", [("G", 2), ("F", 4), ("E", 6)])
+def test_gram_rank_verdict_matches_killing_radical(family, rank):
+    # the search reads nondegeneracy off the rank of the Killing Gram
+    # matrix; killing_radical_on builds the whole radical
+    st = SimpleType(family, rank)
+    verdicts = set()
+    for n in range(rank + 1):
+        for sub in itertools.combinations(range(1, rank + 1), n):
+            spec = parabolic(st, sub)
+            P = biparabolic_basis(spec)
+            for seed in (1, 2, 3):
+                S = form_stabilizer(P, build_u(spec, sample_cv(spec, random.Random(seed))))
+                nondegenerate = _killing_nondegenerate(S)
+                assert nondegenerate == (killing_radical_on(S).dim == 0), (sub, seed)
+                verdicts.add(nondegenerate)
+    assert verdicts == {True, False}
 
 
 @pytest.mark.parametrize(
