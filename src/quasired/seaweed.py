@@ -162,12 +162,14 @@ def _draw_layout(spec: BiparabolicSpec) -> tuple[tuple[_Slot, ...], tuple[_Slot,
 
 
 def _draw(n: int, rng: random.Random) -> list[int]:
-    """n random integers in [-50, 50] without 0, redrawing each 0."""
+    """n random integers in [-50, 50] without 0, redrawing each 0: the values
+    ``rng.randint(-50, 50)`` gives, read as it reads them, from
+    ``getrandbits(7)`` with each value of 101 or more redrawn."""
     out = []
     while len(out) < n:
-        v = rng.randint(-50, 50)
-        if v:
-            out.append(v)
+        v = rng.getrandbits(7)
+        if v < 101 and v != 50:
+            out.append(v - 50)
     return out
 
 

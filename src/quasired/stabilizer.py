@@ -31,18 +31,17 @@ of the core's kernel by ``linalg._kernel``, in the pivot order the first
 trial took (any order is exact: a pivot that is 0 for some draw is replaced,
 and only the span of the basis is used). It starts from those vectors and
 the unit vectors of the isolated vertices, and extends each over the steps
-in reverse order, a back-substitution. Each block's vectors are then reduced
-once, by ``linalg._eliminate``, to their canonical rref. The kernel is the
-direct sum of the block kernels. Each block's rref rows vanish outside the
-block, so in the union of all of them no row has a nonzero entry in another
-row's pivot column; ordered by pivot, the union is therefore the canonical
-rref of the whole kernel, the rows one elimination of the full matrix would
-give. A ``Subspace`` stores only these rows, as sparse primitive integer
-rows with positive leading entries, which makes them canonical. The abelian
-and Killing checks and the comparison in ``reverify_certificate`` run on
-them, and they stay integers until a certificate prints each entry divided
-by its row's leading entry. A parsed row must start with 1/1, so it equals
-exactly the row that was printed.
+in reverse order, a back-substitution: the block's raw kernel. The kernel
+is the direct sum of the block kernels. To publish it, each block's vectors
+are reduced once, by ``linalg._eliminate``, to their canonical rref. Each
+block's rref rows vanish outside the block, so in the union of all of them
+no row has a nonzero entry in another row's pivot column; ordered by pivot,
+the union is therefore the canonical rref of the whole kernel, the rows one
+elimination of the full matrix would give. A ``Subspace`` stores only these
+rows, as sparse primitive integer rows with positive leading entries, which
+makes them canonical. They stay integers until a certificate prints each
+entry divided by its row's leading entry. A parsed row must start with 1/1,
+so it equals exactly the row that was printed.
 
 A torus certificate packages a coefficient draw whose stabilizer passes
 three exact checks: its dimension equals the index, it is abelian, and the
@@ -59,13 +58,16 @@ search, ``seaweed._draw_layout`` lists the cascade nodes in the order
 the one entry (j, kappa) of that vector's ``killing_row``. A trial draws one
 integer d per node with the rng calls of ``sample_cv``, sets w_j = d * kappa
 and divides out the gcd: the functional ``form_stabilizer`` would compute
-for ``build_u`` of the draw, without building u or any Fraction. The
-Killing check takes the ``linalg.rank`` of the integer Gram matrix of S
-rather than the radical that ``killing_radical_on`` builds: the rows of S
-are independent, so the radical is 0 exactly when that rank is dim S. Only a
-trial that certifies builds its ``CoefficientVector``, and
-``reverify_certificate`` clears the denominators of a parsed one and runs the
-same trial.
+for ``build_u`` of the draw, without building u or any Fraction. The three
+checks run on the raw block kernels (``_attempt`` says why that is exact),
+and only a trial that certifies reduces them to the canonical rows and
+builds its ``CoefficientVector``. The Killing check takes the
+``linalg.rank`` of the integer Gram matrix rather than the radical that
+``killing_radical_on`` builds: the vectors are independent, so the radical
+is 0 exactly when that rank is dim S. The vectors vanish outside the blocks'
+``idx``, so the compile lists the nonzero kappa(e_i, e_j) there, and a trial
+fills the Gram matrix from that list. ``reverify_certificate`` clears the
+denominators of a parsed certificate and runs the same trial.
 """
 
 from __future__ import annotations
@@ -170,10 +172,11 @@ class _Block:
     steps: list[tuple[int, int, int, list[tuple[int, int, int]]]]
     order: list[tuple[int, int]] | None = None
 
-    def kernel(self, w: dict[int, int]) -> list[tuple[tuple[int, int], ...]]:
-        """The kernel rows of the block under the weights w, as sparse
-        primitive integer rows over basis indices with positive leading
-        entries."""
+    def raw_kernel(self, w: dict[int, int]) -> list[list[int]]:
+        """A basis of the block's kernel under the weights w, not reduced:
+        integer vectors over the positions of ``idx``, the core's kernel
+        basis from ``linalg._kernel`` and the unit vectors of the isolated
+        vertices, each extended over the steps."""
         n = len(self.idx)
         vecs = []
         if self.core:
@@ -213,21 +216,19 @@ class _Block:
                     if d != g:
                         x[:] = [y * (d // g) for y in x]
                     x[v] = num // g
-        red, pivots = linalg._eliminate(vecs, True)
-        idx = self.idx
-        return [
-            tuple((idx[t], v if kr[p] > 0 else -v) for t, v in enumerate(kr) if v)
-            for kr, p in zip(red, pivots)
-        ]
+        return vecs
 
 
 # one entry: every trial of a search shares its (P, support), and a larger
 # cache would keep the patterns of finished searches alive
 @lru_cache(maxsize=1)
-def _form_pattern(P: SubalgebraBasis, support: tuple[int, ...]) -> tuple[_Block, ...]:
+def _form_pattern(
+    P: SubalgebraBasis, support: tuple[int, ...]
+) -> tuple[tuple[_Block, ...], tuple[tuple[int, int, int], ...]]:
     """The form matrix kappa(u, [e_a, e_b]) over the basis of P for every u
     whose functional kappa(u, .) has the given support, as its peeled
-    blocks that have a kernel."""
+    blocks that have a kernel, and the Killing pairs: every (i, j,
+    kappa(e_i, e_j)) with a nonzero value and i, j in the blocks' ``idx``."""
     r = P.spec.system()
     # terms[i][j]: the (k, c) with c the e_k coefficient of [e_i, e_j]; the
     # pattern is symmetric, as kappa(u, [e_j, e_i]) = -kappa(u, [e_i, e_j])
@@ -236,7 +237,10 @@ def _form_pattern(P: SubalgebraBasis, support: tuple[int, ...]) -> tuple[_Block,
         for i, j, c in r.bracket_into(k):
             if i in terms and j in terms:
                 terms[i].setdefault(j, []).append((k, c))
-    return tuple(_peel_blocks(terms))
+    blocks = tuple(_peel_blocks(terms))
+    kept = {i for block in blocks for i in block.idx}
+    kappa = [(i, killing_coords(r, [(i, 1)])) for i in sorted(kept)]
+    return blocks, tuple((i, j, v) for i, f in kappa for j, v in f.items() if j in kept)
 
 
 def _peel_blocks(terms: dict[int, dict[int, list[tuple[int, int]]]]) -> list[_Block]:
@@ -330,13 +334,24 @@ def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
     return _weight_stabilizer(P, {j: f[j] // g for j in sorted(f) if f[j]})
 
 
+def _canonical_rows(blocks, raw) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The Subspace rows of the span of the raw block kernels: each block's
+    vectors reduced once, in pivot order (module docstring)."""
+    rows = []
+    for block, vecs in zip(blocks, raw):
+        red, pivots = linalg._eliminate(vecs, True)
+        rows += [
+            tuple((block.idx[t], v if kr[p] > 0 else -v) for t, v in enumerate(kr) if v)
+            for kr, p in zip(red, pivots)
+        ]
+    return tuple(sorted(rows))
+
+
 def _weight_stabilizer(P: SubalgebraBasis, w: dict[int, int]) -> Subspace:
     """The stabilizer on P of the primitive integer functional w, given as
     {j: w_j} over its support in increasing order."""
-    # ordered by pivot, the block rows are the canonical rref of the kernel
-    # (module docstring)
-    rows = sorted(x for block in _form_pattern(P, tuple(w)) for x in block.kernel(w))
-    return Subspace(P.spec.system(), tuple(rows))
+    blocks = _form_pattern(P, tuple(w))[0]
+    return Subspace(P.spec.system(), _canonical_rows(blocks, [b.raw_kernel(w) for b in blocks]))
 
 
 def _killing_gram(S: Subspace) -> list[list[int]]:
@@ -377,14 +392,17 @@ def killing_radical_on(S: Subspace) -> Subspace:
     return Subspace(S.system, tuple(vecs))
 
 
-def is_abelian(S: Subspace) -> bool:
-    rows = S.int_rows
-    r = S.system
+def _commuting(r: RootSystem, rows) -> bool:
+    """Whether the sparse rows of (index, value) pairwise commute."""
     for a, x in enumerate(rows):
         for y in rows[a + 1 :]:
             if any(bracket_coords(r, x, y).values()):
                 return False
     return True
+
+
+def is_abelian(S: Subspace) -> bool:
+    return _commuting(S.system, S.int_rows)
 
 
 def is_semisimple_element(x: AlgebraElement) -> bool:
@@ -429,19 +447,28 @@ class TorusCertificate:
 
 def _attempt(
     P: SubalgebraBasis, index: int, slots, ds: list[int]
-) -> tuple[Subspace, CertChecks]:
-    """The stabilizer S of one integer draw and its three certificate checks;
-    P and index are ``biparabolic_basis`` and ``seaweed_index`` of the spec,
-    and ds holds one nonzero integer per slot of its ``_draw_layout``, a then
-    b. The slots' dual indices are distinct, so the weights d * kappa, with
-    their gcd divided out, are the functional ``form_stabilizer`` computes
-    for ``build_u`` of the draw (module docstring).
+) -> tuple[Subspace | None, CertChecks]:
+    """The three certificate checks of one integer draw, and its stabilizer
+    S when it passes them all; P and index are ``biparabolic_basis`` and
+    ``seaweed_index`` of the spec, and ds holds one nonzero integer per slot
+    of its ``_draw_layout``, a then b. The slots' dual indices are distinct,
+    so the weights d * kappa, with their gcd divided out, are the functional
+    ``form_stabilizer`` computes for ``build_u`` of the draw (module
+    docstring).
 
     The checks, in order, are dim S == index, S abelian, and a nondegenerate
-    Killing restriction to S: the integer Gram matrix kappa(x, y) over the
-    rows of S has full rank. They imply that every element of S is
-    semisimple, so S is a torus, under one hypothesis: S is the full
-    stabilizer q^lambda of the form on the biparabolic q.
+    Killing restriction to S: the integer Gram matrix kappa(x, y) over a
+    basis of S has full rank. They run on the raw block kernels, which
+    together are a basis of S: each block's vectors are independent, and
+    the blocks' ``idx`` are disjoint. None of the checks depends on the
+    basis: dim S is the number of vectors, S is abelian exactly when they
+    pairwise commute, and the rank of a Gram matrix does not change under a
+    change of basis. Only a trial that passes all three reduces its vectors
+    to the canonical rows of S.
+
+    The checks imply that every element of S is semisimple, so S is a
+    torus, under one hypothesis: S is the full stabilizer q^lambda of the
+    form on the biparabolic q.
 
     * q^lambda is the Lie algebra of the algebraic stabilizer Q^lambda
       (characteristic 0), so it contains the semisimple and the nilpotent
@@ -454,14 +481,32 @@ def _attempt(
     """
     pairs = sorted((s.dual, d * s.kappa) for s, d in zip(slots, ds))
     g = gcd(*[v for _, v in pairs])
-    S = _weight_stabilizer(P, {j: v // g for j, v in pairs})
-    if S.dim != index:
-        return S, CertChecks(False, False, False)
-    if not is_abelian(S):
-        return S, CertChecks(True, False, False)
-    if not _killing_nondegenerate(S):
-        return S, CertChecks(True, True, False)
-    return S, CertChecks(True, True, True)
+    w = {j: v // g for j, v in pairs}
+    blocks, kpairs = _form_pattern(P, tuple(w))
+    raw = [block.raw_kernel(w) for block in blocks]
+    if sum(map(len, raw)) != index:
+        return None, CertChecks(False, False, False)
+    rows = [
+        [(block.idx[t], v) for t, v in enumerate(x) if v]
+        for block, vecs in zip(blocks, raw)
+        for x in vecs
+    ]
+    r = P.spec.system()
+    if not _commuting(r, rows):
+        return None, CertChecks(True, False, False)
+    # hits[i]: the (a, entry) of every row a with a nonzero entry at index i
+    hits: dict[int, list[tuple[int, int]]] = {}
+    for a, row in enumerate(rows):
+        for i, v in row:
+            hits.setdefault(i, []).append((a, v))
+    gram = [[0] * index for _ in rows]
+    for i, j, k in kpairs:
+        for a, x in hits.get(i, ()):
+            for b, y in hits.get(j, ()):
+                gram[a][b] += k * x * y
+    if linalg.rank(gram) != index:
+        return None, CertChecks(True, True, False)
+    return Subspace(r, _canonical_rows(blocks, raw)), CertChecks(True, True, True)
 
 
 # Most trials one search may take, so that every search ends; the CLI's

@@ -20,7 +20,12 @@ from fractions import Fraction
 import pytest
 
 from conftest import system
-from form_oracle import basis_elements, dense_form_stabilizer, dense_kernel
+from form_oracle import (
+    basis_elements,
+    dense_form_stabilizer,
+    dense_kernel,
+    subspace_from_vectors,
+)
 from quasired import linalg, stabilizer
 from quasired.rootsys import AlgebraElement, SimpleType
 from quasired.seaweed import BiparabolicSpec, biparabolic_basis, build_u, sample_cv
@@ -189,20 +194,25 @@ def test_sparse_kernel_falls_back_where_a_replayed_pivot_is_zero():
 @pytest.mark.parametrize("family,rank", TYPES)
 def test_every_trial_of_a_search_matches_dense_route(monkeypatch, family, rank):
     # trials of one search share their basis P and support, and so one
-    # compiled pattern; failing every abelian check makes each search run
-    # all of its trials. A trial draws integers and never builds u, so each
-    # trial's u is rebuilt by replaying sample_cv on the search's seed,
-    # which also pins the search's draws to those of sample_cv
-    real = stabilizer._weight_stabilizer
+    # compiled pattern; failing every commutation check makes each search
+    # run all of its trials. That check gets the trial's raw kernel basis,
+    # which is recorded and reduced here, and must be independent, as the
+    # dimension check counts it; every trial of these searches passes that
+    # check and reaches the commutation check. A trial draws integers and
+    # never builds u, so each trial's u is rebuilt by replaying sample_cv on
+    # the search's seed, which also pins the search's draws to those of
+    # sample_cv
     got = []
 
-    def weight_stabilizer_recorded(P, w):
-        S = real(P, w)
-        got.append((P, S))
-        return S
+    def commuting_recorded(r, rows):
+        vecs = [[0] * r.dim for _ in rows]
+        for v, row in zip(vecs, rows):
+            for k, c in row:
+                v[k] = c
+        got.append((len(rows), subspace_from_vectors(r, vecs)))
+        return False
 
-    monkeypatch.setattr(stabilizer, "_weight_stabilizer", weight_stabilizer_recorded)
-    monkeypatch.setattr(stabilizer, "is_abelian", lambda S: False)
+    monkeypatch.setattr(stabilizer, "_commuting", commuting_recorded)
     rng = random.Random(f"search {family}{rank}")
     compared = 0
     for _ in range(4):
@@ -215,9 +225,9 @@ def test_every_trial_of_a_search_matches_dense_route(monkeypatch, family, rank):
         assert (info.misses, info.hits) == (1, 4), spec
         assert len(got) == 5, spec
         replay = random.Random(seed)
-        for P, S in got:
-            assert P == biparabolic_basis(spec)
-            assert S == _dense(P, build_u(spec, sample_cv(spec, replay))), spec
+        P = biparabolic_basis(spec)
+        for n, S in got:
+            assert S.dim == n and S == _dense(P, build_u(spec, sample_cv(spec, replay))), spec
             compared += 1
     assert compared == 20
 
@@ -294,7 +304,7 @@ def _skew_terms(n, edges):
 
 def _peeled_kernel(terms, w):
     blocks = stabilizer._peel_blocks(terms)
-    return sorted(row for block in blocks for row in block.kernel(w)), blocks
+    return list(stabilizer._canonical_rows(blocks, [b.raw_kernel(w) for b in blocks])), blocks
 
 
 def _dense_rows(terms, w):

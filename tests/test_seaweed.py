@@ -18,6 +18,7 @@ from quasired.rootsys import (
 from quasired.seaweed import (
     BiparabolicSpec,
     CoefficientVector,
+    _draw,
     biparabolic_basis,
     build_u,
     build_u_minus,
@@ -257,6 +258,23 @@ def test_build_u_counts():
     borel = parabolic(st, frozenset())
     cv0 = CoefficientVector.from_maps({n.support: 1 for n in cpi.nodes}, {})
     assert build_u(borel, cv0) == build_u_minus(borel)
+
+
+def test_draw_reads_the_randint_stream():
+    # _draw reads getrandbits(7) as randint(-50, 50) does; equal values and
+    # equal generator states after each draw keep every later trial of a
+    # search on the stream of the loop below
+    for seed in range(1000):
+        for n in range(1, 21):
+            want_rng = random.Random(seed)
+            want = []
+            while len(want) < n:
+                v = want_rng.randint(-50, 50)
+                if v:
+                    want.append(v)
+            rng = random.Random(seed)
+            assert _draw(n, rng) == want, (seed, n)
+            assert rng.getrandbits(64) == want_rng.getrandbits(64), (seed, n)
 
 
 def test_build_u_rejects_bad_coefficients():

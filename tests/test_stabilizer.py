@@ -12,6 +12,7 @@ from form_oracle import (
     subspace_from_vectors,
 )
 from minpoly_oracle import is_squarefree, minimal_polynomial
+from test_verify_golden import LATE_CERTIFICATES, PARABOLICS
 from quasired import linalg
 from quasired.cascade import kostant_cascade
 from quasired.classify import non_qr_subsets
@@ -27,6 +28,9 @@ from quasired.rootsys import (
 from quasired.seaweed import (
     BiparabolicSpec,
     CoefficientVector,
+    _draw,
+    _draw_cv,
+    _draw_layout,
     biparabolic_basis,
     build_u,
     build_u_minus,
@@ -36,8 +40,10 @@ from quasired.seaweed import (
 )
 from quasired.stabilizer import (
     MAX_TRIALS,
+    CertChecks,
     SubalgebraBasis,
     Subspace,
+    _attempt,
     _killing_nondegenerate,
     _sparse_int_row,
     certificate_from_text,
@@ -449,6 +455,58 @@ def test_gram_rank_verdict_matches_killing_radical(family, rank):
                 assert nondegenerate == (killing_radical_on(S).dim == 0), (sub, seed)
                 verdicts.add(nondegenerate)
     assert verdicts == {True, False}
+
+
+def _trial_checks(spec, seed, trials=20):
+    """The checks of each trial of the search on spec at seed, up to the
+    first that certifies, after checking each against the checks recomputed
+    on the canonical stabilizer of the draw, and a certifying trial's rows
+    against its rows."""
+    P, index = biparabolic_basis(spec), seaweed_index(spec)
+    a, b = _draw_layout(spec)
+    rng = random.Random(seed)
+    out = []
+    for _ in range(trials):
+        ds = _draw(len(a) + len(b), rng)
+        got, checks = _attempt(P, index, a + b, ds)
+        S = form_stabilizer(P, build_u(spec, _draw_cv(a, b, ds)))
+        dim = S.dim == index
+        abelian = dim and is_abelian(S)
+        nondegenerate = abelian and killing_radical_on(S).dim == 0
+        assert checks == CertChecks(dim, abelian, nondegenerate), (spec, seed, len(out))
+        assert got == (S if checks.all_true else None), (spec, seed, len(out))
+        out.append(checks)
+        if checks.all_true:
+            break
+    return out
+
+
+def test_every_trial_checks_match_the_canonical_stabilizer():
+    # a trial runs its checks on the raw block kernels and reduces them only
+    # when it certifies; the canonical route reduces every stabilizer first
+    rng = random.Random("trial checks")
+    searches = [
+        (parabolic(SimpleType(f, r), sub), seed) for f, r, sub in PARABOLICS for seed in (0, 11)
+    ]
+    for f, r in (("F", 4), ("E", 6)):
+        for _ in range(12):
+            p1 = {i for i in range(1, r + 1) if rng.random() < 0.6}
+            p2 = {i for i in range(1, r + 1) if rng.random() < 0.6}
+            searches.append((BiparabolicSpec(SimpleType(f, r), p1, p2), rng.randrange(99)))
+    late = [
+        (BiparabolicSpec(SimpleType(f, r), pi1, pi2 or range(1, r + 1)), seed)
+        for f, r, pi1, pi2, seed in LATE_CERTIFICATES
+    ]
+    runs = []
+    for spec, seed in searches + late:
+        checks = _trial_checks(spec, seed)
+        cert = certify_quasi_reductive(spec, seed=seed)
+        assert (cert.trial if cert else None) == (len(checks) - 1 if checks[-1].all_true else None)
+        runs.append(checks)
+    assert {1, 20} <= {len(checks) for checks in runs[: len(searches)]}
+    # each late certificate fails the dimension check at trial 0
+    for checks in runs[len(searches) :]:
+        assert checks == [CertChecks(False, False, False), CertChecks(True, True, True)]
 
 
 @pytest.mark.parametrize(
