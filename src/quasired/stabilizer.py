@@ -64,9 +64,7 @@ and only a trial that certifies reduces them to the canonical rows and
 builds its ``CoefficientVector``. The Killing check takes the
 ``linalg.rank`` of the integer Gram matrix rather than the radical that
 ``killing_radical_on`` builds: the vectors are independent, so the radical
-is 0 exactly when that rank is dim S. The vectors vanish outside the blocks'
-``idx``, so the compile lists the nonzero kappa(e_i, e_j) there, and a trial
-fills the Gram matrix from that list. ``reverify_certificate`` clears the
+is 0 exactly when that rank is dim S. ``reverify_certificate`` clears the
 denominators of a parsed certificate and runs the same trial.
 """
 
@@ -222,13 +220,11 @@ class _Block:
 # one entry: every trial of a search shares its (P, support), and a larger
 # cache would keep the patterns of finished searches alive
 @lru_cache(maxsize=1)
-def _form_pattern(
-    P: SubalgebraBasis, support: tuple[int, ...]
-) -> tuple[tuple[_Block, ...], tuple[tuple[int, int, int], ...]]:
+def _form_pattern(P: SubalgebraBasis, support: tuple[int, ...]):
     """The form matrix kappa(u, [e_a, e_b]) over the basis of P for every u
     whose functional kappa(u, .) has the given support, as its peeled
-    blocks that have a kernel, and the Killing pairs: every (i, j,
-    kappa(e_i, e_j)) with a nonzero value and i, j in the blocks' ``idx``."""
+    blocks that have a kernel, and the ``_killing_pairs`` of the blocks'
+    ``idx``, outside which every kernel vector is 0."""
     r = P.spec.system()
     # terms[i][j]: the (k, c) with c the e_k coefficient of [e_i, e_j]; the
     # pattern is symmetric, as kappa(u, [e_j, e_i]) = -kappa(u, [e_i, e_j])
@@ -238,9 +234,7 @@ def _form_pattern(
             if i in terms and j in terms:
                 terms[i].setdefault(j, []).append((k, c))
     blocks = tuple(_peel_blocks(terms))
-    kept = {i for block in blocks for i in block.idx}
-    kappa = [(i, killing_coords(r, [(i, 1)])) for i in sorted(kept)]
-    return blocks, tuple((i, j, v) for i, f in kappa for j, v in f.items() if j in kept)
+    return blocks, _killing_pairs(r, {i for block in blocks for i in block.idx})
 
 
 def _peel_blocks(terms: dict[int, dict[int, list[tuple[int, int]]]]) -> list[_Block]:
@@ -354,21 +348,32 @@ def _weight_stabilizer(P: SubalgebraBasis, w: dict[int, int]) -> Subspace:
     return Subspace(P.spec.system(), _canonical_rows(blocks, [b.raw_kernel(w) for b in blocks]))
 
 
-def _killing_gram(S: Subspace) -> list[list[int]]:
-    """The integer Gram matrix kappa(x, y) over the rows x, y of S."""
-    r = S.system
-    rows = S.int_rows
-    gram = []
-    for x in rows:
-        f = killing_coords(r, x)
-        gram.append([sum(c * f.get(j, 0) for j, c in y) for y in rows])
+def _killing_pairs(r: RootSystem, kept: set[int]) -> tuple[tuple[int, int, int], ...]:
+    """Every (i, j, kappa(e_i, e_j)) with a nonzero value and i, j in kept."""
+    kappa = [(i, killing_coords(r, [(i, 1)])) for i in sorted(kept)]
+    return tuple((i, j, v) for i, f in kappa for j, v in f.items() if j in kept)
+
+
+def _killing_gram(pairs, rows) -> list[list[int]]:
+    """The integer Gram matrix kappa(x, y) over the sparse rows x, y of
+    (index, value) pairs, from the ``_killing_pairs`` of their indices."""
+    # hits[i]: the (a, entry) of every row a with a nonzero entry at index i
+    hits: dict[int, list[tuple[int, int]]] = {}
+    for a, x in enumerate(rows):
+        for i, v in x:
+            hits.setdefault(i, []).append((a, v))
+    gram = [[0] * len(rows) for _ in rows]
+    for i, j, k in pairs:
+        for a, x in hits.get(i, ()):
+            for b, y in hits.get(j, ()):
+                gram[a][b] += k * x * y
     return gram
 
 
-def _killing_nondegenerate(S: Subspace) -> bool:
-    """Whether the Killing form restricted to S is nondegenerate, i.e. its
-    Gram matrix over the rows of S has full rank."""
-    return linalg.rank(_killing_gram(S)) == S.dim
+def _killing_nondegenerate(pairs, rows) -> bool:
+    """Whether the Killing form is nondegenerate on the span of the
+    independent sparse rows, i.e. their Gram matrix has full rank."""
+    return linalg.rank(_killing_gram(pairs, rows)) == len(rows)
 
 
 def killing_radical_on(S: Subspace) -> Subspace:
@@ -376,7 +381,8 @@ def killing_radical_on(S: Subspace) -> Subspace:
     with its Killing orthogonal; zero exactly when the restriction is
     nondegenerate."""
     rows = S.int_rows
-    gram = [{b: v for b, v in enumerate(g) if v} for g in _killing_gram(S)]
+    pairs = _killing_pairs(S.system, {i for x in rows for i, _ in x})
+    gram = [{b: v for b, v in enumerate(g) if v} for g in _killing_gram(pairs, rows)]
     basis, _ = linalg._kernel(gram, len(rows))
     vecs = []
     for kr in linalg._eliminate(basis, True)[0]:
@@ -486,25 +492,11 @@ def _attempt(
     raw = [block.raw_kernel(w) for block in blocks]
     if sum(map(len, raw)) != index:
         return None, CertChecks(False, False, False)
-    rows = [
-        [(block.idx[t], v) for t, v in enumerate(x) if v]
-        for block, vecs in zip(blocks, raw)
-        for x in vecs
-    ]
+    rows = [[(b.idx[t], v) for t, v in enumerate(x) if v] for b, xs in zip(blocks, raw) for x in xs]
     r = P.spec.system()
     if not _commuting(r, rows):
         return None, CertChecks(True, False, False)
-    # hits[i]: the (a, entry) of every row a with a nonzero entry at index i
-    hits: dict[int, list[tuple[int, int]]] = {}
-    for a, row in enumerate(rows):
-        for i, v in row:
-            hits.setdefault(i, []).append((a, v))
-    gram = [[0] * index for _ in rows]
-    for i, j, k in kpairs:
-        for a, x in hits.get(i, ()):
-            for b, y in hits.get(j, ()):
-                gram[a][b] += k * x * y
-    if linalg.rank(gram) != index:
+    if not _killing_nondegenerate(kpairs, rows):
         return None, CertChecks(True, True, False)
     return Subspace(r, _canonical_rows(blocks, raw)), CertChecks(True, True, True)
 

@@ -44,7 +44,8 @@ from quasired.stabilizer import (
     SubalgebraBasis,
     Subspace,
     _attempt,
-    _killing_nondegenerate,
+    _killing_gram,
+    _killing_pairs,
     _sparse_int_row,
     certificate_from_text,
     certificate_to_text,
@@ -439,21 +440,55 @@ def test_stored_e6_certificate_with_rational_coefficients_reverifies():
     assert not reverify_certificate(certificate_from_text(_divided_coefficients(_E6_CERT, 7, ("a", "4"))))
 
 
+def _ad_dense(rs, row):
+    cols = ad_columns(rs, AlgebraElement(rs, row))
+    return [[cols.get(j, {}).get(i, 0) for j in range(rs.dim)] for i in range(rs.dim)]
+
+
+@pytest.mark.parametrize("family,rank", [("G", 2), ("F", 4), ("E", 6)])
+def test_killing_gram_matches_trace_form(family, rank):
+    # _killing_gram fills the Gram matrix from the Killing pairs of the rows'
+    # indices; the oracle is tr(ad x ad y) on dense ad matrices. The rows mix
+    # root vectors, their opposites and Cartan elements, so that every kind
+    # of nonzero pair occurs
+    rs = system(family, rank)
+    lo = rs.n_pos
+    rng = random.Random(f"gram {family}{rank}")
+    for _ in range(6):
+        roots = rng.sample(range(lo), 2)
+        pool = roots + [rs.killing_row(i)[0][0] for i in roots] + rng.sample(range(lo, lo + rank), 2)
+        rows = [
+            sorted((i, rng.choice((-3, -2, -1, 1, 2, 3))) for i in rng.sample(pool, rng.randint(1, 4)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        gram = _killing_gram(_killing_pairs(rs, {i for x in rows for i, _ in x}), rows)
+        ads = [_ad_dense(rs, x) for x in rows]
+        trace = [[sum(a[i][j] * b[j][i] for i in range(rs.dim) for j in range(rs.dim)) for b in ads] for a in ads]
+        assert gram == trace, rows
+
+
 @pytest.mark.parametrize("family,rank", [("G", 2), ("F", 4), ("E", 6)])
 def test_gram_rank_verdict_matches_killing_radical(family, rank):
-    # the search reads nondegeneracy off the rank of the Killing Gram
-    # matrix; killing_radical_on builds the whole radical
+    # a trial reads nondegeneracy off the rank of the Killing Gram matrix of
+    # the raw block kernels; killing_radical_on builds the whole radical of
+    # the canonical stabilizer. Passing index = dim S lets every abelian S
+    # reach the Killing check of the trial
     st = SimpleType(family, rank)
     verdicts = set()
     for n in range(rank + 1):
         for sub in itertools.combinations(range(1, rank + 1), n):
             spec = parabolic(st, sub)
             P = biparabolic_basis(spec)
+            a, b = _draw_layout(spec)
             for seed in (1, 2, 3):
-                S = form_stabilizer(P, build_u(spec, sample_cv(spec, random.Random(seed))))
-                nondegenerate = _killing_nondegenerate(S)
-                assert nondegenerate == (killing_radical_on(S).dim == 0), (sub, seed)
-                verdicts.add(nondegenerate)
+                ds = _draw(len(a) + len(b), random.Random(seed))
+                S = form_stabilizer(P, build_u(spec, _draw_cv(a, b, ds)))
+                _, checks = _attempt(P, S.dim, a + b, ds)
+                abelian = is_abelian(S)
+                nondegenerate = abelian and killing_radical_on(S).dim == 0
+                assert checks == CertChecks(True, abelian, nondegenerate), (sub, seed)
+                if abelian:
+                    verdicts.add(nondegenerate)
     assert verdicts == {True, False}
 
 
@@ -504,6 +539,9 @@ def test_every_trial_checks_match_the_canonical_stabilizer():
         assert (cert.trial if cert else None) == (len(checks) - 1 if checks[-1].all_true else None)
         runs.append(checks)
     assert {1, 20} <= {len(checks) for checks in runs[: len(searches)]}
+    # both Killing verdicts occur on trials that reach the Killing check
+    reached = {c for checks in runs for c in checks if c.abelian}
+    assert reached == {CertChecks(True, True, False), CertChecks(True, True, True)}
     # each late certificate fails the dimension check at trial 0
     for checks in runs[len(searches) :]:
         assert checks == [CertChecks(False, False, False), CertChecks(True, True, True)]
