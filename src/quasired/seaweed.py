@@ -22,6 +22,7 @@ from .rootsys import (
     RootSystem,
     SimpleType,
     build_root_system,
+    killing_coords,
     x_vector,
 )
 
@@ -55,8 +56,8 @@ def parabolic(ambient: SimpleType, subset) -> BiparabolicSpec:
 @dataclass(frozen=True)
 class SubalgebraBasis:
     """The Chevalley basis vectors spanning a biparabolic, by their indices
-    in increasing order: n+ of pi2, the Cartan, n- of pi1. Equal bases hash
-    alike, so tables keyed by a basis are shared by bases built separately."""
+    in increasing order: n+ of pi2, the Cartan, n- of pi1. Bases built
+    separately for one spec are equal."""
 
     spec: BiparabolicSpec
     indices: tuple[int, ...]
@@ -153,7 +154,7 @@ def _draw_layout(spec: BiparabolicSpec) -> tuple[tuple[_Slot, ...], tuple[_Slot,
         out = []
         for n in kostant_cascade(r, pi).nodes:
             i = r.pos_index[n.eps] + shift
-            ((j, kappa),) = r.killing_row(i)
+            ((j, kappa),) = killing_coords(r, [(i, 1)]).items()
             out.append(_Slot(n.support, i, j, kappa))
         return tuple(out)
 

@@ -6,9 +6,10 @@ exactly, in integers. kappa(u, .) is scaled to a primitive integer
 functional w, and M is sum_k w_k C_k with C_k the integer constants of
 ``bracket_into(k)``. Its nonzero pattern depends only on the support of w,
 and in a certificate search that support is fixed by the spec: every weight
-w_k = (coefficient) * kappa(x_eps, x_-eps) is nonzero. So the pattern is
-compiled once per search, on the first trial, and most of the kernel work
-is done there.
+w_k = (coefficient) * kappa(x_eps, x_-eps) is nonzero. So each search
+compiles the pattern once, before its first trial, and most of the kernel
+work is done there. The compiled pattern belongs to that search alone;
+``form_stabilizer`` compiles one on every call.
 
 The compile peels leaf pairs off the pattern graph, by the leaf-removal rule
 of Karp and Sipser for matchings (FOCS 1981). A cell with one term w_k * c
@@ -56,16 +57,19 @@ A certificate trial is integer-only from the draw to the verdict. Once per
 search, ``seaweed._draw_layout`` lists the cascade nodes in the order
 ``sample_cv`` draws them, each with the basis index of its vector in u and
 the one entry (j, kappa) of that vector's ``killing_row``. A trial draws one
-integer d per node with the rng calls of ``sample_cv``, sets w_j = d * kappa
-and divides out the gcd: the functional ``form_stabilizer`` would compute
-for ``build_u`` of the draw, without building u or any Fraction. The three
-checks run on the raw block kernels (``_attempt`` says why that is exact),
-and only a trial that certifies reduces them to the canonical rows and
-builds its ``CoefficientVector``. The Killing check takes the
-``linalg.rank`` of the integer Gram matrix rather than the radical that
-``killing_radical_on`` builds: the vectors are independent, so the radical
-is 0 exactly when that rank is dim S. ``reverify_certificate`` clears the
-denominators of a parsed certificate and runs the same trial.
+integer d per node with the rng calls of ``sample_cv`` and scales the
+weights d * kappa to a primitive integer functional w by
+``linalg._primitive_int_row``, the one scaling ``form_stabilizer`` also
+applies to kappa(u, .): w is what it computes for ``build_u`` of the draw,
+without building u or any Fraction. The three checks run on the raw block
+kernels (``_attempt`` says why that is exact), and only a trial that
+certifies reduces them to the canonical rows and builds its
+``CoefficientVector``. The Killing check takes the ``linalg.rank`` of the
+integer Gram matrix rather than the radical that ``killing_radical_on``
+builds: the vectors are independent, so the radical is 0 exactly when that
+rank is dim S. ``reverify_certificate`` runs the same trial on the rational
+coefficients of a parsed certificate, whose denominators that scaling
+clears.
 """
 
 from __future__ import annotations
@@ -74,8 +78,7 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 
 from . import linalg
 from .rootsys import (
@@ -160,7 +163,9 @@ class _Block:
     rest lists the terms (s, weight index, constant) of M[u][s] over the
     neighbours s of u that were live then and are in ``idx``. A pair whose
     u had no other live neighbour gives x_v = 0 and is left out. ``order``
-    is the pivot order the first elimination of the core took."""
+    is the pivot order the first elimination of the core took, so it lives
+    as long as the pattern, which one search or one ``form_stabilizer``
+    call owns."""
 
     idx: tuple[int, ...]
     isolated: list[int]
@@ -217,24 +222,22 @@ class _Block:
         return vecs
 
 
-# one entry: every trial of a search shares its (P, support), and a larger
-# cache would keep the patterns of finished searches alive
-@lru_cache(maxsize=1)
-def _form_pattern(P: SubalgebraBasis, support: tuple[int, ...]):
+def _form_pattern(P: SubalgebraBasis, support):
     """The form matrix kappa(u, [e_a, e_b]) over the basis of P for every u
-    whose functional kappa(u, .) has the given support, as its peeled
-    blocks that have a kernel, and the ``_killing_pairs`` of the blocks'
-    ``idx``, outside which every kernel vector is 0."""
+    whose functional kappa(u, .) has the given support (indices in any
+    order), compiled: the root system of P, the matrix's peeled blocks that
+    have a kernel, and the ``_killing_pairs`` of the blocks' ``idx``,
+    outside which every kernel vector is 0."""
     r = P.spec.system()
     # terms[i][j]: the (k, c) with c the e_k coefficient of [e_i, e_j]; the
     # pattern is symmetric, as kappa(u, [e_j, e_i]) = -kappa(u, [e_i, e_j])
     terms: dict[int, dict[int, list[tuple[int, int]]]] = {i: {} for i in P.indices}
-    for k in support:
+    for k in sorted(support):
         for i, j, c in r.bracket_into(k):
             if i in terms and j in terms:
                 terms[i].setdefault(j, []).append((k, c))
     blocks = tuple(_peel_blocks(terms))
-    return blocks, _killing_pairs(r, {i for block in blocks for i in block.idx})
+    return r, blocks, _killing_pairs(r, {i for block in blocks for i in block.idx})
 
 
 def _peel_blocks(terms: dict[int, dict[int, list[tuple[int, int]]]]) -> list[_Block]:
@@ -313,19 +316,17 @@ def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
     """Stabilizer of the restricted form: all x in span(P) with
     kappa(u, [x, p]) = 0 for every p in P.
 
-    The form pattern (module docstring) is compiled by ``_form_pattern``
-    for P and the support of kappa(u, .), and kept until a call with
-    another basis or support replaces it.
+    Each call scales kappa(u, .) to a primitive integer functional and
+    compiles the form pattern (module docstring) for P and its support.
     """
     r = P.spec.system()
     if u.system is not r:
         raise ValueError("form element lives over a different root system")
-    den = lcm(*[c.denominator for c in u.coords.values()])
-    f = killing_coords(  # den * kappa(u, .) on the basis, in ints
-        r, [(i, c.numerator * (den // c.denominator)) for i, c in u.coords.items()]
-    )
-    g = gcd(*f.values())
-    return _weight_stabilizer(P, {j: f[j] // g for j in sorted(f) if f[j]})
+    f = killing_coords(r, u.coords.items())
+    support = [j for j in f if f[j]]
+    w = dict(zip(support, linalg._primitive_int_row([f[j] for j in support])))
+    _, blocks, _ = _form_pattern(P, support)
+    return Subspace(r, _canonical_rows(blocks, [b.raw_kernel(w) for b in blocks]))
 
 
 def _canonical_rows(blocks, raw) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -339,13 +340,6 @@ def _canonical_rows(blocks, raw) -> tuple[tuple[tuple[int, int], ...], ...]:
             for kr, p in zip(red, pivots)
         ]
     return tuple(sorted(rows))
-
-
-def _weight_stabilizer(P: SubalgebraBasis, w: dict[int, int]) -> Subspace:
-    """The stabilizer on P of the primitive integer functional w, given as
-    {j: w_j} over its support in increasing order."""
-    blocks = _form_pattern(P, tuple(w))[0]
-    return Subspace(P.spec.system(), _canonical_rows(blocks, [b.raw_kernel(w) for b in blocks]))
 
 
 def _killing_pairs(r: RootSystem, kept: set[int]) -> tuple[tuple[int, int, int], ...]:
@@ -368,12 +362,6 @@ def _killing_gram(pairs, rows) -> list[list[int]]:
             for b, y in hits.get(j, ()):
                 gram[a][b] += k * x * y
     return gram
-
-
-def _killing_nondegenerate(pairs, rows) -> bool:
-    """Whether the Killing form is nondegenerate on the span of the
-    independent sparse rows, i.e. their Gram matrix has full rank."""
-    return linalg.rank(_killing_gram(pairs, rows)) == len(rows)
 
 
 def killing_radical_on(S: Subspace) -> Subspace:
@@ -451,16 +439,16 @@ class TorusCertificate:
     trial: int
 
 
-def _attempt(
-    P: SubalgebraBasis, index: int, slots, ds: list[int]
-) -> tuple[Subspace | None, CertChecks]:
-    """The three certificate checks of one integer draw, and its stabilizer
-    S when it passes them all; P and index are ``biparabolic_basis`` and
-    ``seaweed_index`` of the spec, and ds holds one nonzero integer per slot
-    of its ``_draw_layout``, a then b. The slots' dual indices are distinct,
-    so the weights d * kappa, with their gcd divided out, are the functional
-    ``form_stabilizer`` computes for ``build_u`` of the draw (module
-    docstring).
+def _attempt(pattern, index: int, slots, ds) -> tuple[Subspace | None, CertChecks]:
+    """The three certificate checks of one draw, and its stabilizer S when
+    it passes them all. slots is the ``_draw_layout`` of the spec, a then b,
+    ds holds one nonzero int or Fraction per slot, index is
+    ``seaweed_index`` of the spec and pattern is ``_form_pattern`` of its
+    ``biparabolic_basis`` for the slots' dual indices. Those indices are
+    distinct, so the weights d * kappa, scaled by
+    ``linalg._primitive_int_row``, are the functional ``form_stabilizer``
+    computes for ``build_u`` of the draw (module docstring), and their
+    support is the pattern's.
 
     The checks, in order, are dim S == index, S abelian, and a nondegenerate
     Killing restriction to S: the integer Gram matrix kappa(x, y) over a
@@ -485,18 +473,16 @@ def _attempt(
     * That puts n in the Killing radical of S, which the third check proved
       to be 0; hence x is semisimple.
     """
-    pairs = sorted((s.dual, d * s.kappa) for s, d in zip(slots, ds))
-    g = gcd(*[v for _, v in pairs])
-    w = {j: v // g for j, v in pairs}
-    blocks, kpairs = _form_pattern(P, tuple(w))
+    r, blocks, kpairs = pattern
+    ws = linalg._primitive_int_row([d * s.kappa for s, d in zip(slots, ds)])
+    w = dict(zip([s.dual for s in slots], ws))
     raw = [block.raw_kernel(w) for block in blocks]
     if sum(map(len, raw)) != index:
         return None, CertChecks(False, False, False)
     rows = [[(b.idx[t], v) for t, v in enumerate(x) if v] for b, xs in zip(blocks, raw) for x in xs]
-    r = P.spec.system()
     if not _commuting(r, rows):
         return None, CertChecks(True, False, False)
-    if not _killing_nondegenerate(kpairs, rows):
+    if linalg.rank(_killing_gram(kpairs, rows)) != len(rows):
         return None, CertChecks(True, True, False)
     return Subspace(r, _canonical_rows(blocks, raw)), CertChecks(True, True, True)
 
@@ -521,14 +507,14 @@ def certify_quasi_reductive(
         raise ValueError("at least one trial is required")
     if trials > MAX_TRIALS:
         raise ValueError(f"at most {MAX_TRIALS} trials are allowed, not {trials}")
-    P = biparabolic_basis(spec)
     index = seaweed_index(spec) if _index is None else _index
     a, b = _draw_layout(spec)
     slots = a + b
+    pattern = _form_pattern(biparabolic_basis(spec), [s.dual for s in slots])
     rng = random.Random(seed)
     for t in range(trials):
         ds = _draw(len(slots), rng)
-        S, checks = _attempt(P, index, slots, ds)
+        S, checks = _attempt(pattern, index, slots, ds)
         if checks.all_true:
             return TorusCertificate(spec, _draw_cv(a, b, ds), S, checks, t)
     return None
@@ -537,14 +523,13 @@ def certify_quasi_reductive(
 def reverify_certificate(cert: TorusCertificate) -> bool:
     """Recompute the stabilizer from (spec, cv) and re-run the three checks.
 
-    The rational coefficients are scaled to integers by the lcm of their
-    denominators, which scales u and keeps its stabilizer, and go through
-    the trial of the search."""
+    The rational coefficients go through the trial of the search, on a
+    pattern compiled for this call; its scaling clears their denominators,
+    which scales u and keeps its stabilizer."""
     spec = cert.spec
     slots, values = _slot_values(spec, cert.cv)
-    den = lcm(*[v.denominator for v in values])
-    ds = [v.numerator * (den // v.denominator) for v in values]
-    S, checks = _attempt(biparabolic_basis(spec), seaweed_index(spec), slots, ds)
+    pattern = _form_pattern(biparabolic_basis(spec), [s.dual for s in slots])
+    S, checks = _attempt(pattern, seaweed_index(spec), slots, values)
     return checks.all_true and S == cert.stab
 
 

@@ -3,9 +3,10 @@ against the dense oracle routes.
 
 ``linalg._kernel`` eliminates sparse rows in a pivot order chosen for
 sparsity or replayed from an earlier matrix; ``form_oracle.dense_kernel``
-runs one dense Gauss-Jordan elimination. ``form_stabilizer`` compiles the
-form matrix once per basis and support into blocks whose leaf pairs are
-peeled off, and per draw only eliminates each block's residual core and
+runs one dense Gauss-Jordan elimination. ``stabilizer._form_pattern``
+compiles the form matrix of a basis and support into blocks whose leaf
+pairs are peeled off, once per search (and once per ``form_stabilizer``
+call), and per draw only eliminates each block's residual core and
 back-substitutes over the peeled pairs; ``form_oracle.dense_form_stabilizer``
 takes the kernel of the whole matrix in one piece. All of them return
 canonical rref rows once the raw basis of ``linalg._kernel`` is reduced,
@@ -28,8 +29,16 @@ from form_oracle import (
 )
 from quasired import linalg, stabilizer
 from quasired.rootsys import AlgebraElement, SimpleType
-from quasired.seaweed import BiparabolicSpec, biparabolic_basis, build_u, sample_cv
+from quasired.seaweed import (
+    BiparabolicSpec,
+    _draw_layout,
+    biparabolic_basis,
+    build_u,
+    sample_cv,
+)
 from quasired.stabilizer import (
+    Subspace,
+    _canonical_rows,
     _form_pattern,
     _sparse_int_row,
     certify_quasi_reductive,
@@ -194,8 +203,8 @@ def test_sparse_kernel_falls_back_where_a_replayed_pivot_is_zero():
 @pytest.mark.parametrize("family,rank", TYPES)
 def test_every_trial_of_a_search_matches_dense_route(monkeypatch, family, rank):
     # trials of one search share their basis P and support, and so one
-    # compiled pattern; failing every commutation check makes each search
-    # run all of its trials. That check gets the trial's raw kernel basis,
+    # pattern, which the search compiles exactly once; failing every
+    # commutation check makes each search run all of its trials. That check gets the trial's raw kernel basis,
     # which is recorded and reduced here, and must be independent, as the
     # dimension check counts it; every trial of these searches passes that
     # check and reaches the commutation check. A trial draws integers and
@@ -212,20 +221,27 @@ def test_every_trial_of_a_search_matches_dense_route(monkeypatch, family, rank):
         got.append((len(rows), subspace_from_vectors(r, vecs)))
         return False
 
+    compiles = []
+
+    def form_pattern_counted(P, support):
+        compiles.append((P, sorted(support)))
+        return _form_pattern(P, support)
+
     monkeypatch.setattr(stabilizer, "_commuting", commuting_recorded)
+    monkeypatch.setattr(stabilizer, "_form_pattern", form_pattern_counted)
     rng = random.Random(f"search {family}{rank}")
     compared = 0
     for _ in range(4):
         spec = _random_spec(rng, family, rank)
         seed = rng.randrange(99)
-        _form_pattern.cache_clear()
         got.clear()
+        compiles.clear()
         assert certify_quasi_reductive(spec, trials=5, seed=seed) is None
-        info = _form_pattern.cache_info()
-        assert (info.misses, info.hits) == (1, 4), spec
+        P = biparabolic_basis(spec)
+        a, b = _draw_layout(spec)
+        assert compiles == [(P, sorted(s.dual for s in a + b))], spec
         assert len(got) == 5, spec
         replay = random.Random(seed)
-        P = biparabolic_basis(spec)
         for n, S in got:
             assert S.dim == n and S == _dense(P, build_u(spec, sample_cv(spec, replay))), spec
             compared += 1
@@ -250,7 +266,9 @@ def test_cartan_forms_sharing_a_pattern_match_dense_route(family, rank):
     # u in the Cartan: kappa(u, .) lives on h_1..h_l, and the cell of
     # (x_a, x_-a) is kappa(u, h_a), a sum over several h_k when a is not
     # simple; a u with kappa(u, h_a) = 0 cancels that cell and makes its
-    # 2-index block singular, under the pattern compiled for a generic u
+    # 2-index block singular. The pattern is compiled once, for the support
+    # h_1..h_l that every u here shares; the generic u runs first, so each
+    # singular u replays the generic u's pivots over its cancelled cells
     rs = system(family, rank)
     full = frozenset(range(1, rank + 1))
     P = biparabolic_basis(BiparabolicSpec(SimpleType(family, rank), full, full))
@@ -267,14 +285,20 @@ def test_cartan_forms_sharing_a_pattern_match_dense_route(family, rank):
             generic = h
         elif zeros and len(singular) < 3:
             singular.append(h)
-    _form_pattern.cache_clear()
-    S = form_stabilizer(P, _cartan_form(rs, generic))
-    assert S == _dense(P, _cartan_form(rs, generic))
+    hs = [rs.idx_h(i + 1) for i in range(rank)]
+    _, blocks, _ = _form_pattern(P, hs)
+
+    def pattern_stabilizer(h):
+        w = dict(zip(hs, _cartan_weights(rs, h)))
+        return Subspace(rs, _canonical_rows(blocks, [b.raw_kernel(w) for b in blocks]))
+
+    u = _cartan_form(rs, generic)
+    assert pattern_stabilizer(generic) == form_stabilizer(P, u) == _dense(P, u)
+    assert all(b.order is not None for b in blocks if b.core)
     for h in singular:
         u = _cartan_form(rs, h)
-        S = form_stabilizer(P, u)
-        assert S.dim > rank and S == _dense(P, u), h
-    assert _form_pattern.cache_info().misses == 1
+        S = pattern_stabilizer(h)
+        assert S.dim > rank and S == form_stabilizer(P, u) == _dense(P, u), h
 
 
 def test_equal_bases_share_a_compile_and_another_support_recompiles():
@@ -282,14 +306,11 @@ def test_equal_bases_share_a_compile_and_another_support_recompiles():
     P, Q = biparabolic_basis(spec), biparabolic_basis(spec)
     assert P is not Q and P == Q
     u = build_u(spec, sample_cv(spec, random.Random(3)))
-    _form_pattern.cache_clear()
     assert form_stabilizer(P, u) == form_stabilizer(Q, u) == _dense(P, u)
-    assert (_form_pattern.cache_info().misses, _form_pattern.cache_info().hits) == (1, 1)
     # a Cartan u: kappa(u, .) lives on h_1..h_6, another support
     rs = system("E", 6)
     h = _cartan_form(rs, [1, 2, 3, 4, 5, 7])
     assert form_stabilizer(Q, h) == _dense(Q, h)
-    assert _form_pattern.cache_info().misses == 2
 
 
 def _skew_terms(n, edges):

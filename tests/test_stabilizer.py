@@ -44,6 +44,7 @@ from quasired.stabilizer import (
     SubalgebraBasis,
     Subspace,
     _attempt,
+    _form_pattern,
     _killing_gram,
     _killing_pairs,
     _sparse_int_row,
@@ -480,10 +481,11 @@ def test_gram_rank_verdict_matches_killing_radical(family, rank):
             spec = parabolic(st, sub)
             P = biparabolic_basis(spec)
             a, b = _draw_layout(spec)
+            pattern = _form_pattern(P, [s.dual for s in a + b])
             for seed in (1, 2, 3):
                 ds = _draw(len(a) + len(b), random.Random(seed))
                 S = form_stabilizer(P, build_u(spec, _draw_cv(a, b, ds)))
-                _, checks = _attempt(P, S.dim, a + b, ds)
+                _, checks = _attempt(pattern, S.dim, a + b, ds)
                 abelian = is_abelian(S)
                 nondegenerate = abelian and killing_radical_on(S).dim == 0
                 assert checks == CertChecks(True, abelian, nondegenerate), (sub, seed)
@@ -499,11 +501,12 @@ def _trial_checks(spec, seed, trials=20):
     against its rows."""
     P, index = biparabolic_basis(spec), seaweed_index(spec)
     a, b = _draw_layout(spec)
+    pattern = _form_pattern(P, [s.dual for s in a + b])
     rng = random.Random(seed)
     out = []
     for _ in range(trials):
         ds = _draw(len(a) + len(b), rng)
-        got, checks = _attempt(P, index, a + b, ds)
+        got, checks = _attempt(pattern, index, a + b, ds)
         S = form_stabilizer(P, build_u(spec, _draw_cv(a, b, ds)))
         dim = S.dim == index
         abelian = dim and is_abelian(S)
