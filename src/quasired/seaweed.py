@@ -204,20 +204,13 @@ def _checked_maps(spec: BiparabolicSpec, cv: CoefficientVector):
     return r, c1, c2, am, bm
 
 
-def _slot_values(
-    spec: BiparabolicSpec, cv: CoefficientVector
-) -> tuple[tuple[_Slot, ...], list[Fraction]]:
-    """The slots of spec, a then b, and the coefficient of cv at each."""
-    *_, am, bm = _checked_maps(spec, cv)
-    a, b = _draw_layout(spec)
-    return a + b, [am[s.support] for s in a] + [bm[s.support] for s in b]
-
-
 def build_u(spec: BiparabolicSpec, cv: CoefficientVector) -> AlgebraElement:
     """The element sum(a_K x_{-eps_K}, K in pi2 cascade) +
     sum(b_L x_{eps_L}, L in pi1 cascade)."""
-    slots, values = _slot_values(spec, cv)
-    return AlgebraElement(spec.system(), [(s.index, v) for s, v in zip(slots, values)])
+    r, *_, am, bm = _checked_maps(spec, cv)
+    a, b = _draw_layout(spec)
+    coords = [(s.index, am[s.support]) for s in a] + [(s.index, bm[s.support]) for s in b]
+    return AlgebraElement(r, coords)
 
 
 def build_u_minus(spec: BiparabolicSpec) -> AlgebraElement:

@@ -4,28 +4,27 @@ The stabilizer of the form kappa(u, .) restricted to a subalgebra P is the
 kernel of the skew matrix M = kappa(u, [P_i, P_j]); everything is computed
 exactly, in integers. kappa(u, .) is scaled to a primitive integer
 functional w, and M is sum_k w_k C_k with C_k the integer constants of
-``bracket_into(k)``. Its nonzero pattern depends only on the support of w,
-and in a certificate search that support is fixed by the spec: every weight
-w_k = (coefficient) * kappa(x_eps, x_-eps) is nonzero. So each search
-compiles the pattern once, before its first trial, and most of the kernel
-work is done there. The compiled pattern belongs to that search alone;
-``form_stabilizer`` compiles one on every call.
+``bracket_into(k)``. ``form_stabilizer`` fills M for its one u, summing
+each cell's terms, and takes its kernel by ``linalg._kernel``. A certificate
+search instead compiles M once, before its first trial, and does most of
+the kernel work there: the spec fixes the support of w, every weight
+w_k = (coefficient) * kappa(x_eps, x_-eps) is nonzero and every cell is one
+term w_k * c (``_form_pattern`` says why), so no draw cancels a cell. The
+compiled pattern belongs to that search alone.
 
 The compile peels leaf pairs off the pattern graph, by the leaf-removal rule
-of Karp and Sipser for matchings (FOCS 1981). A cell with one term w_k * c
-is nonzero for every draw; a cell with several terms can cancel, so it
-counts as an edge but never makes a leaf. Take a live vertex v whose only
-live neighbour is u, through a cell of one term, and remove v and u. This is
-exact for a skew matrix. Row v of the live matrix is M[v][u] x_u = 0, so
-x_u = 0. Row u gives x_v = sum_s M[u][s] x_s / M[v][u] over the other live
-neighbours s of u. No other live row involves v, and x_u = 0, so the rest of
-x lies in the kernel of M restricted to the remaining vertices. Each vector
-of that kernel therefore extends in exactly one way, and
-dim ker M = (isolated vertices) + dim ker(core), where the isolated vertices
-and the core (the vertices with edges) are what is left when no leaf
-remains. Each block, a connected component of the pattern, is compiled to
-its isolated vertices, its core and its steps; a block that peels to nothing
-has no kernel and is dropped.
+of Karp and Sipser for matchings (FOCS 1981). Take a live vertex v whose
+only live neighbour is u, and remove v and u. This is exact for a skew
+matrix whose cells are nonzero. Row v of the live matrix is
+M[v][u] x_u = 0, so x_u = 0. Row u gives x_v = sum_s M[u][s] x_s / M[v][u]
+over the other live neighbours s of u. No other live row involves v, and
+x_u = 0, so the rest of x lies in the kernel of M restricted to the
+remaining vertices. Each vector of that kernel therefore extends in exactly
+one way, and dim ker M = (isolated vertices) + dim ker(core), where the
+isolated vertices and the core (the vertices with edges) are what is left
+when no leaf remains. Each block, a connected component of the pattern, is
+compiled to its isolated vertices, its core and its steps; a block that
+peels to nothing has no kernel and is dropped.
 
 A trial multiplies its weights into the core's cells and takes a raw basis
 of the core's kernel by ``linalg._kernel``, in the pivot order the first
@@ -67,9 +66,9 @@ certifies reduces them to the canonical rows and builds its
 ``CoefficientVector``. The Killing check takes the ``linalg.rank`` of the
 integer Gram matrix rather than the radical that ``killing_radical_on``
 builds: the vectors are independent, so the radical is 0 exactly when that
-rank is dim S. ``reverify_certificate`` runs the same trial on the rational
-coefficients of a parsed certificate, whose denominators that scaling
-clears.
+rank is dim S. ``reverify_certificate`` runs none of this: it checks
+``form_stabilizer`` of ``build_u`` of the parsed coefficients with
+``seaweed_index``, ``is_abelian`` and ``killing_radical_on``.
 """
 
 from __future__ import annotations
@@ -97,8 +96,8 @@ from .seaweed import (
     _draw,
     _draw_cv,
     _draw_layout,
-    _slot_values,
     biparabolic_basis,
+    build_u,
     seaweed_index,
 )
 
@@ -148,7 +147,7 @@ class Subspace:
 
 @dataclass
 class _Block:
-    """One connected block of a form pattern, peeled (module docstring).
+    """One block of a search's form pattern, peeled (module docstring).
 
     ``idx`` are the sorted basis indices its kernel rows can be nonzero on:
     the vertices left live by peeling and the v of each step; every kernel
@@ -156,22 +155,19 @@ class _Block:
     ``isolated`` are the live vertices with no live neighbour, and ``core``
     those with one or more. The core's cells above the diagonal are
     ``cells``, as (row, column, weight index, constant) with entry
-    weight * constant (and minus that below the diagonal), and ``sums``, as
-    (row, column, ((weight index, constant), ...)), with rows and columns
+    weight * constant (and minus that below the diagonal), rows and columns
     counted in ``core``. ``steps`` are the peeled pairs, last peeled first,
     as (v, weight index, constant, rest): M[v][u] is weight * constant, and
-    rest lists the terms (s, weight index, constant) of M[u][s] over the
+    rest lists the cells (s, weight index, constant) of M[u][s] over the
     neighbours s of u that were live then and are in ``idx``. A pair whose
     u had no other live neighbour gives x_v = 0 and is left out. ``order``
     is the pivot order the first elimination of the core took, so it lives
-    as long as the pattern, which one search or one ``form_stabilizer``
-    call owns."""
+    as long as the pattern, which one search owns."""
 
     idx: tuple[int, ...]
     isolated: list[int]
     core: list[int]
     cells: list[tuple[int, int, int, int]]
-    sums: list[tuple[int, int, tuple[tuple[int, int], ...]]]
     steps: list[tuple[int, int, int, list[tuple[int, int, int]]]]
     order: list[tuple[int, int]] | None = None
 
@@ -188,11 +184,6 @@ class _Block:
                 v = w[k] * c
                 rows[a][b] = v
                 rows[b][a] = -v
-            for a, b, terms in self.sums:
-                v = sum(w[k] * c for k, c in terms)
-                if v:
-                    rows[a][b] = v
-                    rows[b][a] = -v
             basis, taken = linalg._kernel(rows, len(self.core), self.order or ())
             if self.order is None:
                 self.order = taken
@@ -224,37 +215,36 @@ class _Block:
 
 def _form_pattern(P: SubalgebraBasis, support):
     """The form matrix kappa(u, [e_a, e_b]) over the basis of P for every u
-    whose functional kappa(u, .) has the given support (indices in any
-    order), compiled: the root system of P, the matrix's peeled blocks that
-    have a kernel, and the ``_killing_pairs`` of the blocks' ``idx``,
-    outside which every kernel vector is 0."""
+    whose functional kappa(u, .) has the given support, compiled for a
+    certificate search: the root system of P, the matrix's peeled blocks
+    that have a kernel, and the ``_killing_pairs`` of the blocks' ``idx``,
+    outside which every kernel vector is 0. The support is the duals of the
+    search's slots, root-vector indices; a bracket of two basis vectors has
+    at most one root-vector component, so each cell is one term w_k * c."""
     r = P.spec.system()
     # terms[i][j]: the (k, c) with c the e_k coefficient of [e_i, e_j]; the
     # pattern is symmetric, as kappa(u, [e_j, e_i]) = -kappa(u, [e_i, e_j])
-    terms: dict[int, dict[int, list[tuple[int, int]]]] = {i: {} for i in P.indices}
+    terms: dict[int, dict[int, tuple[int, int]]] = {i: {} for i in P.indices}
     for k in sorted(support):
         for i, j, c in r.bracket_into(k):
             if i in terms and j in terms:
-                terms[i].setdefault(j, []).append((k, c))
+                terms[i][j] = (k, c)
     blocks = tuple(_peel_blocks(terms))
     return r, blocks, _killing_pairs(r, {i for block in blocks for i in block.idx})
 
 
-def _peel_blocks(terms: dict[int, dict[int, list[tuple[int, int]]]]) -> list[_Block]:
-    """The blocks of the skew pattern terms, whose cell terms[i][j] lists
-    the (weight index, constant) of M[i][j], peeled (module docstring)."""
+def _peel_blocks(terms: dict[int, dict[int, tuple[int, int]]]) -> list[_Block]:
+    """The blocks of the skew pattern terms, whose cell terms[i][j] is the
+    one (weight index, constant) of M[i][j], peeled (module docstring)."""
     live = {i: len(t) for i, t in terms.items()}  # live vertex: live neighbours
     steps = {}  # v -> (step number, v, u, the other live neighbours of u)
     leaves = [i for i, d in live.items() if d == 1]
     for v in leaves:  # grows as peeling makes new leaves
         if live.get(v) != 1:
             continue
-        tv = terms[v]
-        for u in tv:
+        for u in terms[v]:
             if u in live:
                 break
-        if len(tv[u]) != 1:
-            continue  # a cell of several terms can cancel for some draw
         del live[v], live[u]
         rest = []
         for s in terms[u]:
@@ -287,26 +277,19 @@ def _peel_blocks(terms: dict[int, dict[int, list[tuple[int, int]]]]) -> list[_Bl
         mine = sorted([steps[i] for i in kept if i in steps], reverse=True)  # last first
         local = {i: t for t, i in enumerate(kept)}
         at = local if len(core) == len(kept) else {i: t for t, i in enumerate(core)}
-        cells, sums = [], []
-        for i in core:
-            for j, ts in terms[i].items():
-                if i > j or j not in at:
-                    continue
-                if len(ts) == 1:
-                    cells.append((at[i], at[j], *ts[0]))
-                else:
-                    sums.append((at[i], at[j], tuple(ts)))
+        cells = [
+            (at[i], at[j], *kc) for i in core for j, kc in terms[i].items() if i < j and j in at
+        ]
         back = []
         for _, v, u, rest in mine:
             tu = terms[u]  # x_s = 0 for the s of rest that are not kept
-            rest = [(local[s], k, c) for s in rest if s in local for k, c in tu[s]]
-            back.append((local[v], *terms[v][u][0], rest))
+            rest = [(local[s], *tu[s]) for s in rest if s in local]
+            back.append((local[v], *terms[v][u], rest))
         blocks.append(_Block(
             tuple(kept),
             [local[i] for i in kept if live.get(i) == 0],
             [local[i] for i in core],
             cells,
-            sums,
             back,
         ))
     return blocks
@@ -316,27 +299,33 @@ def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
     """Stabilizer of the restricted form: all x in span(P) with
     kappa(u, [x, p]) = 0 for every p in P.
 
-    Each call scales kappa(u, .) to a primitive integer functional and
-    compiles the form pattern (module docstring) for P and its support.
+    Fills the integer form matrix sum_k w_k C_k over P (module docstring),
+    dropping the cells whose terms cancel, and reduces its kernel once.
     """
     r = P.spec.system()
     if u.system is not r:
         raise ValueError("form element lives over a different root system")
     f = killing_coords(r, u.coords.items())
     support = [j for j in f if f[j]]
-    w = dict(zip(support, linalg._primitive_int_row([f[j] for j in support])))
-    _, blocks, _ = _form_pattern(P, support)
-    return Subspace(r, _canonical_rows(blocks, [b.raw_kernel(w) for b in blocks]))
+    at = {i: t for t, i in enumerate(P.indices)}
+    rows: list[dict[int, int]] = [{} for _ in at]
+    for k, w in zip(support, linalg._primitive_int_row([f[j] for j in support])):
+        for i, j, c in r.bracket_into(k):
+            if i in at and j in at:
+                rows[at[i]][at[j]] = rows[at[i]].get(at[j], 0) + w * c
+    basis, _ = linalg._kernel([{j: v for j, v in row.items() if v} for row in rows], len(at))
+    return Subspace(r, _canonical_rows([(P.indices, basis)]))
 
 
-def _canonical_rows(blocks, raw) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """The Subspace rows of the span of the raw block kernels: each block's
-    vectors reduced once, in pivot order (module docstring)."""
+def _canonical_rows(raw) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """The Subspace rows of the span of raw kernels, as (idx, vectors) pairs
+    over disjoint sorted indices: each pair's vectors reduced once, in pivot
+    order (module docstring)."""
     rows = []
-    for block, vecs in zip(blocks, raw):
+    for idx, vecs in raw:
         red, pivots = linalg._eliminate(vecs, True)
         rows += [
-            tuple((block.idx[t], v if kr[p] > 0 else -v) for t, v in enumerate(kr) if v)
+            tuple((idx[t], v if kr[p] > 0 else -v) for t, v in enumerate(kr) if v)
             for kr, p in zip(red, pivots)
         ]
     return tuple(sorted(rows))
@@ -440,9 +429,9 @@ class TorusCertificate:
 
 
 def _attempt(pattern, index: int, slots, ds) -> tuple[Subspace | None, CertChecks]:
-    """The three certificate checks of one draw, and its stabilizer S when
-    it passes them all. slots is the ``_draw_layout`` of the spec, a then b,
-    ds holds one nonzero int or Fraction per slot, index is
+    """The three certificate checks of one draw of a search, and its
+    stabilizer S when it passes them all. slots is the ``_draw_layout`` of
+    the spec, a then b, ds holds one nonzero int per slot, index is
     ``seaweed_index`` of the spec and pattern is ``_form_pattern`` of its
     ``biparabolic_basis`` for the slots' dual indices. Those indices are
     distinct, so the weights d * kappa, scaled by
@@ -484,7 +473,8 @@ def _attempt(pattern, index: int, slots, ds) -> tuple[Subspace | None, CertCheck
         return None, CertChecks(True, False, False)
     if linalg.rank(_killing_gram(kpairs, rows)) != len(rows):
         return None, CertChecks(True, True, False)
-    return Subspace(r, _canonical_rows(blocks, raw)), CertChecks(True, True, True)
+    S = Subspace(r, _canonical_rows((b.idx, xs) for b, xs in zip(blocks, raw)))
+    return S, CertChecks(True, True, True)
 
 
 # Most trials one search may take, so that every search ends; the CLI's
@@ -523,14 +513,17 @@ def certify_quasi_reductive(
 def reverify_certificate(cert: TorusCertificate) -> bool:
     """Recompute the stabilizer from (spec, cv) and re-run the three checks.
 
-    The rational coefficients go through the trial of the search, on a
-    pattern compiled for this call; its scaling clears their denominators,
-    which scales u and keeps its stabilizer."""
+    It calls only ``form_stabilizer``, ``build_u``, ``seaweed_index``,
+    ``is_abelian`` and ``killing_radical_on``: none of the search's compile,
+    peeling or trial runs, so a defect there cannot pass its certificates."""
     spec = cert.spec
-    slots, values = _slot_values(spec, cert.cv)
-    pattern = _form_pattern(biparabolic_basis(spec), [s.dual for s in slots])
-    S, checks = _attempt(pattern, seaweed_index(spec), slots, values)
-    return checks.all_true and S == cert.stab
+    S = form_stabilizer(biparabolic_basis(spec), build_u(spec, cert.cv))
+    return (
+        S == cert.stab
+        and S.dim == seaweed_index(spec)
+        and is_abelian(S)
+        and killing_radical_on(S).dim == 0
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +553,7 @@ def certificate_to_text(cert: TorusCertificate) -> str:
         for k, v in entries
     )
     values = {
-        "type": f"{spec.ambient.family}{spec.ambient.rank}",
+        "type": str(spec.ambient),
         "pi1": _subset_text(spec.pi1),
         "pi2": _subset_text(spec.pi2),
         "a": coeffs(cert.cv.a),
@@ -644,8 +637,10 @@ def certificate_from_text(text: str) -> TorusCertificate:
         int_rows.append(_sparse_int_row(nz))
     if int(fields["stabilizer-dim"]) != len(rows):
         raise ValueError(f"stabilizer-dim {fields['stabilizer-dim']} over {len(rows)} rows")
-    stab = Subspace(r, tuple(int_rows))
-    cert = TorusCertificate(spec, cv, stab, None, int(fields["trial"]))
+    trial = int(fields["trial"])
+    if not 0 <= trial < MAX_TRIALS:
+        raise ValueError(f"trial {trial} out of range 0..{MAX_TRIALS - 1}")
+    cert = TorusCertificate(spec, cv, Subspace(r, tuple(int_rows)), None, trial)
     printed = certificate_to_text(cert).splitlines()[1:]
     for (key, value), line in zip(keyed, printed):
         want = line.partition(": ")[2]

@@ -1,17 +1,19 @@
-"""The sparse integer kernel and the pattern-compiled form stabilizer
-against the dense oracle routes.
+"""The sparse integer kernel, the form stabilizer and the search's compiled
+form pattern against the dense oracle routes.
 
 ``linalg._kernel`` eliminates sparse rows in a pivot order chosen for
 sparsity or replayed from an earlier matrix; ``form_oracle.dense_kernel``
-runs one dense Gauss-Jordan elimination. ``stabilizer._form_pattern``
-compiles the form matrix of a basis and support into blocks whose leaf
-pairs are peeled off, once per search (and once per ``form_stabilizer``
-call), and per draw only eliminates each block's residual core and
+runs one dense Gauss-Jordan elimination. ``form_stabilizer`` takes the
+sparse kernel of the whole integer form matrix of one form.
+``stabilizer._form_pattern`` compiles the form matrix of a basis and a
+search's support into blocks whose leaf pairs are peeled off, once per
+search, and per draw only eliminates each block's residual core and
 back-substitutes over the peeled pairs; ``form_oracle.dense_form_stabilizer``
 takes the kernel of the whole matrix in one piece. All of them return
 canonical rref rows once the raw basis of ``linalg._kernel`` is reduced,
-so they must agree exactly. Synthetic skew patterns drive the peeling
-through ``stabilizer._peel_blocks`` directly.
+so they must agree exactly. Synthetic skew patterns, one term per cell as
+in every search, drive the peeling through ``stabilizer._peel_blocks``
+directly.
 """
 
 import itertools
@@ -37,8 +39,6 @@ from quasired.seaweed import (
     sample_cv,
 )
 from quasired.stabilizer import (
-    Subspace,
-    _canonical_rows,
     _form_pattern,
     _sparse_int_row,
     certify_quasi_reductive,
@@ -265,10 +265,10 @@ def _cartan_weights(rs, h):
 def test_cartan_forms_sharing_a_pattern_match_dense_route(family, rank):
     # u in the Cartan: kappa(u, .) lives on h_1..h_l, and the cell of
     # (x_a, x_-a) is kappa(u, h_a), a sum over several h_k when a is not
-    # simple; a u with kappa(u, h_a) = 0 cancels that cell and makes its
-    # 2-index block singular. The pattern is compiled once, for the support
-    # h_1..h_l that every u here shares; the generic u runs first, so each
-    # singular u replays the generic u's pivots over its cancelled cells
+    # simple. A u with kappa(u, h_a) = 0 cancels that cell, which
+    # form_stabilizer drops, so x_a and x_-a join the stabilizer; the
+    # generic u cancels none and its stabilizer is the Cartan. Every u here
+    # shares the support h_1..h_l
     rs = system(family, rank)
     full = frozenset(range(1, rank + 1))
     P = biparabolic_basis(BiparabolicSpec(SimpleType(family, rank), full, full))
@@ -285,20 +285,13 @@ def test_cartan_forms_sharing_a_pattern_match_dense_route(family, rank):
             generic = h
         elif zeros and len(singular) < 3:
             singular.append(h)
-    hs = [rs.idx_h(i + 1) for i in range(rank)]
-    _, blocks, _ = _form_pattern(P, hs)
-
-    def pattern_stabilizer(h):
-        w = dict(zip(hs, _cartan_weights(rs, h)))
-        return Subspace(rs, _canonical_rows(blocks, [b.raw_kernel(w) for b in blocks]))
-
     u = _cartan_form(rs, generic)
-    assert pattern_stabilizer(generic) == form_stabilizer(P, u) == _dense(P, u)
-    assert all(b.order is not None for b in blocks if b.core)
+    S = form_stabilizer(P, u)
+    assert S.dim == rank and S == _dense(P, u)
     for h in singular:
         u = _cartan_form(rs, h)
-        S = pattern_stabilizer(h)
-        assert S.dim > rank and S == form_stabilizer(P, u) == _dense(P, u), h
+        S = form_stabilizer(P, u)
+        assert S.dim > rank and S == _dense(P, u), h
 
 
 def test_equal_bases_share_a_compile_and_another_support_recompiles():
@@ -313,31 +306,60 @@ def test_equal_bases_share_a_compile_and_another_support_recompiles():
     assert form_stabilizer(Q, h) == _dense(Q, h)
 
 
+def test_search_patterns_have_one_term_per_cell():
+    # a search's support is the Killing duals of its cascade slots, each a
+    # root-vector index, and a bracket of two basis vectors has at most one
+    # root-vector component; so no cell of a compiled pattern receives two
+    # support indices, and _form_pattern stores one term per cell. Every
+    # biparabolic of the small types, every parabolic of E6, E7 and E8 in
+    # both orientations
+    small = (("G", 2), ("B", 3), ("C", 3), ("D", 4), ("F", 4))
+    specs = [s for f, r in small for s in _every_spec(f, r)]
+    specs += [s for r in (6, 7, 8) for s in _every_spec("E", r)]
+    assert len(specs) == 16 + 64 + 64 + 256 + 256 + 2 * (64 + 128 + 256)
+    for spec in specs:
+        rs = spec.system()
+        basis = set(biparabolic_basis(spec).indices)
+        a, b = _draw_layout(spec)
+        duals = [s.dual for s in a + b]
+        assert len(set(duals)) == len(duals), spec
+        assert all(rs.index_root(k) is not None for k in duals), spec
+        cells = set()
+        for k in duals:
+            for i, j, _ in rs.bracket_into(k):
+                if i in basis and j in basis:
+                    assert (i, j) not in cells, (spec, i, j)
+                    cells.add((i, j))
+
+
 def _skew_terms(n, edges):
     """The pattern of a skew matrix on vertices 0..n-1: edges maps (i, j),
-    i < j, to the (weight index, constant) terms of M[i][j]."""
+    i < j, to the one (weight index, constant) of M[i][j]."""
     terms = {i: {} for i in range(n)}
-    for (i, j), ts in edges.items():
-        terms[i][j] = list(ts)
-        terms[j][i] = [(k, -c) for k, c in ts]
+    for (i, j), (k, c) in edges.items():
+        terms[i][j] = (k, c)
+        terms[j][i] = (k, -c)
     return terms
 
 
 def _peeled_kernel(terms, w):
     blocks = stabilizer._peel_blocks(terms)
-    return list(stabilizer._canonical_rows(blocks, [b.raw_kernel(w) for b in blocks])), blocks
+    return list(stabilizer._canonical_rows((b.idx, b.raw_kernel(w)) for b in blocks)), blocks
 
 
 def _dense_rows(terms, w):
     n = len(terms)
-    M = [[sum(w[k] * c for k, c in terms[i].get(j, ())) for j in range(n)] for i in range(n)]
+    M = [[0] * n for _ in range(n)]
+    for i, t in terms.items():
+        for j, (k, c) in t.items():
+            M[i][j] = w[k] * c
     return sorted(_sparse_int_row(enumerate(r)) for r in dense_kernel(M, n)[0])
 
 
 def test_peeling_a_path_scales_by_the_back_substitution_denominator():
     # 0 - 1 - 2 plus the lone vertex 3: peeling the leaf 0 with 1 leaves 2
     # isolated, and x_0 = M[1][2] / M[0][1], which is no integer here
-    terms = _skew_terms(4, {(0, 1): [(7, 1)], (1, 2): [(8, 1)]})
+    terms = _skew_terms(4, {(0, 1): (7, 1), (1, 2): (8, 1)})
     rows, (block, lone) = _peeled_kernel(terms, {7: 3, 8: 2})
     assert block.idx == (0, 2) and len(block.steps) == 1
     assert block.isolated == [1] and block.core == []
@@ -350,7 +372,7 @@ def test_peeling_a_path_scales_by_the_back_substitution_denominator():
 def test_peeling_leaves_an_even_cycle_to_the_core():
     # no vertex of the 4-cycle is a leaf; its Pfaffian M01 M23 + M03 M12
     # vanishes for the second weights, which gives a 2-dimensional kernel
-    cycle = {(0, 1): [(1, 1)], (1, 2): [(2, 1)], (2, 3): [(3, 1)], (0, 3): [(4, 1)]}
+    cycle = {(0, 1): (1, 1), (1, 2): (2, 1), (2, 3): (3, 1), (0, 3): (4, 1)}
     terms = _skew_terms(4, cycle)
     _, (block,) = _peeled_kernel(terms, {1: 1, 2: 1, 3: 1, 4: 1})
     assert block.steps == [] and block.isolated == [] and len(block.core) == 4
@@ -360,30 +382,20 @@ def test_peeling_leaves_an_even_cycle_to_the_core():
 
 
 def test_peeling_skips_a_leaf_whose_cell_has_several_terms():
-    # a cell of one term is nonzero for every weight, so its pair is peeled
-    # and the block dropped; a cell of two terms cancels for some weights
-    # and stays in the core, where the cancelled block keeps both vertices
-    single = _skew_terms(2, {(0, 1): [(1, 2)]})
+    # no cell of a search's pattern has several terms: each is one term
+    # w_k * c, nonzero for every draw, so every leaf is peeled. A lone edge
+    # peels to nothing, and its block, whose 2 x 2 matrix is invertible for
+    # every weight, is dropped
+    single = _skew_terms(2, {(0, 1): (1, 2)})
     assert stabilizer._peel_blocks(single) == []
-    double = _skew_terms(2, {(0, 1): [(1, 2), (2, 1)]})
-    _, (block,) = _peeled_kernel(double, {1: 1, 2: 1})
-    assert block.steps == [] and len(block.core) == 2
-    for w, dim in (({1: 1, 2: 1}, 0), ({1: 1, 2: -2}, 2)):
-        rows = _peeled_kernel(double, w)[0]
-        assert len(rows) == dim and rows == _dense_rows(double, w), w
-    # in the path 0 = 1 - 2 the leaf 2 is peeled with 1, never the leaf 0
-    terms = _skew_terms(3, {(0, 1): [(1, 2), (2, 1)], (1, 2): [(3, 1)]})
-    _, (block,) = _peeled_kernel(terms, {1: 1, 2: 1, 3: 1})
-    assert block.idx == (0, 2) and block.isolated == [0]
-    for w in ({1: 1, 2: 1, 3: 5}, {1: 1, 2: -2, 3: 5}):
-        assert _peeled_kernel(terms, w)[0] == _dense_rows(terms, w), w
+    for w in ({1: 1}, {1: -3}):
+        assert _dense_rows(single, w) == [], w
 
 
 def test_peeling_matches_dense_on_random_skew_patterns():
-    # random patterns over four weights, with cells of one or two terms;
-    # the small weight range makes two-term cells cancel now and then
+    # random patterns over four weights, one term per cell
     rng = random.Random(20084)
-    peeled = cancelled = 0
+    peeled = 0
     for _ in range(300):
         n = rng.randint(1, 12)
         density = rng.choice([0.15, 0.3, 0.5])
@@ -391,13 +403,11 @@ def test_peeling_matches_dense_on_random_skew_patterns():
         for i in range(n):
             for j in range(i + 1, n):
                 if rng.random() < density:
-                    ks = rng.sample(range(4), rng.choice([1, 1, 2]))
-                    edges[i, j] = [(k, rng.choice([-2, -1, 1, 3])) for k in ks]
+                    edges[i, j] = (rng.randrange(4), rng.choice([-2, -1, 1, 3]))
         terms = _skew_terms(n, edges)
         for _ in range(3):
             w = {k: rng.choice([-3, -2, -1, 1, 2, 5]) for k in range(4)}
             rows, blocks = _peeled_kernel(terms, w)
             assert rows == _dense_rows(terms, w), (edges, w)
             peeled += sum(len(b.steps) for b in blocks)
-            cancelled += any(not sum(w[k] * c for k, c in ts) for ts in edges.values())
-    assert peeled > 300 and cancelled > 20
+    assert peeled > 300

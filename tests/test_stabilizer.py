@@ -427,8 +427,8 @@ def _divided_coefficients(text, q, only=None):
 
 
 def test_stored_e6_certificate_with_rational_coefficients_reverifies():
-    # u / 7 has the stabilizer of u; reverify_certificate clears the
-    # denominators before it runs the integer trial of the search
+    # u / 7 has the stabilizer of u; form_stabilizer clears the
+    # denominators when it scales kappa(u, .) to an integer functional
     text = _divided_coefficients(_E6_CERT, 7)
     assert "=-9/7; " in text and "=18/7\n" in text
     cert = certificate_from_text(text)
@@ -604,6 +604,13 @@ def test_every_trial_checks_match_the_canonical_stabilizer():
             "type value 'E06' is not written as printed: 'E6'",
         ),
         (_E6_CERT.replace("trial: 0", "trial: 00"), "trial value '00' is not written"),
+        (_E6_CERT.replace("trial: 0", "trial: -1"), f"trial -1 out of range 0..{MAX_TRIALS - 1}"),
+        (_E6_CERT.replace("trial: 0", f"trial: {MAX_TRIALS}"), f"trial {MAX_TRIALS} out of range"),
+        (_E6_CERT.replace("trial: 0", "trial: 5000"), "trial 5000 out of range"),
+        (
+            _E6_CERT.replace("trial: 0", "trial: 999999999999999999999"),
+            "trial 999999999999999999999 out of range",
+        ),
     ],
     ids=[
         "empty",
@@ -636,8 +643,19 @@ def test_every_trial_checks_match_the_canonical_stabilizer():
         "row-zero-entry",
         "type-zero-padded",
         "trial-zero-padded",
+        "trial-negative",
+        "trial-at-max-trials",
+        "trial-5000",
+        "trial-huge",
     ],
 )
 def test_certificate_parser_raises_value_error_only(text, match):
     with pytest.raises(ValueError, match=match):
         certificate_from_text(text)
+
+
+def test_certificate_parser_accepts_every_trial_a_search_can_take():
+    for trial in (1, MAX_TRIALS - 1):
+        text = _E6_CERT.replace("trial: 0", f"trial: {trial}")
+        cert = certificate_from_text(text)
+        assert cert.trial == trial and certificate_to_text(cert) == text

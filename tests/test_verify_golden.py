@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from quasired import cli
+from quasired import cli, stabilizer
 from quasired.stabilizer import certificate_from_text, reverify_certificate
 
 DATA = Path(__file__).with_name("data") / "verify_outputs.txt"
@@ -34,9 +34,8 @@ PARABOLICS = (
     ("E", 8, (2, 4, 8)), ("E", 8, (1, 2, 5)),
 )
 SEEDS = (0, 11, 12345)
-# (type, rank, pi1, pi2, seed) of searches whose trial 0 fails dim S == index,
-# because a cell of the form matrix with several terms cancels, and whose
-# trial 1 certifies
+# (type, rank, pi1, pi2, seed) of searches whose trial 0 fails dim S == index
+# and whose trial 1 certifies
 LATE_CERTIFICATES = (
     ("A", 5, (1, 2, 3, 4, 5), None, 0),
     ("F", 4, (2, 3, 4), (2, 3, 4), 0),
@@ -74,17 +73,69 @@ def test_verify_outputs_are_byte_identical():
         assert g == w, g.partition("\n")[0]
 
 
-def test_pinned_certificates_reverify():
-    certs = []
+def _pinned_certificate_texts() -> list[str]:
+    texts = []
     for entry in DATA.read_text().split("=== ")[1:]:
         head, code, out = entry.split("\n", 2)
         if head.endswith(" --json") and code == "exit 0":
-            certs.append(certificate_from_text(json.loads(out)["certificate"]))
+            texts.append(json.loads(out)["certificate"])
     # ten of PARABOLICS are quasi-reductive
-    assert len(certs) == 10 * len(SEEDS) + len(LATE_CERTIFICATES)
+    assert len(texts) == 10 * len(SEEDS) + len(LATE_CERTIFICATES)
+    return texts
+
+
+def test_pinned_certificates_reverify():
+    certs = [certificate_from_text(text) for text in _pinned_certificate_texts()]
     assert sum(cert.trial == 1 for cert in certs) == len(LATE_CERTIFICATES)
     for cert in certs:
         assert reverify_certificate(cert), cert.spec
+
+
+def _with_rows(text, rows, dim):
+    head = [line for line in text.splitlines() if not line.startswith("row: ")]
+    head = [f"stabilizer-dim: {dim}" if line.startswith("stabilizer-dim: ") else line for line in head]
+    return "\n".join(head + [f"row: {row}" for row in rows]) + "\n"
+
+
+def _doubled_a(text, pos):
+    """The text with the a: coefficient at position pos doubled; every
+    pinned coefficient is an integer n/1."""
+    lines = text.splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("a: "))
+    parts = lines[at][3:].split("; ")
+    key, _, value = parts[pos].partition("=")
+    parts[pos] = f"{key}={2 * int(value.removesuffix('/1'))}/1"
+    lines[at] = "a: " + "; ".join(parts)
+    return "\n".join(lines) + "\n"
+
+
+def test_reverification_runs_no_search_code(monkeypatch):
+    # the re-check must not rest on the search's compiled pattern, peeling
+    # or trial, so a defect there cannot pass that search's certificates
+    def search_code(*args):
+        raise AssertionError("re-verification ran search code")
+
+    for name in ("_form_pattern", "_peel_blocks", "_attempt"):
+        monkeypatch.setattr(stabilizer, name, search_code)
+    for text in _pinned_certificate_texts():  # all 33
+        cert = certificate_from_text(text)
+        assert reverify_certificate(cert), cert.spec
+        rows = [line[5:] for line in text.splitlines() if line.startswith("row: ")]
+        dropped = _with_rows(text, rows[:-1], len(rows) - 1)
+        extra = _with_rows(text, rows + ["0=1/1"], len(rows) + 1)
+        for bad in (dropped, extra):
+            assert not reverify_certificate(certificate_from_text(bad)), (cert.spec, bad)
+        # a coefficient the stabilizer does not depend on may change and
+        # leave a valid certificate of the changed form; some coefficient
+        # of every pinned certificate moves the stabilizer, and every one of
+        # the three trial-1 certificates does
+        rejected = [
+            not reverify_certificate(certificate_from_text(_doubled_a(text, pos)))
+            for pos in range(len(cert.cv.a))
+        ]
+        assert any(rejected), cert.spec
+        if cert.trial == 1:
+            assert all(rejected), cert.spec
 
 
 if __name__ == "__main__":
