@@ -31,10 +31,7 @@ from .rootsys import (
     bracket,
     build_root_system,
     h_vector,
-    highest_root,
     killing,
-    pairing,
-    root_sum,
     x_vector,
 )
 from .seaweed import (

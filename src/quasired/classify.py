@@ -33,6 +33,7 @@ from .rootsys import (
     RootSystem,
     SimpleType,
     _cartan_and_symmetrizer,
+    _one_to,
     build_root_system,
 )
 from .seaweed import parabolic, seaweed_index
@@ -119,7 +120,7 @@ def pi_to_flag(t: SimpleType, subset) -> FlagSpec:
         raise ValueError("flag dictionary applies to types B and D only")
     sub = t.checked_subset(subset)
     l = t.rank
-    if sub == frozenset(range(1, l + 1)):
+    if sub == _one_to(l):
         raise ValueError("the full subset corresponds to no proper flag")
     if t.family == "B":
         dims = sorted(i for i in range(1, l + 1) if i not in sub)

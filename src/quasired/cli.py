@@ -24,7 +24,7 @@ from .classify import (
     non_qr_subsets,
     single_root_test,
 )
-from .rootsys import SimpleType, build_root_system
+from .rootsys import _FAMILY_BOUNDS, SimpleType, _one_to, build_root_system
 from .seaweed import BiparabolicSpec, seaweed_index
 from .stabilizer import certificate_to_text, certify_quasi_reductive
 
@@ -33,8 +33,10 @@ EXHAUSTED = 3
 
 
 def _parse_subset(txt: str | None, rank: int, default_full: bool) -> frozenset[int]:
+    """The root list as a frozenset of ints; ``SimpleType.checked_subset``,
+    which every command reaches before any work, checks its range."""
     if txt is None:
-        return frozenset(range(1, rank + 1)) if default_full else frozenset()
+        return _one_to(rank) if default_full else frozenset()
     txt = txt.strip()
     if not txt:
         return frozenset()
@@ -42,10 +44,7 @@ def _parse_subset(txt: str | None, rank: int, default_full: bool) -> frozenset[i
     # int() would also take "1_0", "+1" and non-ASCII digits
     if not all(p.isascii() and p.isdigit() for p in parts):
         raise ValueError(f"cannot parse root list {txt!r}")
-    vals = frozenset(map(int, parts))
-    if not all(1 <= v <= rank for v in vals):
-        raise ValueError(f"root indices in {sorted(vals)} out of range 1..{rank}")
-    return vals
+    return frozenset(map(int, parts))
 
 
 def _subset_text(s) -> str:
@@ -163,14 +162,10 @@ def cmd_verify(
 # ---------------------------------------------------------------------------
 # table regeneration and golden diffs
 
-_CLASSICAL_RANGE = {"A": range(1, 11), "B": range(2, 11), "C": range(3, 11), "D": range(4, 11)}
-_ALL_TYPES = (
-    [("A", l) for l in _CLASSICAL_RANGE["A"]]
-    + [("B", l) for l in _CLASSICAL_RANGE["B"]]
-    + [("C", l) for l in _CLASSICAL_RANGE["C"]]
-    + [("D", l) for l in _CLASSICAL_RANGE["D"]]
-    + [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
-)
+# each classical family from its lowest rank up to 10
+_ALL_TYPES = [(f, l) for f in "ABCD" for l in range(_FAMILY_BOUNDS[f][0], 11)] + [
+    ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)
+]
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:

@@ -81,19 +81,26 @@ class SimpleType:
         return f"{self.family}{self.rank}"
 
     def checked_subset(self, subset) -> frozenset[int]:
-        """The subset of simple roots as a frozenset; ValueError unless it
-        lies within 1..rank."""
+        """The subset of simple roots as a frozenset; ValueError unless every
+        element is an int within 1..rank. A float or a bool equal to an index
+        passes the range test alone, and would then be cached and printed as
+        itself."""
         sub = frozenset(subset)
-        if not sub <= _one_to(self.rank):
-            raise ValueError(f"subset {sorted(sub)} not within 1..{self.rank}")
-        return sub
+        if _INT.issuperset(map(type, sub)) and sub <= _one_to(self.rank):
+            return sub
+        # ints by value, then the rest by repr: mixed types do not compare
+        shown = sorted(sub, key=lambda v: (type(v) is not int, v if type(v) is int else repr(v)))
+        raise ValueError(f"subset [{', '.join(map(repr, shown))}] not within 1..{self.rank}")
 
 
 @cache
 def _one_to(n: int) -> frozenset[int]:
-    """{1, ..., n}, built once per n: every spec and subset query checks
-    against it."""
+    """{1, ..., n}, built once per n: the full subset of a rank-n system,
+    and what every subset check compares against."""
     return frozenset(range(1, n + 1))
+
+
+_INT = frozenset({int})
 
 
 def _cartan_and_symmetrizer(t: SimpleType) -> tuple[list[list[int]], list[int]]:
@@ -196,6 +203,10 @@ class RootSystem:
         return sign * _exact_div(2 * self._form(lam, p), self._norms[p])
 
     def root_sum(self, a: Root, b: Root) -> Root | None:
+        """a + b when that is again a root, else None; ValueError unless a
+        and b are roots."""
+        if not (self.is_root(a) and self.is_root(b)):
+            raise ValueError("arguments must be roots")
         s = tuple(x + y for x, y in zip(a, b))
         return s if self.is_root(s) else None
 
@@ -217,7 +228,7 @@ class RootSystem:
     # -- subsets of simple roots ---------------------------------------------
 
     def full_subset(self) -> frozenset[int]:
-        return frozenset(range(1, self.rank + 1))
+        return _one_to(self.rank)
 
     def support(self, a: Root) -> frozenset[int]:
         return frozenset(i + 1 for i, c in enumerate(a) if c)
@@ -404,14 +415,10 @@ class RootSystem:
                 row[lo + m] = ((i, -sign * c),)
         return dict(sorted(row.items()))
 
-    def bracket_basis(self, i: int, j: int) -> tuple[tuple[int, int], ...]:
-        """Sparse bracket of two basis vectors, with integer coefficients."""
-        return self.bracket_row(i).get(j, ())
-
     @cache
     def bracket_into(self, k: int) -> tuple[tuple[int, int, int], ...]:
         """Every (i, j, c), in increasing order, with c != 0 the coefficient
-        of e_k in [e_i, e_j]: ``bracket_basis`` inverted for one target."""
+        of e_k in [e_i, e_j]: ``bracket_row`` inverted for one target."""
         lo, hi = self.n_pos, self.n_pos + self.rank
         out = []
         if lo <= k < hi:
@@ -545,27 +552,8 @@ def h_vector(r: RootSystem, i: int) -> AlgebraElement:
     return AlgebraElement(r, [(r.idx_h(i), Fraction(1))])
 
 
-def h_of_root(r: RootSystem, a: Root) -> AlgebraElement:
-    """The coroot h_a = [x_a, x_{-a}] as an element."""
-    return AlgebraElement(
-        r,
-        [(r.idx_h(k + 1), Fraction(c)) for k, c in enumerate(r.coroot_coeffs(a))],
-    )
-
-
 # ---------------------------------------------------------------------------
 # spec-level operations
-
-
-def root_sum(r: RootSystem, a: Root, b: Root) -> Root | None:
-    """a + b when that is again a root, else None."""
-    if not (r.is_root(a) and r.is_root(b)):
-        raise ValueError("arguments must be roots")
-    return r.root_sum(a, b)
-
-
-def pairing(r: RootSystem, lam: Root, alpha: Root) -> int:
-    return r.pairing(lam, alpha)
 
 
 def killing_coords(r: RootSystem, items) -> dict:
@@ -600,14 +588,6 @@ def bracket(r: RootSystem, x: AlgebraElement, y: AlgebraElement) -> AlgebraEleme
     return AlgebraElement(r, bracket_coords(r, x.coords.items(), y.coords.items()))
 
 
-def killing_functional(r: RootSystem, u: AlgebraElement) -> list:
-    """Dense vector w with w[k] = kappa(u, e_k); untouched entries are int 0."""
-    w: list = [0] * r.dim
-    for j, v in killing_coords(r, u.coords.items()).items():
-        w[j] = v
-    return w
-
-
 def killing(r: RootSystem, x: AlgebraElement, y: AlgebraElement) -> Fraction:
     """Killing form kappa(x, y) = tr(ad x ad y), exactly."""
     if x.system is not r or y.system is not r:
@@ -625,7 +605,3 @@ def ad_columns(r: RootSystem, x: AlgebraElement) -> dict[int, dict[int, Fraction
         if col:
             cols[j] = col
     return cols
-
-
-def highest_root(r: RootSystem, subset) -> Root:
-    return r.highest_root(subset)

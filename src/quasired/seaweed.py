@@ -15,12 +15,13 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .cascade import Cascade, Subset, half_difference_roots, kostant_cascade, tilde_pi
+from .cascade import Subset, half_difference_roots, kostant_cascade, tilde_pi
 from .rootsys import (
     AlgebraElement,
     Root,
     RootSystem,
     SimpleType,
+    _one_to,
     build_root_system,
     killing_coords,
     x_vector,
@@ -48,9 +49,7 @@ class BiparabolicSpec:
 
 def parabolic(ambient: SimpleType, subset) -> BiparabolicSpec:
     """The standard parabolic attached to a subset of simple roots."""
-    return BiparabolicSpec(
-        ambient, frozenset(subset), frozenset(range(1, ambient.rank + 1))
-    )
+    return BiparabolicSpec(ambient, subset, _one_to(ambient.rank))
 
 
 @dataclass(frozen=True)
@@ -84,26 +83,13 @@ def biparabolic_basis(spec: BiparabolicSpec) -> SubalgebraBasis:
     ))
 
 
-def seaweed_dim(spec: BiparabolicSpec) -> int:
-    r = spec.system()
-    return (
-        len(r.subsystem_positive(spec.pi2))
-        + r.rank
-        + len(r.subsystem_positive(spec.pi1))
-    )
-
-
-def _eps_vectors(c: Cascade) -> list[list[int]]:
-    return [list(n.eps) for n in c.nodes]
-
-
 def seaweed_index(spec: BiparabolicSpec) -> int:
     """Index of the biparabolic: (rk - dim E) + (k1 + k2 - dim E), where E is
     the span of the eps vectors of both cascades."""
     r = spec.system()
     c1 = kostant_cascade(r, spec.pi1)
     c2 = kostant_cascade(r, spec.pi2)
-    joint = _eps_vectors(c1) + _eps_vectors(c2)
+    joint = [list(n.eps) for n in c1.nodes + c2.nodes]
     dim_e = linalg.rank(joint) if joint else 0
     return (r.rank - dim_e) + (len(c1) + len(c2) - dim_e)
 
@@ -125,12 +111,6 @@ class CoefficientVector:
             )
         )
         return CoefficientVector(mk(a), mk(b))
-
-    def a_map(self) -> dict[Subset, Fraction]:
-        return dict(self.a)
-
-    def b_map(self) -> dict[Subset, Fraction]:
-        return dict(self.b)
 
 
 class _Slot(NamedTuple):
@@ -192,7 +172,7 @@ def _checked_maps(spec: BiparabolicSpec, cv: CoefficientVector):
     r = spec.system()
     c1 = kostant_cascade(r, spec.pi1)
     c2 = kostant_cascade(r, spec.pi2)
-    am, bm = cv.a_map(), cv.b_map()
+    am, bm = dict(cv.a), dict(cv.b)
     if set(am) != set(n.support for n in c2.nodes):
         raise ValueError("coefficient keys for a must match the pi2 cascade")
     if set(bm) != set(n.support for n in c1.nodes):

@@ -417,8 +417,9 @@ class CertChecks:
 class TorusCertificate:
     """Self-contained witness of quasi-reductivity for one coefficient draw.
 
-    ``checks`` is None on a certificate parsed from text: it stays unverified
-    until ``reverify_certificate`` has recomputed it.
+    ``checks`` is None on a certificate parsed from text, and stays None:
+    ``reverify_certificate`` returns whether the certificate passes and
+    sets no field of this frozen record.
     """
 
     spec: BiparabolicSpec
@@ -493,6 +494,8 @@ def certify_quasi_reductive(
     proves nothing and is reported as None. ``_index``, when given, is
     ``seaweed_index(spec)`` as the caller already computed it.
     """
+    if type(trials) is not int:
+        raise ValueError(f"the trial count {trials!r} is not an int")
     if trials < 1:
         raise ValueError("at least one trial is required")
     if trials > MAX_TRIALS:

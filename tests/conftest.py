@@ -49,7 +49,7 @@ def jacobi_defect(rs, i, j, k):
     """Sum of the three cyclic double brackets on basis indices; must vanish."""
     acc = {}
     for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-        for m, cm in rs.bracket_basis(b, c):
-            for q, cq in rs.bracket_basis(a, m):
+        for m, cm in rs.bracket_row(b).get(c, ()):
+            for q, cq in rs.bracket_row(a).get(m, ()):
                 acc[q] = acc.get(q, Fraction(0)) + cm * cq
     return {q: v for q, v in acc.items() if v}

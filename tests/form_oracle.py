@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import lcm
 
 from quasired import linalg
-from quasired.rootsys import AlgebraElement, RootSystem, bracket_coords, killing_functional
+from quasired.rootsys import AlgebraElement, RootSystem, bracket_coords, killing_coords
 from quasired.seaweed import SubalgebraBasis
 from quasired.stabilizer import Subspace, _sparse_int_row
 
@@ -63,7 +63,7 @@ def dense_form_stabilizer(elements, u: AlgebraElement) -> Subspace:
     independent elements, each scaled to a primitive integer vector first
     (which keeps the span)."""
     r = u.system
-    w = killing_functional(r, u)
+    w = killing_coords(r, u.coords.items())
     ps = [
         list(zip(p.coords, linalg._primitive_int_row(list(p.coords.values()))))
         for p in elements
@@ -72,7 +72,7 @@ def dense_form_stabilizer(elements, u: AlgebraElement) -> Subspace:
     M = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a + 1, n):
-            val = sum(c * w[k] for k, c in bracket_coords(r, ps[a], ps[b]).items())
+            val = sum(c * w.get(k, 0) for k, c in bracket_coords(r, ps[a], ps[b]).items())
             M[a][b] = val
             M[b][a] = -val
     red, _ = dense_kernel(M, n)

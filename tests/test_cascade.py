@@ -2,6 +2,7 @@ import pytest
 
 from conftest import system
 from quasired.cascade import (
+    _cascade,
     condition_star,
     half_difference_roots,
     k_minus_set,
@@ -12,8 +13,8 @@ from quasired.cascade import (
     well_interlaced,
 )
 from quasired.classify import identify_subsystem, pi_to_flag, transitivity_descend
-from quasired.rootsys import SimpleType, bracket, x_vector
-from quasired.seaweed import rank2_data
+from quasired.rootsys import RootSystem, SimpleType, bracket, x_vector
+from quasired.seaweed import parabolic, rank2_data
 
 
 def expected_k(family, l):
@@ -243,6 +244,12 @@ def test_condition_star():
         pytest.param(lambda: pi_to_flag(SimpleType("B", 4), {0, 9}), id="pi_to_flag"),
         # 9 is no simple root of E6, let alone the attachment root
         pytest.param(lambda: transitivity_descend(SimpleType("E", 6), {9}), id="transitivity_descend"),
+        # elements equal to an index but not ints: a fresh system, so that
+        # {2.0} cannot hit the cached cascade of {2}
+        pytest.param(lambda: kostant_cascade(RootSystem(SimpleType("E", 6)), {2.0}), id="float"),
+        pytest.param(lambda: parabolic(SimpleType("E", 6), {True, 3}), id="bool"),
+        # mixed types, which the message must not sort against each other
+        pytest.param(lambda: SimpleType("E", 6).checked_subset({"a", 1}), id="str"),
     ],
 )
 def test_simple_root_indices_outside_the_rank_are_rejected(call):
@@ -256,6 +263,10 @@ def test_rejected_subsystem_leaves_no_cache_entry():
     with pytest.raises(ValueError, match=r"subset \[1, 99\] not within 1\.\.6"):
         rs.subsystem_positive({1, 99})
     assert type(rs)._subsystem_positive.cache_info().currsize == cached
+    cascades = _cascade.cache_info().currsize
+    with pytest.raises(ValueError, match=r"subset \[2\.0\] not within 1\.\.6"):
+        kostant_cascade(RootSystem(SimpleType("E", 6)), {2.0})
+    assert _cascade.cache_info().currsize == cascades
 
 
 def test_cascade_cache_returns_same_object():

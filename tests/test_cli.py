@@ -131,14 +131,17 @@ def test_usage_errors(tmp_path):
     assert code == cli.USAGE_ERROR and "out of range" in out
     code, _ = run("index", "D", "100000")
     assert code == cli.USAGE_ERROR
-    # the CLI checks root lists itself, before BiparabolicSpec does
+    # every command reaches SimpleType.checked_subset, the one range check
     code, out = run("verify", "E", "6", "--pi1", "9")
-    assert (code, out) == (cli.USAGE_ERROR, "error: root indices in [9] out of range 1..6")
+    assert (code, out) == (cli.USAGE_ERROR, "error: subset [9] not within 1..6")
+    assert run("cascade", "G", "2", "--pi", "0") == (cli.USAGE_ERROR, "error: subset [0] not within 1..2")
+    code, out = run("index", "G", "2", "--pi2", "3,1")
+    assert (code, out) == (cli.USAGE_ERROR, "error: subset [1, 3] not within 1..2")
     # a single-type table enumerates all 2^rank subsets
     code, _ = run("tables", "A", "11", "--out", str(tmp_path))
     assert code == cli.USAGE_ERROR and not any(tmp_path.iterdir())
-    code, _ = run("classify", "E", "6", "--pi", "7")
-    assert code == cli.USAGE_ERROR
+    code, out = run("classify", "E", "6", "--pi", "7")
+    assert (code, out) == (cli.USAGE_ERROR, "error: subset [7] not within 1..6")
     code, _ = run("classify", "E", "6", "--pi", "x,y")
     assert code == cli.USAGE_ERROR
     with pytest.raises(SystemExit) as exc:

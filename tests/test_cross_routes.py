@@ -16,12 +16,7 @@ from form_oracle import subspace_elements, subspace_from_vectors
 from quasired import linalg
 from quasired.cascade import kostant_cascade, well_interlaced
 from quasired.classify import classify_parabolic
-from quasired.rootsys import (
-    SimpleType,
-    bracket,
-    h_of_root,
-    x_vector,
-)
+from quasired.rootsys import AlgebraElement, SimpleType, bracket, x_vector
 from quasired.seaweed import (
     BiparabolicSpec,
     biparabolic_basis,
@@ -60,7 +55,9 @@ def test_pairing_agrees_with_bracket_eigenvalues():
         for _ in range(60):
             lam = rng.choice(roots)
             alpha = rng.choice(roots)
-            z = bracket(rs, h_of_root(rs, alpha), x_vector(rs, lam))
+            # h_alpha from its coroot coefficients over h_1..h_l
+            h = AlgebraElement(rs, [(rs.idx_h(k + 1), c) for k, c in enumerate(rs.coroot_coeffs(alpha))])
+            z = bracket(rs, h, x_vector(rs, lam))
             eig = z.get(rs.idx_x(lam))
             assert eig == rs.pairing(lam, alpha)
             assert not (set(z.coords) - {rs.idx_x(lam)})

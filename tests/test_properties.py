@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from quasired.rootsys import MAX_CLASSICAL_RANK, SimpleType, build_root_system, highest_root
+from quasired.rootsys import MAX_CLASSICAL_RANK, SimpleType, build_root_system
 from quasired.seaweed import BiparabolicSpec
 from quasired.stabilizer import (
     certificate_from_text,
@@ -95,5 +95,5 @@ def _random_types(seed):
 def test_root_system_invariants_at_random_ranks(family, rank, h):
     rs = build_root_system(SimpleType(family, rank))
     assert rs.n_pos == len(rs.positive_roots) == rank * h // 2
-    assert sum(highest_root(rs, rs.full_subset())) == h - 1
+    assert sum(rs.highest_root(rs.full_subset())) == h - 1
     assert rs.dim == 2 * rs.n_pos + rank

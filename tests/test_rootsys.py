@@ -13,12 +13,8 @@ from quasired.rootsys import (
     ad_columns,
     bracket,
     build_root_system,
-    h_of_root,
     h_vector,
-    highest_root,
     killing,
-    pairing,
-    root_sum,
     x_vector,
 )
 
@@ -99,24 +95,24 @@ def test_rank_bounds_rejected(family, rank):
 def test_root_sum():
     rs = system("A", 2)
     a1, a2 = rs.simple_root(1), rs.simple_root(2)
-    assert root_sum(rs, a1, a2) == (1, 1)
-    assert root_sum(rs, a1, a1) is None
-    assert root_sum(rs, a1, rs.negative(a1)) is None
+    assert rs.root_sum(a1, a2) == (1, 1)
+    assert rs.root_sum(a1, a1) is None
+    assert rs.root_sum(a1, rs.negative(a1)) is None
     with pytest.raises(ValueError):
-        root_sum(rs, (5, 5), a1)
+        rs.root_sum((5, 5), a1)
 
 
 def test_pairing_values():
     rs = system("G", 2)
     for a in rs.positive_roots:
-        assert pairing(rs, a, a) == 2
+        assert rs.pairing(a, a) == 2
     # the highest root pairs to zero with the short simple root here
-    assert pairing(rs, rs.simple_root(2), rs.highest_root({1, 2})) == 0
+    assert rs.pairing(rs.simple_root(2), rs.highest_root({1, 2})) == 0
     rs6 = system("E", 6)
     from quasired.cascade import kostant_cascade
 
     c = kostant_cascade(rs6, rs6.full_subset())
-    assert pairing(rs6, c.nodes[1].eps, c.nodes[0].eps) == 0
+    assert rs6.pairing(c.nodes[1].eps, c.nodes[0].eps) == 0
 
 
 def test_bracket_basic_relations():
@@ -125,7 +121,9 @@ def test_bracket_basic_relations():
         for i in range(1, rank + 1):
             a = rs.simple_root(i)
             h = bracket(rs, x_vector(rs, a), x_vector(rs, rs.negative(a)))
-            assert h == h_of_root(rs, a)
+            # h_a from its coroot coefficients over h_1..h_l
+            h_a = AlgebraElement(rs, [(rs.idx_h(k + 1), c) for k, c in enumerate(rs.coroot_coeffs(a))])
+            assert h == h_a
             # alpha(h_alpha) = 2 read off the eigenvalue on x_alpha
             back = bracket(rs, h, x_vector(rs, a))
             assert back == 2 * x_vector(rs, a)
@@ -135,7 +133,7 @@ def test_bracket_cartan_acts_by_pairing():
     rs = system("C", 3)
     h = h_vector(rs, 2)
     for a in rs.positive_roots:
-        assert bracket(rs, h, x_vector(rs, a)) == pairing(rs, a, rs.simple_root(2)) * x_vector(rs, a)
+        assert bracket(rs, h, x_vector(rs, a)) == rs.pairing(a, rs.simple_root(2)) * x_vector(rs, a)
 
 
 def test_bracket_g2_simple_pair_coefficient():
@@ -267,22 +265,22 @@ def test_ad_matrix_cartan_diagonal():
             if i != j:
                 assert m[i][j] == 0
     for idx, a in enumerate(rs.positive_roots):
-        assert m[idx][idx] == pairing(rs, a, rs.simple_root(1))
+        assert m[idx][idx] == rs.pairing(a, rs.simple_root(1))
 
 
 def test_highest_root():
     rs = system("G", 2)
-    assert highest_root(rs, {1}) == rs.simple_root(1)
-    assert highest_root(rs, {1, 2}) == (2, 3)
+    assert rs.highest_root({1}) == rs.simple_root(1)
+    assert rs.highest_root({1, 2}) == (2, 3)
     rs6 = system("E", 6)
     from quasired.cascade import kostant_cascade
 
     c = kostant_cascade(rs6, rs6.full_subset())
-    assert highest_root(rs6, rs6.full_subset()) == c.nodes[0].eps == (1, 2, 2, 3, 2, 1)
+    assert rs6.highest_root(rs6.full_subset()) == c.nodes[0].eps == (1, 2, 2, 3, 2, 1)
     with pytest.raises(ValueError):
-        highest_root(rs6, frozenset())
+        rs6.highest_root(frozenset())
     with pytest.raises(ValueError):
-        highest_root(rs6, {1, 6})  # disconnected
+        rs6.highest_root({1, 6})  # disconnected
 
 
 def test_algebra_element_normalization():

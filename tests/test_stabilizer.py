@@ -336,6 +336,10 @@ def test_certify_trials_are_bounded():
     for trials in (MAX_TRIALS + 1, 10**9):
         with pytest.raises(ValueError, match=str(MAX_TRIALS)):
             certify_quasi_reductive(spec, trials=trials, seed=1)
+    # range() would raise TypeError on 2.5, and True would run one trial
+    for trials in (2.5, True):
+        with pytest.raises(ValueError, match="not an int"):
+            certify_quasi_reductive(spec, trials=trials, seed=1)
     cert = certify_quasi_reductive(parabolic(SimpleType("G", 2), {2}), trials=MAX_TRIALS)
     assert cert is not None and cert.trial == 0
 
