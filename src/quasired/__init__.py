@@ -37,7 +37,6 @@ from .rootsys import (
 from .seaweed import (
     BiparabolicSpec,
     CoefficientVector,
-    SubalgebraBasis,
     biparabolic_basis,
     build_u,
     build_u_minus,

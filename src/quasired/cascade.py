@@ -72,8 +72,9 @@ def _cascade_nodes(r: RootSystem, subset: Subset) -> tuple[CascadeNode, ...]:
 
 def kostant_cascade(r: RootSystem, subset) -> Cascade:
     """Cascade of pairwise strongly orthogonal highest roots below a subset;
-    ``RootSystem.components`` rejects indices outside 1..rank."""
-    return _cascade(r, frozenset(subset))
+    ValueError unless the subset lies within 1..rank, checked before the
+    cache sees it."""
+    return _cascade(r, r.type.checked_subset(subset))
 
 
 @cache

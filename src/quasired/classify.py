@@ -186,8 +186,9 @@ def _fmt(subset) -> str:
 
 def classify_parabolic(t: SimpleType, subset) -> Verdict:
     r = build_root_system(t)
-    sub = t.checked_subset(subset)
-    idx = seaweed_index(parabolic(t, sub))
+    spec = parabolic(t, subset)
+    sub = spec.pi1
+    idx = seaweed_index(spec)
     trace: list[str] = []
 
     if sub == r.full_subset():

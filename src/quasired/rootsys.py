@@ -258,13 +258,12 @@ class RootSystem:
 
     def subsystem_positive(self, subset) -> tuple[Root, ...]:
         """Positive roots supported on the given simple roots; ValueError
-        unless the subset lies within 1..rank."""
-        return self._subsystem_positive(frozenset(subset))
+        unless the subset lies within 1..rank, checked before the cache sees
+        it."""
+        return self._subsystem_positive(self.type.checked_subset(subset))
 
     @cache
     def _subsystem_positive(self, subset: frozenset[int]) -> tuple[Root, ...]:
-        # checked on a miss only, so a rejected subset leaves no cache entry
-        self.type.checked_subset(subset)
         outside = [i for i in range(self.rank) if i + 1 not in subset]
         return tuple(r for r in self.positive_roots if not any(r[i] for i in outside))
 
@@ -469,7 +468,8 @@ def build_root_system(t: SimpleType) -> RootSystem:
 
 
 class AlgebraElement:
-    """Sparse exact-rational vector over the Chevalley basis."""
+    """Sparse exact-rational vector over the Chevalley basis; ValueError
+    unless every basis index is an int within 0..dim-1."""
 
     __slots__ = ("system", "coords")
 
@@ -477,6 +477,8 @@ class AlgebraElement:
         items = coords.items() if isinstance(coords, dict) else coords
         acc: dict[int, Fraction] = {}
         for i, c in items:
+            if type(i) is not int or not 0 <= i < system.dim:
+                raise ValueError(f"basis index {i!r} not within 0..{system.dim - 1}")
             if type(c) is not Fraction:
                 c = Fraction(c)
             if not c:

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .cascade import Subset, half_difference_roots, kostant_cascade, tilde_pi
+from .cascade import Subset, _cascade, half_difference_roots, kostant_cascade, tilde_pi
 from .rootsys import (
     AlgebraElement,
     Root,
@@ -30,7 +30,11 @@ from .rootsys import (
 
 @dataclass(frozen=True)
 class BiparabolicSpec:
-    """A standard biparabolic q(pi1, pi2) inside a fixed simple type."""
+    """A standard biparabolic q(pi1, pi2) inside a fixed simple type.
+
+    ``pi1`` and ``pi2`` are checked once, here, by
+    ``SimpleType.checked_subset``; code holding a spec trusts them and reads
+    ``cascade._cascade`` and ``RootSystem._subsystem_positive`` directly."""
 
     ambient: SimpleType
     pi1: Subset
@@ -52,43 +56,24 @@ def parabolic(ambient: SimpleType, subset) -> BiparabolicSpec:
     return BiparabolicSpec(ambient, subset, _one_to(ambient.rank))
 
 
-@dataclass(frozen=True)
-class SubalgebraBasis:
-    """The Chevalley basis vectors spanning a biparabolic, by their indices
-    in increasing order: n+ of pi2, the Cartan, n- of pi1. Bases built
-    separately for one spec are equal."""
-
-    spec: BiparabolicSpec
-    indices: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        ix = tuple(self.indices)
-        object.__setattr__(self, "indices", ix)
-        in_range = not ix or 0 <= ix[0] and ix[-1] < self.spec.system().dim
-        if not in_range or ix != tuple(sorted(set(ix))):
-            raise ValueError("basis indices must be increasing and within the algebra")
-
-    @property
-    def dim(self) -> int:
-        return len(self.indices)
-
-
-def biparabolic_basis(spec: BiparabolicSpec) -> SubalgebraBasis:
+def biparabolic_basis(spec: BiparabolicSpec) -> tuple[int, ...]:
+    """The indices of the Chevalley basis vectors spanning the biparabolic,
+    in increasing order: n+ of pi2, the Cartan, n- of pi1."""
     r = spec.system()
     pos, hi = r.pos_index, r.n_pos + r.rank
-    return SubalgebraBasis(spec, (
-        *[pos[a] for a in r.subsystem_positive(spec.pi2)],
+    return (
+        *[pos[a] for a in r._subsystem_positive(spec.pi2)],
         *range(r.n_pos, hi),
-        *[pos[a] + hi for a in r.subsystem_positive(spec.pi1)],
-    ))
+        *[pos[a] + hi for a in r._subsystem_positive(spec.pi1)],
+    )
 
 
 def seaweed_index(spec: BiparabolicSpec) -> int:
     """Index of the biparabolic: (rk - dim E) + (k1 + k2 - dim E), where E is
     the span of the eps vectors of both cascades."""
     r = spec.system()
-    c1 = kostant_cascade(r, spec.pi1)
-    c2 = kostant_cascade(r, spec.pi2)
+    c1 = _cascade(r, spec.pi1)
+    c2 = _cascade(r, spec.pi2)
     joint = [list(n.eps) for n in c1.nodes + c2.nodes]
     dim_e = linalg.rank(joint) if joint else 0
     return (r.rank - dim_e) + (len(c1) + len(c2) - dim_e)
@@ -132,7 +117,7 @@ def _draw_layout(spec: BiparabolicSpec) -> tuple[tuple[_Slot, ...], tuple[_Slot,
 
     def slots(pi, shift):
         out = []
-        for n in kostant_cascade(r, pi).nodes:
+        for n in _cascade(r, pi).nodes:
             i = r.pos_index[n.eps] + shift
             ((j, kappa),) = killing_coords(r, [(i, 1)]).items()
             out.append(_Slot(n.support, i, j, kappa))
@@ -170,8 +155,8 @@ def sample_cv(spec: BiparabolicSpec, rng: random.Random) -> CoefficientVector:
 
 def _checked_maps(spec: BiparabolicSpec, cv: CoefficientVector):
     r = spec.system()
-    c1 = kostant_cascade(r, spec.pi1)
-    c2 = kostant_cascade(r, spec.pi2)
+    c1 = _cascade(r, spec.pi1)
+    c2 = _cascade(r, spec.pi2)
     am, bm = dict(cv.a), dict(cv.b)
     if set(am) != set(n.support for n in c2.nodes):
         raise ValueError("coefficient keys for a must match the pi2 cascade")
@@ -197,8 +182,8 @@ def build_u_minus(spec: BiparabolicSpec) -> AlgebraElement:
     """Sum of x_{-eps} over the pi2 cascade eps not lying in the positive
     subsystem of pi1."""
     r = spec.system()
-    pos1 = set(r.subsystem_positive(spec.pi1))
-    eps = [n.eps for n in kostant_cascade(r, spec.pi2).nodes if n.eps not in pos1]
+    pos1 = set(r._subsystem_positive(spec.pi1))
+    eps = [n.eps for n in _cascade(r, spec.pi2).nodes if n.eps not in pos1]
     return AlgebraElement(r, [(r.idx_x(r.negative(e)), 1) for e in eps])
 
 

@@ -1,8 +1,9 @@
 """Stabilizers of linear forms and machine-checkable torus certificates.
 
-The stabilizer of the form kappa(u, .) restricted to a subalgebra P is the
-kernel of the skew matrix M = kappa(u, [P_i, P_j]); everything is computed
-exactly, in integers. kappa(u, .) is scaled to a primitive integer
+The stabilizer of the form kappa(u, .) restricted to the biparabolic of a
+spec is the kernel of the skew matrix M = kappa(u, [e_i, e_j]) over the
+basis of the spec, the indices ``biparabolic_basis`` lists; everything is
+computed exactly, in integers. kappa(u, .) is scaled to a primitive integer
 functional w, and M is sum_k w_k C_k with C_k the integer constants of
 ``bracket_into(k)``. ``form_stabilizer`` fills M for its one u, summing
 each cell's terms, and takes its kernel by ``linalg._kernel``. A certificate
@@ -91,7 +92,6 @@ from .rootsys import (
 from .seaweed import (
     BiparabolicSpec,
     CoefficientVector,
-    SubalgebraBasis,
     _checked_maps,
     _draw,
     _draw_cv,
@@ -213,18 +213,18 @@ class _Block:
         return vecs
 
 
-def _form_pattern(P: SubalgebraBasis, support):
-    """The form matrix kappa(u, [e_a, e_b]) over the basis of P for every u
-    whose functional kappa(u, .) has the given support, compiled for a
-    certificate search: the root system of P, the matrix's peeled blocks
-    that have a kernel, and the ``_killing_pairs`` of the blocks' ``idx``,
-    outside which every kernel vector is 0. The support is the duals of the
+def _form_pattern(spec: BiparabolicSpec, support):
+    """The form matrix kappa(u, [e_a, e_b]) over the basis of the spec for
+    every u whose functional kappa(u, .) has the given support, compiled for
+    a certificate search: the root system of the spec, the matrix's peeled
+    blocks that have a kernel, and the ``_killing_pairs`` of the blocks'
+    ``idx``, outside which every kernel vector is 0. The support is the duals of the
     search's slots, root-vector indices; a bracket of two basis vectors has
     at most one root-vector component, so each cell is one term w_k * c."""
-    r = P.spec.system()
+    r = spec.system()
     # terms[i][j]: the (k, c) with c the e_k coefficient of [e_i, e_j]; the
     # pattern is symmetric, as kappa(u, [e_j, e_i]) = -kappa(u, [e_i, e_j])
-    terms: dict[int, dict[int, tuple[int, int]]] = {i: {} for i in P.indices}
+    terms: dict[int, dict[int, tuple[int, int]]] = {i: {} for i in biparabolic_basis(spec)}
     for k in sorted(support):
         for i, j, c in r.bracket_into(k):
             if i in terms and j in terms:
@@ -295,26 +295,28 @@ def _peel_blocks(terms: dict[int, dict[int, tuple[int, int]]]) -> list[_Block]:
     return blocks
 
 
-def form_stabilizer(P: SubalgebraBasis, u: AlgebraElement) -> Subspace:
-    """Stabilizer of the restricted form: all x in span(P) with
-    kappa(u, [x, p]) = 0 for every p in P.
+def form_stabilizer(spec: BiparabolicSpec, u: AlgebraElement) -> Subspace:
+    """Stabilizer of the restricted form: all x in the span of the basis of
+    the spec with kappa(u, [x, p]) = 0 for every p in that basis.
 
-    Fills the integer form matrix sum_k w_k C_k over P (module docstring),
-    dropping the cells whose terms cancel, and reduces its kernel once.
+    Fills the integer form matrix sum_k w_k C_k over the basis of the spec
+    (module docstring), dropping the cells whose terms cancel, and reduces
+    its kernel once.
     """
-    r = P.spec.system()
+    r = spec.system()
     if u.system is not r:
         raise ValueError("form element lives over a different root system")
     f = killing_coords(r, u.coords.items())
     support = [j for j in f if f[j]]
-    at = {i: t for t, i in enumerate(P.indices)}
+    basis = biparabolic_basis(spec)
+    at = {i: t for t, i in enumerate(basis)}
     rows: list[dict[int, int]] = [{} for _ in at]
     for k, w in zip(support, linalg._primitive_int_row([f[j] for j in support])):
         for i, j, c in r.bracket_into(k):
             if i in at and j in at:
                 rows[at[i]][at[j]] = rows[at[i]].get(at[j], 0) + w * c
-    basis, _ = linalg._kernel([{j: v for j, v in row.items() if v} for row in rows], len(at))
-    return Subspace(r, _canonical_rows([(P.indices, basis)]))
+    kernel, _ = linalg._kernel([{j: v for j, v in row.items() if v} for row in rows], len(at))
+    return Subspace(r, _canonical_rows([(basis, kernel)]))
 
 
 def _canonical_rows(raw) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -404,6 +406,8 @@ def is_semisimple_element(x: AlgebraElement) -> bool:
 
 @dataclass(frozen=True)
 class CertChecks:
+    """Which of the three certificate checks one trial passed."""
+
     dim_equals_index: bool
     abelian: bool
     killing_nondegenerate: bool
@@ -415,17 +419,13 @@ class CertChecks:
 
 @dataclass(frozen=True)
 class TorusCertificate:
-    """Self-contained witness of quasi-reductivity for one coefficient draw.
-
-    ``checks`` is None on a certificate parsed from text, and stays None:
-    ``reverify_certificate`` returns whether the certificate passes and
-    sets no field of this frozen record.
-    """
+    """Self-contained witness of quasi-reductivity for one coefficient draw:
+    a searched one passed all three checks, and a parsed one passes them
+    when ``reverify_certificate`` says so."""
 
     spec: BiparabolicSpec
     cv: CoefficientVector
     stab: Subspace
-    checks: CertChecks | None
     trial: int
 
 
@@ -433,8 +433,8 @@ def _attempt(pattern, index: int, slots, ds) -> tuple[Subspace | None, CertCheck
     """The three certificate checks of one draw of a search, and its
     stabilizer S when it passes them all. slots is the ``_draw_layout`` of
     the spec, a then b, ds holds one nonzero int per slot, index is
-    ``seaweed_index`` of the spec and pattern is ``_form_pattern`` of its
-    ``biparabolic_basis`` for the slots' dual indices. Those indices are
+    ``seaweed_index`` of the spec and pattern is ``_form_pattern`` of the
+    spec for the slots' dual indices. Those indices are
     distinct, so the weights d * kappa, scaled by
     ``linalg._primitive_int_row``, are the functional ``form_stabilizer``
     computes for ``build_u`` of the draw (module docstring), and their
@@ -503,13 +503,13 @@ def certify_quasi_reductive(
     index = seaweed_index(spec) if _index is None else _index
     a, b = _draw_layout(spec)
     slots = a + b
-    pattern = _form_pattern(biparabolic_basis(spec), [s.dual for s in slots])
+    pattern = _form_pattern(spec, [s.dual for s in slots])
     rng = random.Random(seed)
     for t in range(trials):
         ds = _draw(len(slots), rng)
         S, checks = _attempt(pattern, index, slots, ds)
         if checks.all_true:
-            return TorusCertificate(spec, _draw_cv(a, b, ds), S, checks, t)
+            return TorusCertificate(spec, _draw_cv(a, b, ds), S, t)
     return None
 
 
@@ -520,7 +520,7 @@ def reverify_certificate(cert: TorusCertificate) -> bool:
     ``is_abelian`` and ``killing_radical_on``: none of the search's compile,
     peeling or trial runs, so a defect there cannot pass its certificates."""
     spec = cert.spec
-    S = form_stabilizer(biparabolic_basis(spec), build_u(spec, cert.cv))
+    S = form_stabilizer(spec, build_u(spec, cert.cv))
     return (
         S == cert.stab
         and S.dim == seaweed_index(spec)
@@ -643,7 +643,7 @@ def certificate_from_text(text: str) -> TorusCertificate:
     trial = int(fields["trial"])
     if not 0 <= trial < MAX_TRIALS:
         raise ValueError(f"trial {trial} out of range 0..{MAX_TRIALS - 1}")
-    cert = TorusCertificate(spec, cv, Subspace(r, tuple(int_rows)), None, trial)
+    cert = TorusCertificate(spec, cv, Subspace(r, tuple(int_rows)), trial)
     printed = certificate_to_text(cert).splitlines()[1:]
     for (key, value), line in zip(keyed, printed):
         want = line.partition(": ")[2]

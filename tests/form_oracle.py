@@ -15,7 +15,7 @@ from math import lcm
 
 from quasired import linalg
 from quasired.rootsys import AlgebraElement, RootSystem, bracket_coords, killing_coords
-from quasired.seaweed import SubalgebraBasis
+from quasired.seaweed import BiparabolicSpec, biparabolic_basis
 from quasired.stabilizer import Subspace, _sparse_int_row
 
 
@@ -52,10 +52,10 @@ def dense_kernel(rows, ncols: int) -> tuple[list[list[int]], list[int]]:
     return linalg._eliminate(basis, True)
 
 
-def basis_elements(P: SubalgebraBasis) -> list[AlgebraElement]:
-    """The Chevalley basis vectors e_i, i in P.indices, as elements."""
-    r = P.spec.system()
-    return [AlgebraElement(r, [(i, 1)]) for i in P.indices]
+def basis_elements(spec: BiparabolicSpec) -> list[AlgebraElement]:
+    """The Chevalley basis vectors e_i of the spec's basis, as elements."""
+    r = spec.system()
+    return [AlgebraElement(r, [(i, 1)]) for i in biparabolic_basis(spec)]
 
 
 def dense_form_stabilizer(elements, u: AlgebraElement) -> Subspace:

@@ -13,7 +13,7 @@ from quasired.cascade import (
     well_interlaced,
 )
 from quasired.classify import identify_subsystem, pi_to_flag, transitivity_descend
-from quasired.rootsys import RootSystem, SimpleType, bracket, x_vector
+from quasired.rootsys import SimpleType, bracket, x_vector
 from quasired.seaweed import parabolic, rank2_data
 
 
@@ -244,9 +244,17 @@ def test_condition_star():
         pytest.param(lambda: pi_to_flag(SimpleType("B", 4), {0, 9}), id="pi_to_flag"),
         # 9 is no simple root of E6, let alone the attachment root
         pytest.param(lambda: transitivity_descend(SimpleType("E", 6), {9}), id="transitivity_descend"),
-        # elements equal to an index but not ints: a fresh system, so that
-        # {2.0} cannot hit the cached cascade of {2}
-        pytest.param(lambda: kostant_cascade(RootSystem(SimpleType("E", 6)), {2.0}), id="float"),
+        # elements equal to an index but not ints, each after the int subset
+        # it equals is cached: the check runs before any cache lookup
+        pytest.param(lambda: [kostant_cascade(system("E", 6), s) for s in ({2}, {2.0})], id="float"),
+        pytest.param(
+            lambda: [system("E", 6).subsystem_positive(s) for s in ({1}, {True})],
+            id="bool-subsystem_positive",
+        ),
+        pytest.param(
+            lambda: [well_interlaced(system("E", 6), s, {1, 3}) for s in ({2}, {2.0})],
+            id="float-well_interlaced",
+        ),
         pytest.param(lambda: parabolic(SimpleType("E", 6), {True, 3}), id="bool"),
         # mixed types, which the message must not sort against each other
         pytest.param(lambda: SimpleType("E", 6).checked_subset({"a", 1}), id="str"),
@@ -258,14 +266,19 @@ def test_simple_root_indices_outside_the_rank_are_rejected(call):
 
 
 def test_rejected_subsystem_leaves_no_cache_entry():
+    # the int subsets are cached first, so a bad subset equal to one of them
+    # must be rejected before the lookup, not served from the cache
     rs = system("E", 6)
+    rs.subsystem_positive({1})
+    kostant_cascade(rs, {2})
     cached = type(rs)._subsystem_positive.cache_info().currsize
-    with pytest.raises(ValueError, match=r"subset \[1, 99\] not within 1\.\.6"):
-        rs.subsystem_positive({1, 99})
+    for bad, shown in (({1, 99}, r"\[1, 99\]"), ({True}, r"\[True\]")):
+        with pytest.raises(ValueError, match=rf"subset {shown} not within 1\.\.6"):
+            rs.subsystem_positive(bad)
     assert type(rs)._subsystem_positive.cache_info().currsize == cached
     cascades = _cascade.cache_info().currsize
     with pytest.raises(ValueError, match=r"subset \[2\.0\] not within 1\.\.6"):
-        kostant_cascade(RootSystem(SimpleType("E", 6)), {2.0})
+        kostant_cascade(rs, {2.0})
     assert _cascade.cache_info().currsize == cascades
 
 

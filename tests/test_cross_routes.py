@@ -19,7 +19,6 @@ from quasired.classify import classify_parabolic
 from quasired.rootsys import AlgebraElement, SimpleType, bracket, x_vector
 from quasired.seaweed import (
     BiparabolicSpec,
-    biparabolic_basis,
     build_u,
     interlaced_torus_elements,
     parabolic,
@@ -85,7 +84,7 @@ def test_constructed_elements_span_generic_stabilizer(family, rank, p1, p2):
     rng = random.Random(97)
     cv = sample_cv(spec, rng)
     u = build_u(spec, cv)
-    S = form_stabilizer(biparabolic_basis(spec), u)
+    S = form_stabilizer(spec, u)
     idx = seaweed_index(spec)
     assert S.dim == idx
     # membership of every constructed element

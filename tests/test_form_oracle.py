@@ -54,9 +54,9 @@ def _random_spec(rng, family, rank):
     return BiparabolicSpec(SimpleType(family, rank), p1, p2)
 
 
-def _dense(P, u):
-    """The dense oracle's stabilizer on the basis vectors of P."""
-    return dense_form_stabilizer(basis_elements(P), u)
+def _dense(spec, u):
+    """The dense oracle's stabilizer on the basis vectors of the spec."""
+    return dense_form_stabilizer(basis_elements(spec), u)
 
 
 def _every_spec(family, rank):
@@ -80,20 +80,18 @@ def test_cascade_forms_match_dense_route(family, rank):
     specs = _every_spec(family, rank)
     assert len(specs) == {2: 16, 3: 64, 4: 256, 6: 128}[rank]
     for spec in specs:
-        P = biparabolic_basis(spec)
         u = build_u(spec, sample_cv(spec, rng))
-        assert form_stabilizer(P, u) == _dense(P, u), spec
+        assert form_stabilizer(spec, u) == _dense(spec, u), spec
 
 
 @pytest.mark.parametrize("family,rank", TYPES)
 def test_zero_form_matches_dense_route(family, rank):
     rng = random.Random(rank)
     spec = _random_spec(rng, family, rank)
-    P = biparabolic_basis(spec)
     u = AlgebraElement(system(family, rank))
-    S = form_stabilizer(P, u)
-    assert S.dim == P.dim
-    assert S == _dense(P, u)
+    S = form_stabilizer(spec, u)
+    assert S.dim == len(biparabolic_basis(spec))
+    assert S == _dense(spec, u)
 
 
 @pytest.mark.parametrize("family,rank", TYPES)
@@ -104,12 +102,11 @@ def test_forms_with_cartan_components_match_dense_route(family, rank):
     rng = random.Random(f"cartan {family}{rank}")
     for _ in range(4):
         spec = _random_spec(rng, family, rank)
-        P = biparabolic_basis(spec)
         coords = [(rs.idx_h(i), rng.randint(-9, 9)) for i in range(1, rank + 1)]
         coords += [(rng.randrange(rs.dim), rng.randint(-9, 9)) for _ in range(3)]
         u = AlgebraElement(rs, coords)
         assert any(rs.index_root(k) is None for k in u.coords)
-        assert form_stabilizer(P, u) == _dense(P, u), spec
+        assert form_stabilizer(spec, u) == _dense(spec, u), spec
 
 
 def _unit_rows(red, pivots):
@@ -202,7 +199,7 @@ def test_sparse_kernel_falls_back_where_a_replayed_pivot_is_zero():
 
 @pytest.mark.parametrize("family,rank", TYPES)
 def test_every_trial_of_a_search_matches_dense_route(monkeypatch, family, rank):
-    # trials of one search share their basis P and support, and so one
+    # trials of one search share their spec and support, and so one
     # pattern, which the search compiles exactly once; failing every
     # commutation check makes each search run all of its trials. That check gets the trial's raw kernel basis,
     # which is recorded and reduced here, and must be independent, as the
@@ -223,9 +220,9 @@ def test_every_trial_of_a_search_matches_dense_route(monkeypatch, family, rank):
 
     compiles = []
 
-    def form_pattern_counted(P, support):
-        compiles.append((P, sorted(support)))
-        return _form_pattern(P, support)
+    def form_pattern_counted(spec, support):
+        compiles.append((spec, sorted(support)))
+        return _form_pattern(spec, support)
 
     monkeypatch.setattr(stabilizer, "_commuting", commuting_recorded)
     monkeypatch.setattr(stabilizer, "_form_pattern", form_pattern_counted)
@@ -237,13 +234,12 @@ def test_every_trial_of_a_search_matches_dense_route(monkeypatch, family, rank):
         got.clear()
         compiles.clear()
         assert certify_quasi_reductive(spec, trials=5, seed=seed) is None
-        P = biparabolic_basis(spec)
         a, b = _draw_layout(spec)
-        assert compiles == [(P, sorted(s.dual for s in a + b))], spec
+        assert compiles == [(spec, sorted(s.dual for s in a + b))], spec
         assert len(got) == 5, spec
         replay = random.Random(seed)
         for n, S in got:
-            assert S.dim == n and S == _dense(P, build_u(spec, sample_cv(spec, replay))), spec
+            assert S.dim == n and S == _dense(spec, build_u(spec, sample_cv(spec, replay))), spec
             compared += 1
     assert compared == 20
 
@@ -271,7 +267,7 @@ def test_cartan_forms_sharing_a_pattern_match_dense_route(family, rank):
     # shares the support h_1..h_l
     rs = system(family, rank)
     full = frozenset(range(1, rank + 1))
-    P = biparabolic_basis(BiparabolicSpec(SimpleType(family, rank), full, full))
+    spec = BiparabolicSpec(SimpleType(family, rank), full, full)
     non_simple = [rs.coroot_coeffs(a) for a in rs.positive_roots[rank:]]
     rng = random.Random(f"cartan pattern {family}{rank}")
     generic, singular = None, []
@@ -286,24 +282,27 @@ def test_cartan_forms_sharing_a_pattern_match_dense_route(family, rank):
         elif zeros and len(singular) < 3:
             singular.append(h)
     u = _cartan_form(rs, generic)
-    S = form_stabilizer(P, u)
-    assert S.dim == rank and S == _dense(P, u)
+    S = form_stabilizer(spec, u)
+    assert S.dim == rank and S == _dense(spec, u)
     for h in singular:
         u = _cartan_form(rs, h)
-        S = form_stabilizer(P, u)
-        assert S.dim > rank and S == _dense(P, u), h
+        S = form_stabilizer(spec, u)
+        assert S.dim > rank and S == _dense(spec, u), h
 
 
 def test_equal_bases_share_a_compile_and_another_support_recompiles():
-    spec = BiparabolicSpec(SimpleType("E", 6), frozenset({2, 3, 4}), frozenset(range(1, 7)))
-    P, Q = biparabolic_basis(spec), biparabolic_basis(spec)
-    assert P is not Q and P == Q
+    spec, twin = (
+        BiparabolicSpec(SimpleType("E", 6), frozenset({2, 3, 4}), frozenset(range(1, 7)))
+        for _ in range(2)
+    )
+    assert spec is not twin and spec == twin
+    assert biparabolic_basis(spec) == biparabolic_basis(twin)
     u = build_u(spec, sample_cv(spec, random.Random(3)))
-    assert form_stabilizer(P, u) == form_stabilizer(Q, u) == _dense(P, u)
+    assert form_stabilizer(spec, u) == form_stabilizer(twin, u) == _dense(spec, u)
     # a Cartan u: kappa(u, .) lives on h_1..h_6, another support
     rs = system("E", 6)
     h = _cartan_form(rs, [1, 2, 3, 4, 5, 7])
-    assert form_stabilizer(Q, h) == _dense(Q, h)
+    assert form_stabilizer(twin, h) == _dense(twin, h)
 
 
 def test_search_patterns_have_one_term_per_cell():
@@ -319,7 +318,7 @@ def test_search_patterns_have_one_term_per_cell():
     assert len(specs) == 16 + 64 + 64 + 256 + 256 + 2 * (64 + 128 + 256)
     for spec in specs:
         rs = spec.system()
-        basis = set(biparabolic_basis(spec).indices)
+        basis = set(biparabolic_basis(spec))
         a, b = _draw_layout(spec)
         duals = [s.dual for s in a + b]
         assert len(set(duals)) == len(duals), spec

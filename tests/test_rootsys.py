@@ -291,6 +291,21 @@ def test_algebra_element_normalization():
     assert not AlgebraElement(rs)
 
 
+@pytest.mark.parametrize("index", [-1, 14, 10**6, 2.0, True], ids=repr)
+def test_algebra_element_rejects_basis_indices_outside_the_algebra(index):
+    # G2 has dimension 14. Unchecked, -1 is accepted: killing and bracket
+    # with it return 0, form_stabilizer returns a stabilizer and leaves a
+    # killing_row(-1) cache entry; 14 fails inside killing_row with an
+    # IndexError
+    rs = system("G", 2)
+    rows = type(rs).killing_row.cache_info().currsize
+    for coords in ([(index, 1)], {index: 0}, [(0, 1), (index, 2)]):
+        with pytest.raises(ValueError, match=r"not within 0\.\.13"):
+            AlgebraElement(rs, coords)
+    assert type(rs).killing_row.cache_info().currsize == rows
+    assert AlgebraElement(rs, [(0, 1), (13, 2)]).coords == {0: 1, 13: 2}
+
+
 def test_shared_system_identity():
     assert build_root_system(SimpleType("E", 7)) is build_root_system(SimpleType("E", 7))
 

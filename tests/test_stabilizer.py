@@ -41,7 +41,6 @@ from quasired.seaweed import (
 from quasired.stabilizer import (
     MAX_TRIALS,
     CertChecks,
-    SubalgebraBasis,
     Subspace,
     _attempt,
     _form_pattern,
@@ -64,7 +63,7 @@ def test_borel_stabilizer_is_eps_kernel_in_cartan(family, rank):
     rs = system(family, rank)
     st = SimpleType(family, rank)
     spec = parabolic(st, frozenset())
-    S = form_stabilizer(biparabolic_basis(spec), build_u_minus(spec))
+    S = form_stabilizer(spec, build_u_minus(spec))
     c = kostant_cascade(rs, rs.full_subset())
     assert S.dim == rank - len(c)
     for e in subspace_elements(S):
@@ -83,9 +82,8 @@ def test_zero_form_gives_whole_subalgebra():
     st = SimpleType("B", 3)
     rs = system("B", 3)
     spec = BiparabolicSpec(st, {1}, {2, 3})
-    P = biparabolic_basis(spec)
-    S = form_stabilizer(P, AlgebraElement(rs))
-    assert S.dim == P.dim
+    S = form_stabilizer(spec, AlgebraElement(rs))
+    assert S.dim == len(biparabolic_basis(spec))
 
 
 def test_form_stabilizer_dim_at_least_index_random():
@@ -96,29 +94,28 @@ def test_form_stabilizer_dim_at_least_index_random():
         p2 = frozenset(i for i in range(1, 5) if rng.random() < 0.6)
         spec = BiparabolicSpec(st, p1, p2)
         cv = sample_cv(spec, rng)
-        S = form_stabilizer(biparabolic_basis(spec), build_u(spec, cv))
+        S = form_stabilizer(spec, build_u(spec, cv))
         assert S.dim >= seaweed_index(spec)
 
 
 def test_form_stabilizer_basis_invariance():
-    # the stabilizer depends on span(P) only: the index basis through the
-    # compiled pattern and a recombined element basis through the dense
-    # oracle give the same canonical rows
+    # the stabilizer depends on the span of the basis only: the index basis
+    # through form_stabilizer and a recombined element basis through the
+    # dense oracle give the same canonical rows
     st = SimpleType("C", 3)
     spec = parabolic(st, {1, 3})
-    P = biparabolic_basis(spec)
     rng = random.Random(31)
     cv = sample_cv(spec, rng)
     u = build_u(spec, cv)
     # random invertible triangular recombination of the basis
-    els = basis_elements(P)
+    els = basis_elements(spec)
     n = len(els)
     for _ in range(60):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
             els[i] = els[i] + Fraction(rng.randint(-3, 3)) * els[j]
     assert sum(len(e.coords) for e in els) > 2 * n  # really recombined
-    assert form_stabilizer(P, u) == dense_form_stabilizer(els, u)
+    assert form_stabilizer(spec, u) == dense_form_stabilizer(els, u)
 
 
 def test_e7_rank5_parabolic_stabilizer_fixed_coefficients():
@@ -131,9 +128,8 @@ def test_e7_rank5_parabolic_stabilizer_fixed_coefficients():
         {n.support: v for n, v in zip(cpi.nodes, [-3, 5, 7, 11, 13, -17, 19])},
         {n.support: v for n, v in zip(cp1.nodes, [23, -29, 31, 37])},
     )
-    P = biparabolic_basis(spec)
-    assert P.dim == 90
-    S = form_stabilizer(P, build_u(spec, cv))
+    assert len(biparabolic_basis(spec)) == 90
+    S = form_stabilizer(spec, build_u(spec, cv))
     assert S.dim == 4 == seaweed_index(spec)
     assert is_abelian(S)
     assert killing_radical_on(S).dim == 0
@@ -168,7 +164,7 @@ def test_killing_radical_rows_are_already_reduced():
         st = SimpleType(family, rank)
         for v in non_qr_subsets(st):
             spec = parabolic(st, v.subset)
-            S = form_stabilizer(biparabolic_basis(spec), build_u(spec, sample_cv(spec, rng)))
+            S = form_stabilizer(spec, build_u(spec, sample_cv(spec, rng)))
             R = killing_radical_on(S)
             rows = [e.dense() for e in subspace_elements(R)]
             assert subspace_from_vectors(S.system, rows) == R, spec
@@ -231,7 +227,7 @@ def test_abelian_nondegenerate_stabilizers_are_semisimple_sweep():
         p1 = frozenset(i for i in range(1, rank + 1) if rng.random() < 0.5)
         p2 = frozenset(i for i in range(1, rank + 1) if rng.random() < 0.5)
         spec = BiparabolicSpec(SimpleType(family, rank), p1, p2)
-        S = form_stabilizer(biparabolic_basis(spec), build_u(spec, sample_cv(spec, rng)))
+        S = form_stabilizer(spec, build_u(spec, sample_cv(spec, rng)))
         if not is_abelian(S):
             continue
         if killing_radical_on(S).dim:
@@ -257,7 +253,7 @@ def test_certify_borel_always_works():
     for family, rank in [("A", 2), ("B", 3), ("G", 2), ("F", 4)]:
         st = SimpleType(family, rank)
         cert = certify_quasi_reductive(parabolic(st, frozenset()), trials=5, seed=4)
-        assert cert is not None and cert.checks.all_true
+        assert cert is not None
         # empty pi1 must survive the text round trip too
         back = certificate_from_text(certificate_to_text(cert))
         assert back.spec.pi1 == frozenset() and reverify_certificate(back)
@@ -306,9 +302,8 @@ def test_certificate_determinism_and_roundtrip():
 
 def test_parsed_certificate_is_unverified_until_reverified():
     cert = certify_quasi_reductive(parabolic(SimpleType("G", 2), {2}), trials=10, seed=2)
-    assert cert is not None and cert.checks.all_true
+    assert cert is not None
     back = certificate_from_text(certificate_to_text(cert))
-    assert back.checks is None
     assert reverify_certificate(back)
 
 
@@ -321,7 +316,7 @@ def test_reverify_rejects_tampered_certificate():
     wrong = Subspace(rs, cert.stab.int_rows[:-1] + (ones,))
     from quasired.stabilizer import TorusCertificate
 
-    tampered = TorusCertificate(cert.spec, cert.cv, wrong, cert.checks, cert.trial)
+    tampered = TorusCertificate(cert.spec, cert.cv, wrong, cert.trial)
     assert not reverify_certificate(tampered)
 
 
@@ -362,22 +357,12 @@ def test_killing_form_on_certified_stabilizer_matches_gram():
     assert linalg.rank(gram) == len(els)
 
 
-def test_subalgebra_basis_rejects_bad_indices():
-    # unsorted, repeated, or outside 0..dim-1 (G2 has dimension 14)
-    spec = parabolic(SimpleType("G", 2), {2})
-    for indices in [(1, 0, 2), (0, 2, 2), (-1, 0), (0, 14)]:
-        with pytest.raises(ValueError):
-            SubalgebraBasis(spec, indices)
-    assert SubalgebraBasis(spec, (0, 13)).dim == 2
-
-
 def test_form_stabilizer_is_invariant_under_scaling_the_form():
     # the integer form matrix rescales kappa(u, .) to a primitive functional,
     # which is only sound because u and lambda*u have the same stabilizer
     spec = parabolic(SimpleType("E", 6), {1, 3, 4})
-    P = biparabolic_basis(spec)
     u = build_u(spec, sample_cv(spec, random.Random(5)))
-    assert form_stabilizer(P, u) == form_stabilizer(P, u * Fraction(1, 7))
+    assert form_stabilizer(spec, u) == form_stabilizer(spec, u * Fraction(1, 7))
 
 
 # `quasired verify G 2 --pi1 2 --seed 1 --store FILE`
@@ -483,12 +468,11 @@ def test_gram_rank_verdict_matches_killing_radical(family, rank):
     for n in range(rank + 1):
         for sub in itertools.combinations(range(1, rank + 1), n):
             spec = parabolic(st, sub)
-            P = biparabolic_basis(spec)
             a, b = _draw_layout(spec)
-            pattern = _form_pattern(P, [s.dual for s in a + b])
+            pattern = _form_pattern(spec, [s.dual for s in a + b])
             for seed in (1, 2, 3):
                 ds = _draw(len(a) + len(b), random.Random(seed))
-                S = form_stabilizer(P, build_u(spec, _draw_cv(a, b, ds)))
+                S = form_stabilizer(spec, build_u(spec, _draw_cv(a, b, ds)))
                 _, checks = _attempt(pattern, S.dim, a + b, ds)
                 abelian = is_abelian(S)
                 nondegenerate = abelian and killing_radical_on(S).dim == 0
@@ -503,15 +487,15 @@ def _trial_checks(spec, seed, trials=20):
     first that certifies, after checking each against the checks recomputed
     on the canonical stabilizer of the draw, and a certifying trial's rows
     against its rows."""
-    P, index = biparabolic_basis(spec), seaweed_index(spec)
+    index = seaweed_index(spec)
     a, b = _draw_layout(spec)
-    pattern = _form_pattern(P, [s.dual for s in a + b])
+    pattern = _form_pattern(spec, [s.dual for s in a + b])
     rng = random.Random(seed)
     out = []
     for _ in range(trials):
         ds = _draw(len(a) + len(b), rng)
         got, checks = _attempt(pattern, index, a + b, ds)
-        S = form_stabilizer(P, build_u(spec, _draw_cv(a, b, ds)))
+        S = form_stabilizer(spec, build_u(spec, _draw_cv(a, b, ds)))
         dim = S.dim == index
         abelian = dim and is_abelian(S)
         nondegenerate = abelian and killing_radical_on(S).dim == 0
