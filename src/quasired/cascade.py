@@ -20,18 +20,12 @@ Subset = frozenset[int]
 
 @dataclass(frozen=True)
 class CascadeNode:
-    """One cascade entry: a connected support set with its highest root data.
-
-    ``eps`` is the highest root of the support subsystem, ``gamma`` the roots
-    of that subsystem pairing strictly positively with eps (their root spaces
-    span a Heisenberg algebra centered at the eps root space), and ``gamma0``
-    is gamma without eps itself.
-    """
+    """One cascade entry: a connected support set and ``eps``, the highest
+    root of its subsystem. A node is exactly this pair; every other fact
+    about it is derived on demand (``Cascade.gamma``, ``interlacing``)."""
 
     support: Subset
     eps: Root
-    gamma: frozenset[Root]
-    gamma0: frozenset[Root]
 
 
 @dataclass(frozen=True)
@@ -53,6 +47,14 @@ class Cascade:
     def supports(self) -> frozenset[Subset]:
         return frozenset(n.support for n in self.nodes)
 
+    def gamma(self, n: CascadeNode) -> frozenset[Root]:
+        """The roots of node n's support subsystem pairing strictly
+        positively with its eps: their root spaces span a Heisenberg algebra
+        centered at the eps root space, and over the nodes they partition
+        the positive roots of the source. Derived on each call."""
+        r = self.system
+        return frozenset(a for a in r._subsystem_positive(n.support) if r.pairing(a, n.eps) > 0)
+
 
 def _cascade_nodes(r: RootSystem, subset: Subset) -> tuple[CascadeNode, ...]:
     if not subset:
@@ -64,10 +66,8 @@ def _cascade_nodes(r: RootSystem, subset: Subset) -> tuple[CascadeNode, ...]:
             out += _cascade_nodes(r, c)
         return out
     eps = r.highest_root(subset)
-    gamma = frozenset(a for a in r.subsystem_positive(subset) if r.pairing(a, eps) > 0)
-    node = CascadeNode(subset, eps, gamma, gamma - {eps})
     t = frozenset(i for i in subset if r.pairing(r.simple_root(i), eps) == 0)
-    return (node,) + _cascade_nodes(r, t)
+    return (CascadeNode(subset, eps),) + _cascade_nodes(r, t)
 
 
 def kostant_cascade(r: RootSystem, subset) -> Cascade:
@@ -91,7 +91,7 @@ def _check_source_root(c: Cascade, alpha: Root) -> None:
 def k_plus(c: Cascade, alpha: Root) -> CascadeNode:
     """The unique cascade node whose gamma set contains the positive root."""
     _check_source_root(c, alpha)
-    hits = [n for n in c.nodes if alpha in n.gamma]
+    hits = [n for n in c.nodes if alpha in c.gamma(n)]
     assert len(hits) == 1, "gamma sets must partition the positive roots"
     return hits[0]
 
@@ -131,7 +131,7 @@ def half_difference_roots(
                 assert half not in seen
                 seen.add(half)
                 out.append((half, up, lo))
-    out.sort(key=lambda t: (r.height(t[0]), t[0]))
+    out.sort(key=lambda t: (sum(t[0]), t[0]))
     for half, up, lo in out:
         assert k_plus(c, half).support == up.support
         assert any(n.support == lo.support for n in k_minus_set(c, half))
@@ -157,30 +157,33 @@ class InterlaceCounts:
         return self.shared_nodes + self.half_in_second + self.half_in_first
 
 
-def _half_root_set(c: Cascade) -> frozenset[Root]:
-    return frozenset(h for h, _, _ in half_difference_roots(c))
+def interlacing(c1: Cascade, c2: Cascade) -> tuple[list, list, list]:
+    """Where two cascades interlace, as three lists: the nodes of c1 whose
+    support is also a node support of c2; each (node, upper, lower) of c1
+    whose eps is the half-difference root (eps_upper - eps_lower)/2 of c2;
+    and the same for the nodes of c2 against c1. Node identity is support
+    equality, and every list follows node order."""
+    others = c2.supports()
+
+    def halves(c, other):
+        half = {h: (up, lo) for h, up, lo in half_difference_roots(other)}
+        return [(n, *half[n.eps]) for n in c.nodes if n.eps in half]
+
+    return [n for n in c1.nodes if n.support in others], halves(c1, c2), halves(c2, c1)
 
 
 def well_interlaced(r: RootSystem, pi1, pi2) -> tuple[bool, InterlaceCounts]:
     """Whether the two cascades are well-interlaced.
 
     Compares the dimension of the intersection of the two eps spans against
-    the count of shared nodes plus the nodes of either cascade whose eps is a
-    half-difference root of the other. Node identity is support equality; the
-    intersection dimension comes from an exact rank of the stacked eps
-    vectors.
+    the lengths of the three ``interlacing`` lists; the intersection
+    dimension comes from an exact rank of the stacked eps vectors.
     """
     c1 = kostant_cascade(r, pi1)
     c2 = kostant_cascade(r, pi2)
-    k1, k2 = len(c1), len(c2)
-    joint = [list(n.eps) for n in c1.nodes] + [list(n.eps) for n in c2.nodes]
-    dim_inter = k1 + k2 - linalg.rank(joint) if joint else 0
-    shared = len(c1.supports() & c2.supports())
-    half2 = _half_root_set(c2)
-    half1 = _half_root_set(c1)
-    tilde12 = sum(1 for n in c1.nodes if n.eps in half2)
-    tilde21 = sum(1 for n in c2.nodes if n.eps in half1)
-    counts = InterlaceCounts(dim_inter, shared, tilde12, tilde21)
+    joint = [list(n.eps) for n in c1.nodes + c2.nodes]
+    dim_inter = len(joint) - linalg.rank(joint) if joint else 0
+    counts = InterlaceCounts(dim_inter, *map(len, interlacing(c1, c2)))
     return dim_inter == counts.combinatorial_total, counts
 
 

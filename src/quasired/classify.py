@@ -21,6 +21,7 @@ criterion, and re-derives every torus cell from generic stabilizers.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 from dataclasses import dataclass
 from functools import cache
@@ -30,6 +31,7 @@ from . import linalg
 from .cascade import kostant_cascade, tilde_delta_plus, tilde_pi
 from .rootsys import (
     _FAMILY_BOUNDS,
+    _INT,
     RootSystem,
     SimpleType,
     _cartan_and_symmetrizer,
@@ -90,8 +92,10 @@ class FlagSpec:
     dims: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.dims:
-            raise ValueError("a flag needs at least one subspace")
+        if not _INT.issuperset(map(type, (self.N, *self.dims))):
+            raise ValueError(f"N and dims must be ints, not {self.N!r}, {self.dims!r}")
+        if not self.dims or self.dims[0] < 1:
+            raise ValueError("a flag needs at least one subspace, each of dimension 1 or more")
         if list(self.dims) != sorted(set(self.dims)):
             raise ValueError("dims must be strictly increasing")
         if self.dims[-1] > self.N // 2:
@@ -322,14 +326,17 @@ def transitivity_descend(t: SimpleType, subset) -> ReductionStep:
 # enumerations
 
 
+# Largest rank whose 2^rank subsets the enumerations build up front
+MAX_ENUMERATED_RANK = 10
+
+
 def _subsets_sorted(rank: int):
-    full = list(range(1, rank + 1))
-    out = []
-    for mask in range(1 << rank):
-        s = frozenset(full[i] for i in range(rank) if mask >> i & 1)
-        out.append(s)
-    out.sort(key=lambda s: (len(s), tuple(sorted(s))))
-    return out
+    """Every subset of 1..rank, smaller subsets first, each size in lex
+    order; ValueError above ``MAX_ENUMERATED_RANK``."""
+    if rank > MAX_ENUMERATED_RANK:
+        raise ValueError(f"enumerating 2^{rank} subsets: ranks up to {MAX_ENUMERATED_RANK} only")
+    full = range(1, rank + 1)
+    return [frozenset(c) for k in range(rank + 1) for c in itertools.combinations(full, k)]
 
 
 def enumerate_verdicts(t: SimpleType) -> list[Verdict]:

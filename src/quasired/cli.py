@@ -19,6 +19,7 @@ from pathlib import Path
 from .cascade import kostant_cascade
 from .classify import (
     _GOLDEN_DIR,
+    MAX_ENUMERATED_RANK,
     classify_parabolic,
     enumerate_index_zero,
     non_qr_subsets,
@@ -85,7 +86,7 @@ def cmd_cascade(
                 {
                     "support": sorted(n.support),
                     "eps": list(n.eps),
-                    "gamma_size": len(n.gamma),
+                    "gamma_size": len(c.gamma(n)),
                 }
                 for n in c.nodes
             ],
@@ -98,7 +99,7 @@ def cmd_cascade(
                 i,
                 ",".join(map(str, sorted(n.support))),
                 ",".join(map(str, n.eps)),
-                len(n.gamma),
+                len(c.gamma(n)),
             )
         )
     return 0, "\n".join(lines)
@@ -162,10 +163,10 @@ def cmd_verify(
 # ---------------------------------------------------------------------------
 # table regeneration and golden diffs
 
-# each classical family from its lowest rank up to 10
-_ALL_TYPES = [(f, l) for f in "ABCD" for l in range(_FAMILY_BOUNDS[f][0], 11)] + [
-    ("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)
-]
+# each classical family from its lowest rank up to the enumeration cap
+_ALL_TYPES = [
+    (f, l) for f in "ABCD" for l in range(_FAMILY_BOUNDS[f][0], MAX_ENUMERATED_RANK + 1)
+] + [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)]
 
 
 def _csv_text(header: list[str], rows: list[list]) -> str:
@@ -331,7 +332,9 @@ def run(argv=None) -> tuple[int, str]:
                 SimpleType(args.family, args.rank)
                 # each table enumerates all 2^rank subsets
                 if (args.family, args.rank) not in _ALL_TYPES:
-                    raise ValueError(f"tables covers ranks up to 10, not {args.rank}")
+                    raise ValueError(
+                        f"tables covers ranks up to {MAX_ENUMERATED_RANK}, not {args.rank}"
+                    )
                 selection = [(args.family, args.rank)]
             outdir = args.out or os.environ.get(
                 "QUASIRED_TABLES_DIR", "quasired_tables"

@@ -166,10 +166,10 @@ class RootSystem:
     # -- root-level queries -------------------------------------------------
 
     def simple_root(self, i: int) -> Root:
-        """The simple root alpha_i, 1-based."""
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"simple root index {i} out of range")
-        return tuple(1 if j == i - 1 else 0 for j in range(self.rank))
+        """The simple root alpha_i, 1-based; ValueError unless i is an int
+        within 1..rank, checked as the one-element subset {i}."""
+        (i,) = self.type.checked_subset((i,))
+        return tuple(int(j == i) for j in range(1, self.rank + 1))
 
     def is_root(self, v: Root) -> bool:
         return v in self.pos_index or tuple(-c for c in v) in self.pos_index
@@ -179,10 +179,6 @@ class RootSystem:
 
     def negative(self, v: Root) -> Root:
         return tuple(-c for c in v)
-
-    @staticmethod
-    def height(v: Root) -> int:
-        return sum(v)
 
     def _form(self, lam: Root, p: int) -> int:
         """(lam, beta) for the positive root beta at index p."""
@@ -274,11 +270,10 @@ class RootSystem:
             raise ValueError("empty subset has no highest root")
         if not self.is_connected(sub):
             raise ValueError(f"subset {sorted(sub)} is not connected")
+        # root order is (height, lex): the highest root comes last, alone at its height
         roots = self.subsystem_positive(sub)
-        top = max(self.height(r) for r in roots)
-        tops = [r for r in roots if self.height(r) == top]
-        assert len(tops) == 1
-        return tops[0]
+        assert len(roots) == 1 or sum(roots[-2]) < sum(roots[-1])
+        return roots[-1]
 
     # -- root generation ------------------------------------------------------
 
@@ -382,8 +377,8 @@ class RootSystem:
         raise ValueError(f"{a} is not a root")
 
     def idx_h(self, i: int) -> int:
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"coroot index {i} out of range")
+        """The basis index of h_i; ValueError as for ``simple_root``."""
+        (i,) = self.type.checked_subset((i,))
         return self.n_pos + i - 1
 
     def index_root(self, idx: int) -> Root | None:

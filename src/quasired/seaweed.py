@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .cascade import Subset, _cascade, half_difference_roots, kostant_cascade, tilde_pi
+from .cascade import Subset, _cascade, interlacing, kostant_cascade, tilde_pi
 from .rootsys import (
     AlgebraElement,
     Root,
@@ -206,29 +206,20 @@ def interlaced_torus_elements(
 ) -> list[AlgebraElement]:
     """Commuting semisimple stabilizer elements of the form attached to cv.
 
-    One element per shared cascade node (a two-term x_eps + rho x_{-eps}),
-    plus one per node of either cascade whose eps is a half-difference root
-    of the other cascade, with the correcting coefficients solved from the
-    structure constants so that the bracket with u(a, b) drops into the
-    nilpotent radical.
+    One element per entry of ``interlacing``: per shared cascade node a
+    two-term x_eps + rho x_{-eps}, and per node of either cascade whose eps
+    is a half-difference root of the other cascade a four-term one, with
+    the correcting coefficients solved from the structure constants so that
+    the bracket with u(a, b) drops into the nilpotent radical.
     """
     r, c1, c2, am, bm = _checked_maps(spec, cv)
-    out: list[AlgebraElement] = []
-    shared = c1.supports() & c2.supports()
-    for n in c1.nodes:
-        if n.support in shared:
-            rho = am[n.support] / bm[n.support]
-            out.append(x_vector(r, n.eps) + rho * x_vector(r, r.negative(n.eps)))
-    half2 = {h: (up, lo) for h, up, lo in half_difference_roots(c2)}
-    half1 = {h: (up, lo) for h, up, lo in half_difference_roots(c1)}
-    for m in c1.nodes:
-        if m.eps in half2:
-            up, lo = half2[m.eps]
-            out.append(_half_element(r, 1, m.eps, up, lo, am, bm[m.support]))
-    for n in c2.nodes:
-        if n.eps in half1:
-            up, lo = half1[n.eps]
-            out.append(_half_element(r, -1, n.eps, up, lo, bm, am[n.support]))
+    shared, half12, half21 = interlacing(c1, c2)
+    out = [
+        x_vector(r, n.eps) + am[n.support] / bm[n.support] * x_vector(r, r.negative(n.eps))
+        for n in shared
+    ]
+    out += [_half_element(r, 1, m.eps, up, lo, am, bm[m.support]) for m, up, lo in half12]
+    out += [_half_element(r, -1, n.eps, up, lo, bm, am[n.support]) for n, up, lo in half21]
     return out
 
 

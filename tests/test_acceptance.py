@@ -87,7 +87,7 @@ def test_criterion_02_cascade_structure():
             for j in range(i + 1, len(eps)):
                 assert rs.root_sum(eps[i], eps[j]) is None
                 assert not rs.is_root(tuple(a - b for a, b in zip(eps[i], eps[j])))
-        seen = [a for n in c.nodes for a in n.gamma]
+        seen = [a for n in c.nodes for a in c.gamma(n)]
         assert len(seen) == len(set(seen)) == rs.n_pos, (family, rank)
     for family, rank, size in [("F", 4, 4), ("E", 6, 4), ("E", 7, 7), ("E", 8, 8)]:
         rs = system(family, rank)

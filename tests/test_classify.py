@@ -76,7 +76,19 @@ def test_flagspec_validation():
         FlagSpec(10, (2, 2))
     with pytest.raises(ValueError):
         FlagSpec(10, (3, 6))
+    # the smallest subspace is a nonzero one, and every number is an int
+    for n, dims in [(7, (0, 2)), (7, (-1, 2)), (7, (1.5,)), (7, (True,)), (7.0, (1,)), (True, (1,))]:
+        with pytest.raises(ValueError):
+            FlagSpec(n, dims)
     FlagSpec(12, (1, 3, 6))
+
+
+def test_enumerations_refuse_ranks_above_the_cap():
+    # each builds all 2^rank subsets up front: A11 is the least rank refused
+    t = SimpleType("A", 11)
+    for f in (enumerate_verdicts, non_qr_subsets, enumerate_index_zero):
+        with pytest.raises(ValueError, match="2\\^11 subsets"):
+            f(t)
 
 
 def test_dkt_flag_test_basics():

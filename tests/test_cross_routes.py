@@ -25,7 +25,7 @@ from quasired.seaweed import (
     sample_cv,
     seaweed_index,
 )
-from quasired.stabilizer import certify_quasi_reductive, form_stabilizer
+from quasired.stabilizer import certify_quasi_reductive, form_stabilizer, is_semisimple_element
 
 
 @pytest.mark.parametrize(
@@ -62,6 +62,25 @@ def test_pairing_agrees_with_bracket_eigenvalues():
             assert not (set(z.coords) - {rs.idx_x(lam)})
 
 
+def _well_interlaced_parabolics():
+    """Every parabolic q(pi, full) of G2, F4, D6, E6, E7 and E8 whose two
+    cascades are well-interlaced, 105 of them, and its transpose q(full, pi),
+    on which the half-difference nodes sit in the second cascade."""
+    out = []
+    for family, rank in [("G", 2), ("F", 4), ("D", 6), ("E", 6), ("E", 7), ("E", 8)]:
+        rs = system(family, rank)
+        full = rs.full_subset()
+        for size in range(rank + 1):
+            for sub in itertools.combinations(range(1, rank + 1), size):
+                if well_interlaced(rs, sub, full)[0]:
+                    name = f"{family}{rank}-{'.'.join(map(str, sub)) or 'empty'}"
+                    pi = frozenset(sub)
+                    out.append(pytest.param(family, rank, pi, full, id=f"parabolic-{name}"))
+                    out.append(pytest.param(family, rank, full, pi, id=f"transpose-{name}"))
+    assert len(out) == 2 * 105
+    return out
+
+
 @pytest.mark.parametrize(
     "family,rank,p1,p2",
     [
@@ -70,12 +89,14 @@ def test_pairing_agrees_with_bracket_eigenvalues():
         ("C", 5, frozenset({1, 2, 3, 4, 5}), frozenset({2, 3, 4, 5})),
         ("B", 6, frozenset({6}), frozenset({1, 2, 3, 4, 5, 6})),
         ("E", 6, frozenset({2, 3, 4}), frozenset({1, 2, 3, 4, 5, 6})),
+        *_well_interlaced_parabolics(),
     ],
 )
 def test_constructed_elements_span_generic_stabilizer(family, rank, p1, p2):
     """For well-interlaced cascades the kernel stabilizer decomposes as the
     orthogonal of the joint eps span inside the Cartan plus the constructed
-    two-to-four term elements; dimensions and membership must line up."""
+    two-to-four term elements, each semisimple; dimensions and membership
+    must line up."""
     rs = system(family, rank)
     st = SimpleType(family, rank)
     ok, counts = well_interlaced(rs, p1, p2)
@@ -91,6 +112,7 @@ def test_constructed_elements_span_generic_stabilizer(family, rank, p1, p2):
     els = interlaced_torus_elements(spec, cv)
     for x in els:
         assert subspace_from_vectors(rs, [e.dense() for e in (*subspace_elements(S), x)]) == S
+        assert is_semisimple_element(x)
     # the Cartan part: vectors killed by every eps of both cascades
     rows = []
     for sub in (p1, p2):

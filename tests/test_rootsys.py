@@ -6,6 +6,7 @@ import pytest
 
 from conftest import jacobi_defect, reflection_closure, root_set, string_below, system
 from quasired import linalg
+from quasired.classify import single_root_test
 from quasired.rootsys import (
     MAX_CLASSICAL_RANK,
     AlgebraElement,
@@ -149,6 +150,15 @@ def test_root_numbers_reject_non_roots(v):
     for f in (rs.norm2, rs.coroot_coeffs, lambda a: rs.pairing(rs.simple_root(1), a)):
         with pytest.raises(ValueError, match="not a root"):
             f(v)
+
+
+@pytest.mark.parametrize("i", [1.5, 2.0, True])
+def test_simple_root_indices_are_ints(i):
+    # a float or a bool equal to an index passes a range test alone
+    rs = system("E", 6)
+    for f in (rs.simple_root, rs.idx_h, lambda i: single_root_test(rs.type, i)):
+        with pytest.raises(ValueError, match="not within 1..6"):
+            f(i)
 
 
 def test_bracket_rejects_mixed_systems():
