@@ -47,19 +47,24 @@ class Cascade:
     def supports(self) -> frozenset[Subset]:
         return frozenset(n.support for n in self.nodes)
 
+    def in_gamma(self, n: CascadeNode, alpha: Root) -> bool:
+        """Whether the positive root lies in node n's gamma set: its support
+        lies within n's support and it pairs strictly positively with n's
+        eps. Gamma is defined here alone."""
+        return self.system.pairing(alpha, n.eps) > 0 and self.system.support(alpha) <= n.support
+
     def gamma(self, n: CascadeNode) -> frozenset[Root]:
-        """The roots of node n's support subsystem pairing strictly
-        positively with its eps: their root spaces span a Heisenberg algebra
-        centered at the eps root space, and over the nodes they partition
-        the positive roots of the source. Derived on each call."""
-        r = self.system
-        return frozenset(a for a in r._subsystem_positive(n.support) if r.pairing(a, n.eps) > 0)
+        """The roots ``in_gamma`` of node n: their root spaces span a
+        Heisenberg algebra centered at the eps root space, and over the
+        nodes they partition the positive roots of the source. Derived on
+        each call."""
+        return frozenset(a for a in self.system._subsystem_positive(n.support) if self.in_gamma(n, a))
 
 
 def _cascade_nodes(r: RootSystem, subset: Subset) -> tuple[CascadeNode, ...]:
     if not subset:
         return ()
-    comps = r.components(subset)
+    comps = r._components(subset)
     if len(comps) > 1:
         out: tuple[CascadeNode, ...] = ()
         for c in comps:
@@ -82,6 +87,23 @@ def _cascade(r: RootSystem, subset: Subset) -> Cascade:
     return Cascade(subset, _cascade_nodes(r, subset), r)
 
 
+def span_dim(rank: int, *groups) -> int:
+    """Dimension of the span of the roots in ``groups``, in a root system of
+    the given rank, where each group holds pairwise strongly orthogonal
+    roots (a cascade's eps, or one root alone).
+
+    Strongly orthogonal roots are pairwise orthogonal and nonzero, so each
+    group is linearly independent, and the span has dimension at least
+    lo = max(len(g)). The span lies in h*, and all the roots together span
+    it, so its dimension is at most hi = min(rank, sum(len(g))). When the
+    two bounds meet, they are the answer and nothing is eliminated;
+    otherwise the answer is the exact rank of the stacked roots."""
+    lo = max(map(len, groups), default=0)
+    if lo == min(rank, sum(map(len, groups))):
+        return lo
+    return linalg.rank([list(a) for g in groups for a in g])
+
+
 def _check_source_root(c: Cascade, alpha: Root) -> None:
     r = c.system
     if not (r.is_positive(alpha) and r.support(alpha) <= c.source):
@@ -91,7 +113,7 @@ def _check_source_root(c: Cascade, alpha: Root) -> None:
 def k_plus(c: Cascade, alpha: Root) -> CascadeNode:
     """The unique cascade node whose gamma set contains the positive root."""
     _check_source_root(c, alpha)
-    hits = [n for n in c.nodes if alpha in c.gamma(n)]
+    hits = [n for n in c.nodes if c.in_gamma(n, alpha)]
     assert len(hits) == 1, "gamma sets must partition the positive roots"
     return hits[0]
 
@@ -175,14 +197,13 @@ def interlacing(c1: Cascade, c2: Cascade) -> tuple[list, list, list]:
 def well_interlaced(r: RootSystem, pi1, pi2) -> tuple[bool, InterlaceCounts]:
     """Whether the two cascades are well-interlaced.
 
-    Compares the dimension of the intersection of the two eps spans against
-    the lengths of the three ``interlacing`` lists; the intersection
-    dimension comes from an exact rank of the stacked eps vectors.
+    Compares the dimension of the intersection of the two eps spans,
+    k1 + k2 - ``span_dim``, against the lengths of the three
+    ``interlacing`` lists.
     """
     c1 = kostant_cascade(r, pi1)
     c2 = kostant_cascade(r, pi2)
-    joint = [list(n.eps) for n in c1.nodes + c2.nodes]
-    dim_inter = len(joint) - linalg.rank(joint) if joint else 0
+    dim_inter = len(c1) + len(c2) - span_dim(r.rank, c1.eps_set, c2.eps_set)
     counts = InterlaceCounts(dim_inter, *map(len, interlacing(c1, c2)))
     return dim_inter == counts.combinatorial_total, counts
 

@@ -27,8 +27,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
-from . import linalg
-from .cascade import kostant_cascade, tilde_delta_plus, tilde_pi
+from .cascade import kostant_cascade, span_dim, tilde_delta_plus, tilde_pi
 from .rootsys import (
     _FAMILY_BOUNDS,
     _INT,
@@ -122,7 +121,11 @@ def pi_to_flag(t: SimpleType, subset) -> FlagSpec:
     to the isotropic flag its parabolic stabilizes."""
     if t.family not in ("B", "D"):
         raise ValueError("flag dictionary applies to types B and D only")
-    sub = t.checked_subset(subset)
+    return _flag(t, t.checked_subset(subset))
+
+
+def _flag(t: SimpleType, sub: Subset) -> FlagSpec:
+    """``pi_to_flag`` of a subset already checked."""
     l = t.rank
     if sub == _one_to(l):
         raise ValueError("the full subset corresponds to no proper flag")
@@ -149,8 +152,7 @@ def single_root_test(t: SimpleType, i: int) -> bool:
         return True
     if any(alpha == h for h, _, _ in tilde_delta_plus(r)):
         return True
-    vectors = [list(e) for e in c.eps_set] + [list(alpha)]
-    return linalg.rank(vectors) == len(c) + 1
+    return span_dim(r.rank, c.eps_set, (alpha,)) == len(c) + 1
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,7 @@ def classify_parabolic(t: SimpleType, subset) -> Verdict:
         trace.append("type-AC: always quasi-reductive")
         qr = True
     elif t.family in ("B", "D"):
-        flag = pi_to_flag(t, sub)
+        flag = _flag(t, sub)
         qr = dkt_flag_test(flag)
         trace.append(
             "dkt-flag: N={} dims=({}) scanned=({}) -> {}".format(
@@ -214,7 +216,7 @@ def classify_parabolic(t: SimpleType, subset) -> Verdict:
         )
     elif (t.family, t.rank) in _FAILING_CONNECTED:
         failing = _FAILING_CONNECTED[(t.family, t.rank)]
-        comps = r.components(sub)
+        comps = r._components(sub)
         trace.append(
             "component-split: " + " | ".join(_fmt(c) for c in comps)
         )
@@ -226,7 +228,7 @@ def classify_parabolic(t: SimpleType, subset) -> Verdict:
             else:
                 trace.append(f"component {_fmt(c)}: allowed")
     else:  # E6
-        comps = r.components(sub)
+        comps = r._components(sub)
         qr = True
         if any(c == frozenset({2}) for c in comps):
             qr = False

@@ -232,7 +232,10 @@ class RootSystem:
     def components(self, subset) -> tuple[frozenset[int], ...]:
         """Connected components of a subset of simple roots, by least index;
         ValueError unless the subset lies within 1..rank."""
-        left = set(self.type.checked_subset(subset))
+        return self._components(self.type.checked_subset(subset))
+
+    def _components(self, subset: frozenset[int]) -> tuple[frozenset[int], ...]:
+        left = set(subset)
         comps = []
         while left:
             seed = min(left)

@@ -3,8 +3,10 @@
 The standard biparabolic of a pair (pi1, pi2) of subsets of simple roots is
 spanned by the positive root vectors of pi2, the whole Cartan, and the
 negative root vectors of pi1; the parabolic attached to a subset pi' is the
-case (pi1, pi2) = (pi', full). Its index is evaluated from the exact rank of
-the stacked cascade eps vectors.
+case (pi1, pi2) = (pi', full). Its index is given by the cascade formula,
+with the dimension of the span of both cascades' eps read from
+``cascade.span_dim``: from the strong orthogonality of each cascade where
+that settles it, and from an exact rank otherwise.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .cascade import Subset, _cascade, interlacing, kostant_cascade, tilde_pi
+from .cascade import Subset, _cascade, interlacing, kostant_cascade, span_dim, tilde_pi
 from .rootsys import (
     AlgebraElement,
     Root,
@@ -69,13 +71,15 @@ def biparabolic_basis(spec: BiparabolicSpec) -> tuple[int, ...]:
 
 
 def seaweed_index(spec: BiparabolicSpec) -> int:
-    """Index of the biparabolic: (rk - dim E) + (k1 + k2 - dim E), where E is
-    the span of the eps vectors of both cascades."""
+    """Index of the biparabolic by the cascade formula (Tauvel-Yu):
+    (rk - dim E) + (k1 + k2 - dim E), where E is the span of the eps of both
+    cascades, of sizes k1 and k2. ``cascade.span_dim`` gives dim E, which
+    eliminates nothing where its bounds meet, as on every parabolic of a
+    type whose full cascade spans h*."""
     r = spec.system()
     c1 = _cascade(r, spec.pi1)
     c2 = _cascade(r, spec.pi2)
-    joint = [list(n.eps) for n in c1.nodes + c2.nodes]
-    dim_e = linalg.rank(joint) if joint else 0
+    dim_e = span_dim(r.rank, c1.eps_set, c2.eps_set)
     return (r.rank - dim_e) + (len(c1) + len(c2) - dim_e)
 
 
