@@ -24,22 +24,18 @@ from .classify import (
     transitivity_descend,
 )
 from .rootsys import (
-    AlgebraElement,
     Root,
     RootSystem,
     SimpleType,
     bracket,
     build_root_system,
-    h_vector,
     killing,
-    x_vector,
 )
 from .seaweed import (
     BiparabolicSpec,
     CoefficientVector,
     biparabolic_basis,
     build_u,
-    build_u_minus,
     interlaced_torus_elements,
     parabolic,
     rank2_stabilizer_element,

@@ -25,6 +25,10 @@ so dim = 2n + l. Structure constant signs are fixed by the extraspecial-pair
 convention over that root order, which makes every table reproducible; one
 integer pass over that order fills N_{a,b} for every ordered pair of roots
 (Carter, Simple Groups of Lie Type, 4.1-4.2).
+
+A vector of the algebra is a row: a tuple of (basis index, value) pairs in
+increasing index order, each value a nonzero int or Fraction, as
+``RootSystem.checked_row`` makes it.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from functools import cache
 from operator import sub
 
 Root = tuple[int, ...]
+Row = tuple[tuple[int, int | Fraction], ...]
 
 
 def _exact_div(num: int, den: int) -> int:
@@ -101,6 +106,7 @@ def _one_to(n: int) -> frozenset[int]:
 
 
 _INT = frozenset({int})
+_NUMBER = frozenset({int, Fraction})
 
 
 def _cartan_and_symmetrizer(t: SimpleType) -> tuple[list[list[int]], list[int]]:
@@ -392,6 +398,21 @@ class RootSystem:
             return None
         return self.negative(self.positive_roots[idx - self.n_pos - self.rank])
 
+    def checked_row(self, items) -> Row:
+        """The row of the (basis index, value) pairs in items: the values of
+        a repeated index summed, zeros dropped, in index order. ValueError
+        unless every index is an int within 0..dim-1 and every value an int
+        or a Fraction, tested by type: a bool or a float passes a range
+        test, and a float is not exact."""
+        acc: dict[int, int | Fraction] = {}
+        for i, c in items:
+            if type(i) is not int or not 0 <= i < self.dim:
+                raise ValueError(f"basis index {i!r} not within 0..{self.dim - 1}")
+            if type(c) not in _NUMBER:
+                raise ValueError(f"value {c!r} at basis index {i} is not an int or a Fraction")
+            acc[i] = acc.get(i, 0) + c
+        return tuple(sorted((i, c) for i, c in acc.items() if c))
+
     @cache
     def bracket_row(self, i: int) -> dict[int, tuple[tuple[int, int], ...]]:
         """Every nonzero bracket [e_i, e_j] as {j: ((k, c), ...)} in increasing
@@ -462,98 +483,7 @@ def build_root_system(t: SimpleType) -> RootSystem:
 
 
 # ---------------------------------------------------------------------------
-# elements of the Lie algebra
-
-
-class AlgebraElement:
-    """Sparse exact-rational vector over the Chevalley basis; ValueError
-    unless every basis index is an int within 0..dim-1."""
-
-    __slots__ = ("system", "coords")
-
-    def __init__(self, system: RootSystem, coords=()):
-        items = coords.items() if isinstance(coords, dict) else coords
-        acc: dict[int, Fraction] = {}
-        for i, c in items:
-            if type(i) is not int or not 0 <= i < system.dim:
-                raise ValueError(f"basis index {i!r} not within 0..{system.dim - 1}")
-            if type(c) is not Fraction:
-                c = Fraction(c)
-            if not c:
-                continue
-            if i in acc:
-                c += acc[i]
-                if not c:
-                    del acc[i]
-                    continue
-            acc[i] = c
-        self.system = system
-        self.coords = acc
-
-    def __bool__(self) -> bool:
-        return bool(self.coords)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.system is other.system
-            and self.coords == other.coords
-        )
-
-    def __hash__(self):
-        return hash((id(self.system), tuple(sorted(self.coords.items()))))
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        if self.system is not other.system:
-            raise ValueError("elements live over different root systems")
-        return AlgebraElement(self.system, [*self.coords.items(), *other.coords.items()])
-
-    def __neg__(self) -> "AlgebraElement":
-        return AlgebraElement(self.system, {i: -c for i, c in self.coords.items()})
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + (-other)
-
-    def __mul__(self, scalar) -> "AlgebraElement":
-        s = Fraction(scalar)
-        return AlgebraElement(self.system, {i: c * s for i, c in self.coords.items()})
-
-    __rmul__ = __mul__
-
-    def get(self, i: int) -> Fraction:
-        return self.coords.get(i, Fraction(0))
-
-    def dense(self) -> list[Fraction]:
-        v = [Fraction(0)] * self.system.dim
-        for i, c in self.coords.items():
-            v[i] = c
-        return v
-
-    def __repr__(self) -> str:
-        rs = self.system
-        parts = []
-        for i in sorted(self.coords):
-            c = self.coords[i]
-            r = rs.index_root(i)
-            if r is None:
-                parts.append(f"{c}*h{i - rs.n_pos + 1}")
-            else:
-                parts.append(f"{c}*x{r}")
-        return " + ".join(parts) if parts else "0"
-
-
-def x_vector(r: RootSystem, a: Root) -> AlgebraElement:
-    """The Chevalley generator x_a."""
-    return AlgebraElement(r, [(r.idx_x(a), Fraction(1))])
-
-
-def h_vector(r: RootSystem, i: int) -> AlgebraElement:
-    """The simple coroot h_i."""
-    return AlgebraElement(r, [(r.idx_h(i), Fraction(1))])
-
-
-# ---------------------------------------------------------------------------
-# spec-level operations
+# operations on rows
 
 
 def killing_coords(r: RootSystem, items) -> dict:
@@ -581,24 +511,23 @@ def bracket_coords(r: RootSystem, xs, ys) -> dict:
     return acc
 
 
-def bracket(r: RootSystem, x: AlgebraElement, y: AlgebraElement) -> AlgebraElement:
-    """Lie bracket, extended bilinearly from the Chevalley basis table."""
-    if x.system is not r or y.system is not r:
-        raise ValueError("elements do not belong to the given root system")
-    return AlgebraElement(r, bracket_coords(r, x.coords.items(), y.coords.items()))
+def bracket(r: RootSystem, x, y) -> Row:
+    """[x, y] of two rows, as a row: bilinear over the Chevalley basis table."""
+    x, y = r.checked_row(x), r.checked_row(y)
+    return r.checked_row(bracket_coords(r, x, y).items())
 
 
-def killing(r: RootSystem, x: AlgebraElement, y: AlgebraElement) -> Fraction:
-    """Killing form kappa(x, y) = tr(ad x ad y), exactly."""
-    if x.system is not r or y.system is not r:
-        raise ValueError("elements do not belong to the given root system")
-    f = killing_coords(r, x.coords.items())
-    return sum((c * f.get(k, 0) for k, c in y.coords.items()), Fraction(0))
+def killing(r: RootSystem, x, y):
+    """Killing form kappa(x, y) = tr(ad x ad y) of two rows, exactly."""
+    x, y = r.checked_row(x), r.checked_row(y)
+    f = killing_coords(r, x)
+    return sum(c * f.get(k, 0) for k, c in y)
 
 
-def ad_columns(r: RootSystem, x: AlgebraElement) -> dict[int, dict[int, Fraction]]:
-    """The nonzero columns {j: {k: entry}} of ad x, column j being [x, e_j]."""
-    xs = x.coords.items()
+def ad_columns(r: RootSystem, x) -> dict[int, dict]:
+    """The nonzero columns {j: {k: entry}} of ad x for a row x, column j
+    being [x, e_j]."""
+    xs = r.checked_row(x)
     cols = {}
     for j in range(r.dim):
         col = {k: v for k, v in bracket_coords(r, xs, ((j, 1),)).items() if v}

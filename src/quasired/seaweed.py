@@ -19,14 +19,13 @@ from typing import NamedTuple
 from . import linalg
 from .cascade import Subset, _cascade, interlacing, kostant_cascade, span_dim, tilde_pi
 from .rootsys import (
-    AlgebraElement,
     Root,
     RootSystem,
+    Row,
     SimpleType,
     _one_to,
     build_root_system,
     killing_coords,
-    x_vector,
 )
 
 
@@ -173,22 +172,14 @@ def _checked_maps(spec: BiparabolicSpec, cv: CoefficientVector):
     return r, c1, c2, am, bm
 
 
-def build_u(spec: BiparabolicSpec, cv: CoefficientVector) -> AlgebraElement:
-    """The element sum(a_K x_{-eps_K}, K in pi2 cascade) +
+def build_u(spec: BiparabolicSpec, cv: CoefficientVector) -> Row:
+    """The row of sum(a_K x_{-eps_K}, K in pi2 cascade) +
     sum(b_L x_{eps_L}, L in pi1 cascade)."""
     r, *_, am, bm = _checked_maps(spec, cv)
     a, b = _draw_layout(spec)
-    coords = [(s.index, am[s.support]) for s in a] + [(s.index, bm[s.support]) for s in b]
-    return AlgebraElement(r, coords)
-
-
-def build_u_minus(spec: BiparabolicSpec) -> AlgebraElement:
-    """Sum of x_{-eps} over the pi2 cascade eps not lying in the positive
-    subsystem of pi1."""
-    r = spec.system()
-    pos1 = set(r._subsystem_positive(spec.pi1))
-    eps = [n.eps for n in _cascade(r, spec.pi2).nodes if n.eps not in pos1]
-    return AlgebraElement(r, [(r.idx_x(r.negative(e)), 1) for e in eps])
+    return r.checked_row(
+        [(s.index, am[s.support]) for s in a] + [(s.index, bm[s.support]) for s in b]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +196,9 @@ def _coroot_ratio(r: RootSystem, mid: Root, up: Root, lo: Root) -> Fraction:
     return c
 
 
-def interlaced_torus_elements(
-    spec: BiparabolicSpec, cv: CoefficientVector
-) -> list[AlgebraElement]:
-    """Commuting semisimple stabilizer elements of the form attached to cv.
+def interlaced_torus_elements(spec: BiparabolicSpec, cv: CoefficientVector) -> list[Row]:
+    """Commuting semisimple stabilizer elements of the form attached to cv,
+    as rows.
 
     One element per entry of ``interlacing``: per shared cascade node a
     two-term x_eps + rho x_{-eps}, and per node of either cascade whose eps
@@ -218,16 +208,16 @@ def interlaced_torus_elements(
     """
     r, c1, c2, am, bm = _checked_maps(spec, cv)
     shared, half12, half21 = interlacing(c1, c2)
-    out = [
-        x_vector(r, n.eps) + am[n.support] / bm[n.support] * x_vector(r, r.negative(n.eps))
-        for n in shared
-    ]
+    out = []
+    for n in shared:
+        rho = am[n.support] / bm[n.support]
+        out.append(r.checked_row([(r.idx_x(n.eps), 1), (r.idx_x(r.negative(n.eps)), rho)]))
     out += [_half_element(r, 1, m.eps, up, lo, am, bm[m.support]) for m, up, lo in half12]
     out += [_half_element(r, -1, n.eps, up, lo, bm, am[n.support]) for n, up, lo in half21]
     return out
 
 
-def _half_element(r, sign, eps, up, lo, coeffs, own) -> AlgebraElement:
+def _half_element(r, sign, eps, up, lo, coeffs, own) -> Row:
     """x_{s eps} + lam x_{-s eps} + mu x_{s eps_up} + nu x_{s eps_lo}, s = sign,
     for a node whose eps is the half-difference root (eps_up - eps_lo)/2 of
     the other cascade, whose node coefficients are ``coeffs``; ``own`` is the
@@ -242,7 +232,7 @@ def _half_element(r, sign, eps, up, lo, coeffs, own) -> AlgebraElement:
     mu = c * lam * own / coeffs[up.support]
     nu = -c * lam * own / coeffs[lo.support]
     terms = ((eps, 1), (r.negative(eps), lam), (up.eps, mu), (lo.eps, nu))
-    return AlgebraElement(r, [(r.idx_x(signed(a)), k) for a, k in terms])
+    return r.checked_row([(r.idx_x(signed(a)), k) for a, k in terms])
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +317,10 @@ def _solve_exact(rows, target):
     return sol
 
 
-def rank2_stabilizer_element(
-    r: RootSystem, subset, cv: CoefficientVector
-) -> AlgebraElement:
-    """Semisimple stabilizer element for the parabolic of a connected rank-two
-    subset containing the attachment root, built from the four-node eps
-    decomposition with all coefficients solved exactly."""
+def rank2_stabilizer_element(r: RootSystem, subset, cv: CoefficientVector) -> Row:
+    """The row of a semisimple stabilizer element for the parabolic of a
+    connected rank-two subset containing the attachment root, built from the
+    four-node eps decomposition with all coefficients solved exactly."""
     data = rank2_data(r, subset)
     spec = parabolic(r.type, subset)
     _, c1, c2, am, bm = _checked_maps(spec, cv)
@@ -360,9 +348,7 @@ def rank2_stabilizer_element(
     lam3 = -a_of(j3) * Fraction(tau4) / (a_of(j0) * Fraction(tau3))
     nu = -(lam2 * a_of(j3) * tau5 + lam3 * a_of(j2) * tau6) / (b * tau0)
     assert nu != 0
-    out = x_vector(r, r.negative(top))
-    out = out + lam2 * x_vector(r, beta2) + lam3 * x_vector(r, beta3)
-    for mu, j in zip(mus, data.nodes):
-        out = out + mu * x_vector(r, eps[j])
-    out = out + nu * x_vector(r, r.negative(eps[j1]))
-    return out
+    terms = [(r.negative(top), 1), (beta2, lam2), (beta3, lam3)]
+    terms += [(eps[j], mu) for mu, j in zip(mus, data.nodes)]
+    terms.append((r.negative(eps[j1]), nu))
+    return r.checked_row([(r.idx_x(a), c) for a, c in terms])

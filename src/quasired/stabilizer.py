@@ -51,7 +51,7 @@ form on a biparabolic these three imply that every element is semisimple
 (the argument is in ``_attempt``), so the stabilizer is a torus and
 witnesses quasi-reductivity; exhausted draws prove nothing by themselves.
 ``is_semisimple_element`` stays as the direct check anyone can run on a
-single element.
+single row, such as a row of a ``Subspace``.
 
 A certificate trial is integer-only from the draw to the verdict. Once per
 search, ``seaweed._draw_layout`` lists the cascade nodes in the order
@@ -81,14 +81,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import linalg
-from .rootsys import (
-    AlgebraElement,
-    RootSystem,
-    SimpleType,
-    ad_columns,
-    bracket_coords,
-    killing_coords,
-)
+from .rootsys import RootSystem, SimpleType, ad_columns, bracket_coords, killing_coords
 from .seaweed import (
     BiparabolicSpec,
     CoefficientVector,
@@ -295,18 +288,17 @@ def _peel_blocks(terms: dict[int, dict[int, tuple[int, int]]]) -> list[_Block]:
     return blocks
 
 
-def form_stabilizer(spec: BiparabolicSpec, u: AlgebraElement) -> Subspace:
-    """Stabilizer of the restricted form: all x in the span of the basis of
-    the spec with kappa(u, [x, p]) = 0 for every p in that basis.
+def form_stabilizer(spec: BiparabolicSpec, u) -> Subspace:
+    """Stabilizer of the restricted form of the row u: all x in the span of
+    the basis of the spec with kappa(u, [x, p]) = 0 for every p in that
+    basis.
 
     Fills the integer form matrix sum_k w_k C_k over the basis of the spec
     (module docstring), dropping the cells whose terms cancel, and reduces
     its kernel once.
     """
     r = spec.system()
-    if u.system is not r:
-        raise ValueError("form element lives over a different root system")
-    f = killing_coords(r, u.coords.items())
+    f = killing_coords(r, r.checked_row(u))
     support = [j for j in f if f[j]]
     basis = biparabolic_basis(spec)
     at = {i: t for t, i in enumerate(basis)}
@@ -390,17 +382,14 @@ def is_abelian(S: Subspace) -> bool:
     return _commuting(S.system, S.int_rows)
 
 
-def is_semisimple_element(x: AlgebraElement) -> bool:
-    """Whether x is a semisimple element of its algebra.
+def is_semisimple_element(r: RootSystem, x) -> bool:
+    """Whether the row x is a semisimple element of the algebra of r.
 
     Uses the exact kernel criterion: ad x is semisimple iff
     ker(ad x) = ker((ad x)^2). Equivalent to the minimal polynomial of ad x
     being squarefree, but much cheaper on large types; the two routes are
     cross-checked in the test suite.
     """
-    if not x:
-        return True
-    r = x.system
     return linalg.kernel_stabilizes(ad_columns(r, x), r.dim)
 
 

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from quasired.cascade import kostant_cascade
 from quasired.rootsys import RootSystem, SimpleType, build_root_system
 
 
@@ -53,3 +54,35 @@ def jacobi_defect(rs, i, j, k):
             for q, cq in rs.bracket_row(a).get(m, ()):
                 acc[q] = acc.get(q, Fraction(0)) + cm * cq
     return {q: v for q, v in acc.items() if v}
+
+
+def x_row(rs, a):
+    """The row of the Chevalley generator x_a."""
+    return rs.checked_row([(rs.idx_x(a), 1)])
+
+
+def h_row(rs, i):
+    """The row of the simple coroot h_i."""
+    return rs.checked_row([(rs.idx_h(i), 1)])
+
+
+def scaled(rs, c, row):
+    """The row c * row."""
+    return rs.checked_row([(i, c * v) for i, v in row])
+
+
+def dense(rs, row) -> list:
+    """The row as a list of its dim entries."""
+    v = [0] * rs.dim
+    for i, c in row:
+        v[i] = c
+    return v
+
+
+def build_u_minus(spec):
+    """The row of the sum of x_{-eps} over the eps of the pi2 cascade that
+    do not lie in the positive subsystem of pi1."""
+    r = spec.system()
+    pos1 = set(r.subsystem_positive(spec.pi1))
+    eps = [n.eps for n in kostant_cascade(r, spec.pi2).nodes if n.eps not in pos1]
+    return r.checked_row([(r.idx_x(r.negative(e)), 1) for e in eps])

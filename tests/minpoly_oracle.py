@@ -14,8 +14,9 @@ from fractions import Fraction
 from quasired.linalg import _primitive_int_row
 
 Poly = list[Fraction]
-# an operator by its nonzero columns, {j: {i: entry}}, as ``ad_columns`` gives it
-Cols = dict[int, dict[int, Fraction]]
+# an operator by its nonzero columns, {j: {i: entry}} with int or Fraction
+# entries, as ``ad_columns`` gives it for a row
+Cols = dict[int, dict[int, int | Fraction]]
 
 
 def sparse_matvec(cols: Cols, v: list) -> list:

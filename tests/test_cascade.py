@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import system
+from conftest import system, x_row
 from quasired.cascade import (
     _cascade,
     condition_star,
@@ -13,7 +13,7 @@ from quasired.cascade import (
     well_interlaced,
 )
 from quasired.classify import identify_subsystem, pi_to_flag, transitivity_descend
-from quasired.rootsys import SimpleType, bracket, x_vector
+from quasired.rootsys import SimpleType, bracket
 from quasired.seaweed import parabolic, rank2_data
 
 
@@ -78,8 +78,8 @@ def test_gamma_heisenberg_structure():
             for b in gamma0:
                 s = rs.root_sum(a, b)
                 assert s is None or s == node.eps
-            z = bracket(rs, x_vector(rs, a), x_vector(rs, partner))
-            assert set(z.coords) == {rs.idx_x(node.eps)}
+            z = bracket(rs, x_row(rs, a), x_row(rs, partner))
+            assert [k for k, _ in z] == [rs.idx_x(node.eps)]
 
 
 def test_k_plus_of_eps_is_own_node():

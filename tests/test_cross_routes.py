@@ -11,12 +11,12 @@ import random
 
 import pytest
 
-from conftest import system
-from form_oracle import subspace_elements, subspace_from_vectors
+from conftest import dense, system, x_row
+from form_oracle import subspace_from_vectors
 from quasired import linalg
 from quasired.cascade import kostant_cascade, well_interlaced
 from quasired.classify import classify_parabolic
-from quasired.rootsys import AlgebraElement, SimpleType, bracket, x_vector
+from quasired.rootsys import SimpleType, bracket
 from quasired.seaweed import (
     BiparabolicSpec,
     build_u,
@@ -55,11 +55,11 @@ def test_pairing_agrees_with_bracket_eigenvalues():
             lam = rng.choice(roots)
             alpha = rng.choice(roots)
             # h_alpha from its coroot coefficients over h_1..h_l
-            h = AlgebraElement(rs, [(rs.idx_h(k + 1), c) for k, c in enumerate(rs.coroot_coeffs(alpha))])
-            z = bracket(rs, h, x_vector(rs, lam))
-            eig = z.get(rs.idx_x(lam))
+            h = rs.checked_row([(rs.idx_h(k + 1), c) for k, c in enumerate(rs.coroot_coeffs(alpha))])
+            z = bracket(rs, h, x_row(rs, lam))
+            eig = dict(z).get(rs.idx_x(lam), 0)
             assert eig == rs.pairing(lam, alpha)
-            assert not (set(z.coords) - {rs.idx_x(lam)})
+            assert not ({k for k, _ in z} - {rs.idx_x(lam)})
 
 
 def _well_interlaced_parabolics():
@@ -111,8 +111,8 @@ def test_constructed_elements_span_generic_stabilizer(family, rank, p1, p2):
     # membership of every constructed element
     els = interlaced_torus_elements(spec, cv)
     for x in els:
-        assert subspace_from_vectors(rs, [e.dense() for e in (*subspace_elements(S), x)]) == S
-        assert is_semisimple_element(x)
+        assert subspace_from_vectors(rs, [dense(rs, e) for e in (*S.int_rows, x)]) == S
+        assert is_semisimple_element(rs, x)
     # the Cartan part: vectors killed by every eps of both cascades
     rows = []
     for sub in (p1, p2):
@@ -124,14 +124,14 @@ def test_constructed_elements_span_generic_stabilizer(family, rank, p1, p2):
     assert idx == h_dim + counts.combinatorial_total
     assert len(els) == counts.combinatorial_total
     # the constructed family is independent from the Cartan part
-    dense = [x.dense() for x in els]
+    dense_els = [dense(rs, x) for x in els]
     cart_rows = []
     for v in linalg.nullspace(rows, rank) if rows else []:
         dense_h = [0] * rs.dim
         for i, c in enumerate(v):
             dense_h[rs.idx_h(i + 1)] = c
         cart_rows.append(dense_h)
-    assert linalg.rank(dense + cart_rows) == len(els) + h_dim
+    assert linalg.rank(dense_els + cart_rows) == len(els) + h_dim
 
 
 def test_interlaced_construction_certifies_quasi_reductivity():

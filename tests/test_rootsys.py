@@ -4,20 +4,29 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import jacobi_defect, reflection_closure, root_set, string_below, system
+from conftest import (
+    dense,
+    h_row,
+    jacobi_defect,
+    reflection_closure,
+    root_set,
+    scaled,
+    string_below,
+    system,
+    x_row,
+)
 from quasired import linalg
 from quasired.classify import single_root_test
 from quasired.rootsys import (
     MAX_CLASSICAL_RANK,
-    AlgebraElement,
     SimpleType,
     ad_columns,
     bracket,
     build_root_system,
-    h_vector,
     killing,
-    x_vector,
 )
+from quasired.seaweed import parabolic
+from quasired.stabilizer import form_stabilizer, is_semisimple_element
 
 
 def classical_count(family, l):
@@ -121,26 +130,25 @@ def test_bracket_basic_relations():
         rs = system(family, rank)
         for i in range(1, rank + 1):
             a = rs.simple_root(i)
-            h = bracket(rs, x_vector(rs, a), x_vector(rs, rs.negative(a)))
+            h = bracket(rs, x_row(rs, a), x_row(rs, rs.negative(a)))
             # h_a from its coroot coefficients over h_1..h_l
-            h_a = AlgebraElement(rs, [(rs.idx_h(k + 1), c) for k, c in enumerate(rs.coroot_coeffs(a))])
+            h_a = rs.checked_row([(rs.idx_h(k + 1), c) for k, c in enumerate(rs.coroot_coeffs(a))])
             assert h == h_a
             # alpha(h_alpha) = 2 read off the eigenvalue on x_alpha
-            back = bracket(rs, h, x_vector(rs, a))
-            assert back == 2 * x_vector(rs, a)
+            back = bracket(rs, h, x_row(rs, a))
+            assert back == scaled(rs, 2, x_row(rs, a))
 
 
 def test_bracket_cartan_acts_by_pairing():
     rs = system("C", 3)
-    h = h_vector(rs, 2)
+    h = h_row(rs, 2)
     for a in rs.positive_roots:
-        assert bracket(rs, h, x_vector(rs, a)) == rs.pairing(a, rs.simple_root(2)) * x_vector(rs, a)
+        assert bracket(rs, h, x_row(rs, a)) == scaled(rs, rs.pairing(a, rs.simple_root(2)), x_row(rs, a))
 
 
 def test_bracket_g2_simple_pair_coefficient():
     rs = system("G", 2)
-    z = bracket(rs, x_vector(rs, rs.simple_root(1)), x_vector(rs, rs.simple_root(2)))
-    (coeff,) = z.coords.values()
+    ((_, coeff),) = bracket(rs, x_row(rs, rs.simple_root(1)), x_row(rs, rs.simple_root(2)))
     assert abs(coeff) == 1  # the string through alpha_2 starts at alpha_2
 
 
@@ -162,9 +170,11 @@ def test_simple_root_indices_are_ints(i):
 
 
 def test_bracket_rejects_mixed_systems():
+    # a row does not carry its system: a row of A3 is refused in A2 (dim 8)
+    # by the basis index 11 of its x_{-alpha_1}
     rs1, rs2 = system("A", 2), system("A", 3)
-    with pytest.raises(ValueError):
-        bracket(rs1, x_vector(rs1, rs1.simple_root(1)), x_vector(rs2, rs2.simple_root(1)))
+    with pytest.raises(ValueError, match=r"basis index 11 not within 0\.\.7"):
+        bracket(rs1, x_row(rs1, rs1.simple_root(1)), x_row(rs2, rs2.negative(rs2.simple_root(1))))
 
 
 def test_struct_const_magnitudes_small_types():
@@ -205,7 +215,7 @@ def test_jacobi_exhaustive_g2():
 def test_killing_grading_and_values():
     rs = system("A", 1)
     a = rs.simple_root(1)
-    e, f, h = x_vector(rs, a), x_vector(rs, rs.negative(a)), h_vector(rs, 1)
+    e, f, h = x_row(rs, a), x_row(rs, rs.negative(a)), h_row(rs, 1)
     assert killing(rs, h, h) == 8
     assert killing(rs, e, e) == 0
     assert killing(rs, e, f) != 0
@@ -215,7 +225,7 @@ def test_killing_grading_and_values():
     roots = rs.positive_roots
     for a in roots[:4]:
         for b in roots[:4]:
-            val = killing(rs, x_vector(rs, a), x_vector(rs, rs.negative(b)))
+            val = killing(rs, x_row(rs, a), x_row(rs, rs.negative(b)))
             assert (val != 0) == (a == b)
 
 
@@ -224,7 +234,7 @@ def test_killing_symmetric_invariant_sampled():
     rng = random.Random(17)
     for _ in range(150):
         i, j, k = (rng.randrange(rs.dim) for _ in range(3))
-        x, y, z = (AlgebraElement(rs, [(t, 1)]) for t in (i, j, k))
+        x, y, z = (((t, 1),) for t in (i, j, k))
         assert killing(rs, x, y) == killing(rs, y, x)
         assert killing(rs, bracket(rs, x, y), z) == killing(rs, x, bracket(rs, y, z))
 
@@ -232,7 +242,7 @@ def test_killing_symmetric_invariant_sampled():
 def test_killing_nondegenerate():
     rs = system("B", 2)
     gram = [
-        [killing(rs, AlgebraElement(rs, [(i, 1)]), AlgebraElement(rs, [(j, 1)])) for j in range(rs.dim)]
+        [killing(rs, ((i, 1),), ((j, 1),)) for j in range(rs.dim)]
         for i in range(rs.dim)
     ]
     assert linalg.rank(gram) == rs.dim
@@ -249,11 +259,11 @@ def ad_dense(rs, x):
 
 def test_ad_matrix():
     rs = system("A", 1)
-    zero = ad_dense(rs, AlgebraElement(rs))
+    zero = ad_dense(rs, ())
     assert all(v == 0 for row in zero for v in row)
-    h = ad_dense(rs, h_vector(rs, 1))
+    h = ad_dense(rs, h_row(rs, 1))
     assert [h[i][i] for i in range(3)] == [2, 0, -2]
-    e = ad_dense(rs, x_vector(rs, rs.simple_root(1)))
+    e = ad_dense(rs, x_row(rs, rs.simple_root(1)))
 
     def matmul(a, b):
         return [
@@ -269,7 +279,7 @@ def test_ad_matrix():
 
 def test_ad_matrix_cartan_diagonal():
     rs = system("G", 2)
-    m = ad_dense(rs, h_vector(rs, 1))
+    m = ad_dense(rs, h_row(rs, 1))
     for i in range(rs.dim):
         for j in range(rs.dim):
             if i != j:
@@ -293,27 +303,58 @@ def test_highest_root():
         rs6.highest_root({1, 6})  # disconnected
 
 
-def test_algebra_element_normalization():
+def test_checked_row_normalization():
     rs = system("A", 2)
-    x = AlgebraElement(rs, [(0, Fraction(1, 2)), (0, Fraction(-1, 2)), (1, 3)])
-    assert x.coords == {1: Fraction(3)}
-    assert (x - x).coords == {}
-    assert not AlgebraElement(rs)
+    # a repeated index sums, and drops out when its values cancel
+    x = rs.checked_row([(1, 3), (0, Fraction(1, 2)), (0, Fraction(-1, 2)), (1, Fraction(1, 2))])
+    assert x == ((1, Fraction(7, 2)),)
+    assert rs.checked_row(x + scaled(rs, -1, x)) == ()
+    assert rs.checked_row([(2, 1), (0, Fraction(5))]) == ((0, 5), (2, 1))
+    assert rs.checked_row([]) == ()
 
 
+# every function that takes a row, with the row x in each argument place
+_ROW_CALLS = {
+    "bracket-x": lambda rs, x: bracket(rs, x, ((0, 1),)),
+    "bracket-y": lambda rs, x: bracket(rs, ((0, 1),), x),
+    "killing-x": lambda rs, x: killing(rs, x, ((0, 1),)),
+    "killing-y": lambda rs, x: killing(rs, ((0, 1),), x),
+    "ad_columns": ad_columns,
+    "is_semisimple_element": is_semisimple_element,
+    "form_stabilizer": lambda rs, x: form_stabilizer(parabolic(rs.type, {1}), x),
+}
+
+
+def _table_sizes(rs):
+    return [type(rs).killing_row.cache_info().currsize, type(rs).bracket_row.cache_info().currsize]
+
+
+@pytest.mark.parametrize("call", _ROW_CALLS.values(), ids=_ROW_CALLS)
 @pytest.mark.parametrize("index", [-1, 14, 10**6, 2.0, True], ids=repr)
-def test_algebra_element_rejects_basis_indices_outside_the_algebra(index):
+def test_row_functions_reject_basis_indices_outside_the_algebra(index, call):
     # G2 has dimension 14. Unchecked, -1 is accepted: killing and bracket
     # with it return 0, form_stabilizer returns a stabilizer and leaves a
     # killing_row(-1) cache entry; 14 fails inside killing_row with an
     # IndexError
     rs = system("G", 2)
-    rows = type(rs).killing_row.cache_info().currsize
-    for coords in ([(index, 1)], {index: 0}, [(0, 1), (index, 2)]):
+    sizes = _table_sizes(rs)
+    for row in ([(index, 1)], [(index, 0)], [(0, 1), (index, 2)]):
         with pytest.raises(ValueError, match=r"not within 0\.\.13"):
-            AlgebraElement(rs, coords)
-    assert type(rs).killing_row.cache_info().currsize == rows
-    assert AlgebraElement(rs, [(0, 1), (13, 2)]).coords == {0: 1, 13: 2}
+            call(rs, row)
+    assert _table_sizes(rs) == sizes
+    call(rs, [(0, 1), (13, 2)])
+
+
+@pytest.mark.parametrize("call", _ROW_CALLS.values(), ids=_ROW_CALLS)
+@pytest.mark.parametrize("value", [0.5, True, "1"], ids=repr)
+def test_row_functions_reject_values_that_are_not_int_or_fraction(value, call):
+    # a float is not exact, and a bool passes for an int by value
+    rs = system("G", 2)
+    sizes = _table_sizes(rs)
+    for row in ([(3, value)], [(0, 1), (3, value)]):
+        with pytest.raises(ValueError, match="is not an int or a Fraction"):
+            call(rs, row)
+    assert _table_sizes(rs) == sizes
 
 
 def test_shared_system_identity():
@@ -324,10 +365,10 @@ def test_ad_matrix_agrees_with_bracket():
     rs = system("C", 3)
     rng = random.Random(29)
     for _ in range(10):
-        x = AlgebraElement(rs, [(rng.randrange(rs.dim), rng.randint(-3, 3)) for _ in range(3)])
-        y = AlgebraElement(rs, [(rng.randrange(rs.dim), rng.randint(-3, 3)) for _ in range(3)])
+        x = rs.checked_row([(rng.randrange(rs.dim), rng.randint(-3, 3)) for _ in range(3)])
+        y = rs.checked_row([(rng.randrange(rs.dim), rng.randint(-3, 3)) for _ in range(3)])
         M = ad_dense(rs, x)
-        vy = y.dense()
-        expected = bracket(rs, x, y).dense()
+        vy = dense(rs, y)
+        expected = dense(rs, bracket(rs, x, y))
         got = [sum(M[i][j] * vy[j] for j in range(rs.dim)) for i in range(rs.dim)]
         assert got == expected

@@ -4,24 +4,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import system
+from conftest import build_u_minus, dense, h_row, scaled, system, x_row
+from quasired import linalg
 from quasired.cascade import kostant_cascade, well_interlaced
-from quasired.rootsys import (
-    AlgebraElement,
-    SimpleType,
-    bracket,
-    bracket_coords,
-    h_vector,
-    killing_coords,
-    x_vector,
-)
+from quasired.rootsys import SimpleType, bracket, bracket_coords, killing_coords
 from quasired.seaweed import (
     BiparabolicSpec,
     CoefficientVector,
     _draw,
     biparabolic_basis,
     build_u,
-    build_u_minus,
     interlaced_torus_elements,
     parabolic,
     rank2_data,
@@ -34,12 +26,19 @@ from quasired.stabilizer import is_semisimple_element
 
 def stabilizes(spec, u, x):
     r = spec.system()
-    w = killing_coords(r, u.coords.items())
+    w = killing_coords(r, u)
     for p in biparabolic_basis(spec):
-        z = bracket_coords(r, x.coords.items(), ((p, 1),))
+        z = bracket_coords(r, x, ((p, 1),))
         if sum((c * w.get(k, 0) for k, c in z.items()), Fraction(0)):
             return False
     return True
+
+
+def assert_semisimple_at_every_scale(rs, x):
+    # semisimplicity of x is that of the line through it
+    assert is_semisimple_element(rs, x)
+    for c in (-1, Fraction(-3, 7), 5):
+        assert is_semisimple_element(rs, scaled(rs, c, x))
 
 
 def all_subsets(rank):
@@ -70,8 +69,8 @@ def test_basis_closed_under_bracket():
     basis = biparabolic_basis(spec)
     for i in basis:
         for j in basis:
-            z = bracket(rs, AlgebraElement(rs, [(i, 1)]), AlgebraElement(rs, [(j, 1)]))
-            assert set(z.coords) <= set(basis)
+            z = bracket(rs, ((i, 1),), ((j, 1),))
+            assert {k for k, _ in z} <= set(basis)
 
 
 @pytest.mark.parametrize(
@@ -89,11 +88,11 @@ def test_basis_indices_match_element_construction(family, rank):
         pairs = [(p1, p2) for p1 in subs for p2 in subs]
     for p1, p2 in pairs:
         spec = BiparabolicSpec(st, p1, p2)
-        # n+ of pi2, the Cartan, n- of pi1, built as elements
-        els = [x_vector(rs, a) for a in rs.subsystem_positive(p2)]
-        els += [h_vector(rs, i) for i in range(1, rank + 1)]
-        els += [x_vector(rs, rs.negative(a)) for a in rs.subsystem_positive(p1)]
-        want = [i for e in els for i in e.coords]
+        # n+ of pi2, the Cartan, n- of pi1, built as rows
+        els = [x_row(rs, a) for a in rs.subsystem_positive(p2)]
+        els += [h_row(rs, i) for i in range(1, rank + 1)]
+        els += [x_row(rs, rs.negative(a)) for a in rs.subsystem_positive(p1)]
+        want = [i for e in els for i, _ in e]
         assert list(biparabolic_basis(spec)) == want == sorted(set(want)), (p1, p2)
 
 
@@ -249,7 +248,9 @@ def test_build_u_counts():
         {n.support: v for n, v in zip(cp1.nodes, [23, -29, 31, 37])},
     )
     u = build_u(spec, cv)
-    assert len(u.coords) == 11
+    assert len(u) == 11
+    # the row carries the coefficients themselves, unscaled
+    assert sorted(v for _, v in u) == sorted([-3, 5, 7, 11, 13, -17, 19, 23, -29, 31, 37])
 
     borel = parabolic(st, frozenset())
     cv0 = CoefficientVector.from_maps({n.support: 1 for n in cpi.nodes}, {})
@@ -289,9 +290,9 @@ def test_build_u_minus_cases():
     st = SimpleType("F", 4)
     rs = system("F", 4)
     k = len(kostant_cascade(rs, rs.full_subset()))
-    assert len(build_u_minus(parabolic(st, frozenset())).coords) == k
+    assert len(build_u_minus(parabolic(st, frozenset()))) == k
     assert not build_u_minus(BiparabolicSpec(st, rs.full_subset(), rs.full_subset()))
-    assert len(build_u_minus(parabolic(st, {3, 4})).coords) == 4
+    assert len(build_u_minus(parabolic(st, {3, 4}))) == 4
 
 
 def test_interlaced_elements_shared_nodes():
@@ -305,13 +306,14 @@ def test_interlaced_elements_shared_nodes():
     assert len(els) == 4
     am, bm = dict(cv.a), dict(cv.b)
     for n, x in zip(kostant_cascade(rs, full).nodes, els):
-        up = x.coords[rs.idx_x(n.eps)]
-        dn = x.coords[rs.idx_x(rs.negative(n.eps))]
+        coeffs = dict(x)
+        up = coeffs[rs.idx_x(n.eps)]
+        dn = coeffs[rs.idx_x(rs.negative(n.eps))]
         assert dn / up == am[n.support] / bm[n.support]
     u = build_u(spec, cv)
     for x in els:
         assert stabilizes(spec, u, x)
-        assert is_semisimple_element(x)
+        assert_semisimple_at_every_scale(rs, x)
 
 
 @pytest.mark.parametrize(
@@ -336,11 +338,9 @@ def test_interlaced_elements_stabilize_and_semisimple(family, rank, p1, p2):
     u = build_u(spec, cv)
     for x in els:
         assert stabilizes(spec, u, x)
-        assert is_semisimple_element(x)
+        assert_semisimple_at_every_scale(rs, x)
     # linear independence of the produced family
-    from quasired import linalg
-
-    assert linalg.rank([x.dense() for x in els]) == len(els)
+    assert linalg.rank([dense(rs, x) for x in els]) == len(els)
 
 
 @pytest.mark.parametrize(
@@ -364,10 +364,10 @@ def test_rank2_element(family, rank, pair):
     x = rank2_stabilizer_element(rs, pair, cv)
     u = build_u(spec, cv)
     assert stabilizes(spec, u, x)
-    assert is_semisimple_element(x)
+    assert_semisimple_at_every_scale(rs, x)
     # the lowering term on the eps_{j1} side is the semisimplicity witness
     j1_eps = full.nodes[data.nodes[1]].eps
-    assert x.coords[rs.idx_x(rs.negative(j1_eps))] != 0
+    assert dict(x)[rs.idx_x(rs.negative(j1_eps))] != 0
 
 
 def test_rank2_rejects_wrong_shapes():

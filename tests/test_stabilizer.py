@@ -4,27 +4,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import system
-from form_oracle import (
-    basis_elements,
-    dense_form_stabilizer,
-    subspace_elements,
-    subspace_from_vectors,
-)
+from conftest import build_u_minus, dense, h_row, scaled, system, x_row
+from form_oracle import basis_elements, dense_form_stabilizer, subspace_from_vectors
 from minpoly_oracle import is_squarefree, minimal_polynomial
 from test_verify_golden import LATE_CERTIFICATES, PARABOLICS
 from quasired import linalg
 from quasired.cascade import kostant_cascade
 from quasired.classify import non_qr_subsets
-from quasired.rootsys import (
-    MAX_CLASSICAL_RANK,
-    AlgebraElement,
-    SimpleType,
-    ad_columns,
-    h_vector,
-    killing,
-    x_vector,
-)
+from quasired.rootsys import MAX_CLASSICAL_RANK, SimpleType, ad_columns, killing
 from quasired.seaweed import (
     BiparabolicSpec,
     CoefficientVector,
@@ -33,7 +20,6 @@ from quasired.seaweed import (
     _draw_layout,
     biparabolic_basis,
     build_u,
-    build_u_minus,
     parabolic,
     sample_cv,
     seaweed_index,
@@ -66,10 +52,10 @@ def test_borel_stabilizer_is_eps_kernel_in_cartan(family, rank):
     S = form_stabilizer(spec, build_u_minus(spec))
     c = kostant_cascade(rs, rs.full_subset())
     assert S.dim == rank - len(c)
-    for e in subspace_elements(S):
+    for e in S.int_rows:
         # inside the Cartan and killed by every cascade eps functional
-        assert all(rs.index_root(i) is None for i in e.coords)
-        coeffs = [e.get(rs.idx_h(i)) for i in range(1, rank + 1)]
+        assert all(rs.index_root(i) is None for i, _ in e)
+        coeffs = [dict(e).get(rs.idx_h(i), 0) for i in range(1, rank + 1)]
         for n in c.nodes:
             val = sum(
                 ci * rs.pairing(n.eps, rs.simple_root(i + 1))
@@ -82,7 +68,7 @@ def test_zero_form_gives_whole_subalgebra():
     st = SimpleType("B", 3)
     rs = system("B", 3)
     spec = BiparabolicSpec(st, {1}, {2, 3})
-    S = form_stabilizer(spec, AlgebraElement(rs))
+    S = form_stabilizer(spec, ())
     assert S.dim == len(biparabolic_basis(spec))
 
 
@@ -107,15 +93,16 @@ def test_form_stabilizer_basis_invariance():
     rng = random.Random(31)
     cv = sample_cv(spec, rng)
     u = build_u(spec, cv)
+    rs = spec.system()
     # random invertible triangular recombination of the basis
     els = basis_elements(spec)
     n = len(els)
     for _ in range(60):
         i, j = rng.randrange(n), rng.randrange(n)
         if i != j:
-            els[i] = els[i] + Fraction(rng.randint(-3, 3)) * els[j]
-    assert sum(len(e.coords) for e in els) > 2 * n  # really recombined
-    assert form_stabilizer(spec, u) == dense_form_stabilizer(els, u)
+            els[i] = rs.checked_row(els[i] + scaled(rs, rng.randint(-3, 3), els[j]))
+    assert sum(map(len, els)) > 2 * n  # really recombined
+    assert form_stabilizer(spec, u) == dense_form_stabilizer(rs, els, u)
 
 
 def test_e7_rank5_parabolic_stabilizer_fixed_coefficients():
@@ -133,7 +120,7 @@ def test_e7_rank5_parabolic_stabilizer_fixed_coefficients():
     assert S.dim == 4 == seaweed_index(spec)
     assert is_abelian(S)
     assert killing_radical_on(S).dim == 0
-    assert all(is_semisimple_element(e) for e in subspace_elements(S))
+    assert all(is_semisimple_element(rs, e) for e in S.int_rows)
 
 
 def test_subspace_contains():
@@ -148,10 +135,10 @@ def test_subspace_contains():
 
 def test_killing_radical_cases():
     rs = system("B", 3)
-    h = subspace_from_vectors(rs, [h_vector(rs, 1).dense(), h_vector(rs, 3).dense()])
+    h = subspace_from_vectors(rs, [dense(rs, h_row(rs, 1)), dense(rs, h_row(rs, 3))])
     assert killing_radical_on(h).dim == 0
     a = rs.positive_roots[0]
-    iso = subspace_from_vectors(rs, [x_vector(rs, a).dense()])
+    iso = subspace_from_vectors(rs, [dense(rs, x_row(rs, a))])
     assert killing_radical_on(iso).dim == 1
 
 
@@ -166,7 +153,7 @@ def test_killing_radical_rows_are_already_reduced():
             spec = parabolic(st, v.subset)
             S = form_stabilizer(spec, build_u(spec, sample_cv(spec, rng)))
             R = killing_radical_on(S)
-            rows = [e.dense() for e in subspace_elements(R)]
+            rows = [dense(S.system, e) for e in R.int_rows]
             assert subspace_from_vectors(S.system, rows) == R, spec
             dims.append(R.dim)
     assert min(dims) >= 1 and max(dims) >= 2
@@ -175,11 +162,9 @@ def test_killing_radical_rows_are_already_reduced():
 def test_is_abelian():
     rs = system("A", 2)
     a = rs.simple_root(1)
-    cart = subspace_from_vectors(rs, [h_vector(rs, 1).dense(), h_vector(rs, 2).dense()])
+    cart = subspace_from_vectors(rs, [dense(rs, h_row(rs, 1)), dense(rs, h_row(rs, 2))])
     assert is_abelian(cart)
-    sl2ish = subspace_from_vectors(
-        rs, [x_vector(rs, a).dense(), h_vector(rs, 1).dense()]
-    )
+    sl2ish = subspace_from_vectors(rs, [dense(rs, x_row(rs, a)), dense(rs, h_row(rs, 1))])
     assert not is_abelian(sl2ish)
 
 
@@ -189,28 +174,31 @@ def test_semisimplicity_routes_agree():
     picks = []
     for _ in range(8):
         coords = [(rng.randrange(rs.dim), rng.randint(-2, 2)) for _ in range(3)]
-        picks.append(AlgebraElement(rs, coords))
+        picks.append(rs.checked_row(coords))
     a = rs.simple_root(2)
-    picks.append(x_vector(rs, a))
-    picks.append(x_vector(rs, a) + x_vector(rs, rs.negative(a)))
-    picks.append(h_vector(rs, 1))
+    xa, xma = x_row(rs, a), x_row(rs, rs.negative(a))
+    h1, h2, h3 = (h_row(rs, i) for i in (1, 2, 3))
+    picks.append(xa)
+    picks.append(rs.checked_row(xa + xma))
+    picks.append(h1)
     # Fraction coordinates: each column of ad x is scaled to its own
     # primitive integer row before the kernels are taken
-    xa, xma = x_vector(rs, a), x_vector(rs, rs.negative(a))
-    picks.append(xa + Fraction(1, 3) * xma)
-    picks.append(Fraction(2, 5) * h_vector(rs, 1) + xa)
-    picks.append(Fraction(2, 5) * h_vector(rs, 1) + Fraction(-3, 7) * h_vector(rs, 3))
-    picks.append(Fraction(1, 6) * xa + Fraction(5, 4) * xma + Fraction(2, 3) * h_vector(rs, 2))
+    picks.append(rs.checked_row(xa + scaled(rs, Fraction(1, 3), xma)))
+    picks.append(rs.checked_row(scaled(rs, Fraction(2, 5), h1) + xa))
+    picks.append(rs.checked_row(scaled(rs, Fraction(2, 5), h1) + scaled(rs, Fraction(-3, 7), h3)))
+    picks.append(rs.checked_row(
+        scaled(rs, Fraction(1, 6), xa) + scaled(rs, Fraction(5, 4), xma) + scaled(rs, Fraction(2, 3), h2)
+    ))
     for _ in range(4):
         coords = [
             (rng.randrange(rs.dim), Fraction(rng.randint(-5, 5), rng.randint(1, 6)))
             for _ in range(3)
         ]
-        picks.append(AlgebraElement(rs, coords))
+        picks.append(rs.checked_row(coords))
     semisimple = 0
     for x in picks:
         mp = minimal_polynomial(ad_columns(rs, x), rs.dim)
-        assert is_semisimple_element(x) == is_squarefree(mp)
+        assert is_semisimple_element(rs, x) == is_squarefree(mp)
         semisimple += is_squarefree(mp)
     assert 0 < semisimple < len(picks)
 
@@ -234,19 +222,21 @@ def test_abelian_nondegenerate_stabilizers_are_semisimple_sweep():
             degenerate += 1
             continue
         nondegenerate += 1
-        assert all(is_semisimple_element(e) for e in subspace_elements(S)), spec
+        assert all(is_semisimple_element(S.system, e) for e in S.int_rows), spec
     assert nondegenerate and degenerate
 
 
 def test_semisimple_examples():
     rs = system("G", 2)
     a = rs.simple_root(1)
-    assert is_semisimple_element(h_vector(rs, 1))
-    assert not is_semisimple_element(x_vector(rs, a))
-    assert is_semisimple_element(x_vector(rs, a) + x_vector(rs, rs.negative(a)))
+    xa = x_row(rs, a)
+    assert is_semisimple_element(rs, h_row(rs, 1))
+    assert not is_semisimple_element(rs, xa)
+    assert is_semisimple_element(rs, rs.checked_row(xa + x_row(rs, rs.negative(a))))
+    assert is_semisimple_element(rs, ())
     # a nilpotent part commuting with a semisimple part is detected
-    h_perp = 3 * h_vector(rs, 1) + 2 * h_vector(rs, 2)
-    assert not is_semisimple_element(h_perp + x_vector(rs, a))
+    h_perp = rs.checked_row(scaled(rs, 3, h_row(rs, 1)) + scaled(rs, 2, h_row(rs, 2)))
+    assert not is_semisimple_element(rs, rs.checked_row(h_perp + xa))
 
 
 def test_certify_borel_always_works():
@@ -278,14 +268,12 @@ def test_certificate_sampled_combinations_semisimple():
     # every element of the span of a certified torus is semisimple
     cert = certify_quasi_reductive(parabolic(SimpleType("F", 4), {2, 3}), trials=20, seed=12)
     assert cert is not None
-    els = subspace_elements(cert.stab)
+    rs = cert.stab.system
     rng = random.Random(1)
-    rs = els[0].system
     for _ in range(5):
-        combo = AlgebraElement(rs)
-        for e in els:
-            combo = combo + Fraction(rng.randint(-4, 4)) * e
-        assert is_semisimple_element(combo)
+        cs = [rng.randint(-4, 4) for _ in cert.stab.int_rows]
+        combo = rs.checked_row([(i, c * v) for c, e in zip(cs, cert.stab.int_rows) for i, v in e])
+        assert is_semisimple_element(rs, combo)
 
 
 def test_certificate_determinism_and_roundtrip():
@@ -351,18 +339,30 @@ def test_certificate_parser_rejects_garbage():
 def test_killing_form_on_certified_stabilizer_matches_gram():
     cert = certify_quasi_reductive(parabolic(SimpleType("B", 3), {3}), trials=20, seed=6)
     assert cert is not None
-    els = subspace_elements(cert.stab)
-    rs = els[0].system
+    els = cert.stab.int_rows
+    rs = cert.stab.system
     gram = [[killing(rs, a, b) for b in els] for a in els]
     assert linalg.rank(gram) == len(els)
 
 
 def test_form_stabilizer_is_invariant_under_scaling_the_form():
     # the integer form matrix rescales kappa(u, .) to a primitive functional,
-    # which is only sound because u and lambda*u have the same stabilizer
+    # which is only sound because u and c*u have the same stabilizer
     spec = parabolic(SimpleType("E", 6), {1, 3, 4})
     u = build_u(spec, sample_cv(spec, random.Random(5)))
-    assert form_stabilizer(spec, u) == form_stabilizer(spec, u * Fraction(1, 7))
+    rs = spec.system()
+    assert form_stabilizer(spec, u) == form_stabilizer(spec, scaled(rs, Fraction(1, 7), u))
+    rng = random.Random(150)
+    for family, rank in [("G", 2), ("B", 4), ("D", 5), ("F", 4), ("E", 6), ("E", 7)]:
+        for _ in range(25):
+            p1 = frozenset(i for i in range(1, rank + 1) if rng.random() < 0.6)
+            p2 = frozenset(i for i in range(1, rank + 1) if rng.random() < 0.6)
+            spec = BiparabolicSpec(SimpleType(family, rank), p1, p2)
+            rs = spec.system()
+            u = build_u(spec, sample_cv(spec, rng))
+            S = form_stabilizer(spec, u)
+            for c in (-1, Fraction(-3, 7), 5):
+                assert form_stabilizer(spec, scaled(rs, c, u)) == S, (spec, c)
 
 
 # `quasired verify G 2 --pi1 2 --seed 1 --store FILE`
@@ -431,7 +431,7 @@ def test_stored_e6_certificate_with_rational_coefficients_reverifies():
 
 
 def _ad_dense(rs, row):
-    cols = ad_columns(rs, AlgebraElement(rs, row))
+    cols = ad_columns(rs, row)
     return [[cols.get(j, {}).get(i, 0) for j in range(rs.dim)] for i in range(rs.dim)]
 
 
