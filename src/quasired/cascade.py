@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cache
 
-from . import linalg
 from .rootsys import Root, RootSystem
 
 Subset = frozenset[int]
@@ -87,21 +86,49 @@ def _cascade(r: RootSystem, subset: Subset) -> Cascade:
     return Cascade(subset, _cascade_nodes(r, subset), r)
 
 
-def span_dim(rank: int, *groups) -> int:
-    """Dimension of the span of the roots in ``groups``, in a root system of
-    the given rank, where each group holds pairwise strongly orthogonal
-    roots (a cascade's eps, or one root alone).
+def blocks(c: Cascade) -> tuple[Subset, ...]:
+    """Each node's block, in node order: the roots of its support that lie in
+    no later node's support, which are exactly the roots of its support not
+    orthogonal to its eps. Derived on each call, in sum(|support|) steps.
 
-    Strongly orthogonal roots are pairwise orthogonal and nonzero, so each
-    group is linearly independent, and the span has dimension at least
-    lo = max(len(g)). The span lies in h*, and all the roots together span
-    it, so its dimension is at most hi = min(rank, sum(len(g))). When the
-    two bounds meet, they are the answer and nothing is eliminated;
-    otherwise the answer is the exact rank of the stacked roots."""
-    lo = max(map(len, groups), default=0)
-    if lo == min(rank, sum(map(len, groups))):
-        return lo
-    return linalg.rank([list(a) for g in groups for a in g])
+    The blocks describe the span E of the eps: in simple-root coordinates, E
+    is the set of vectors that vanish off the source and are constant on
+    every block. For a connected S with highest root eps, block D and
+    T = S - D, w_0 of S is s_eps w_0 of T. So w_0 of the source is the product
+    of the commuting reflections s_eps over the nodes, and its -1-eigenspace
+    is E, of dimension k = len(c). Also w_0 alpha_i = -alpha_sigma(i) for an
+    involution sigma of the source, so that eigenspace is the set of
+    sigma-invariant vectors on the source, of dimension the number of
+    sigma-orbits. The recursion gives sigma_S = sigma_T on T, so sigma maps
+    each block to itself, and no block is empty, since eps is not orthogonal
+    to itself; with k blocks and k orbits, each block is one orbit. Hence
+    the blocks partition the source, and each one holds one root, or two:
+    the ends of a type-A support of rank at least 2."""
+    later: Subset = frozenset()
+    out = []
+    for n in reversed(c.nodes):
+        out.append(n.support - later)
+        later |= n.support
+    out.reverse()
+    return tuple(out)
+
+
+def meet_dim(c1: Cascade, c2: Cascade) -> int:
+    """dim(E1 & E2) for the eps spans Ei of two cascades of one system, from
+    their ``blocks``: a vector of both spans is constant on each connected
+    part of the graph on the union of the sources whose edges join the two
+    roots of each two-root block, and vanishes on a part that leaves the
+    intersection of the sources. So the dimension is the number of parts
+    that lie inside the intersection; a root in no two-root block is a part
+    by itself."""
+    part: dict[int, Subset] = {}
+    for b in blocks(c1) + blocks(c2):
+        if len(b) == 2:
+            i, j = b
+            merged = part.get(i, b) | part.get(j, b)
+            part.update(dict.fromkeys(merged, merged))
+    inside = c1.source & c2.source
+    return len(inside - part.keys()) + sum(p <= inside for p in set(part.values()))
 
 
 def _check_source_root(c: Cascade, alpha: Root) -> None:
@@ -198,12 +225,11 @@ def well_interlaced(r: RootSystem, pi1, pi2) -> tuple[bool, InterlaceCounts]:
     """Whether the two cascades are well-interlaced.
 
     Compares the dimension of the intersection of the two eps spans,
-    k1 + k2 - ``span_dim``, against the lengths of the three
-    ``interlacing`` lists.
+    ``meet_dim``, against the lengths of the three ``interlacing`` lists.
     """
     c1 = kostant_cascade(r, pi1)
     c2 = kostant_cascade(r, pi2)
-    dim_inter = len(c1) + len(c2) - span_dim(r.rank, c1.eps_set, c2.eps_set)
+    dim_inter = meet_dim(c1, c2)
     counts = InterlaceCounts(dim_inter, *map(len, interlacing(c1, c2)))
     return dim_inter == counts.combinatorial_total, counts
 
@@ -211,23 +237,21 @@ def well_interlaced(r: RootSystem, pi1, pi2) -> tuple[bool, InterlaceCounts]:
 def tilde_pi(r: RootSystem, subset) -> tuple[Subset, int | None]:
     """Simple roots of a connected subset orthogonal to its highest root.
 
-    Those are exactly the supports of the cascade below the top node. For the
-    full system of an exceptional type the complement is a single simple root
-    (the one attached to the lowest root in the extended Dynkin diagram),
-    returned as second value.
+    Those are the subset less the top node's block, and exactly the supports
+    of the cascade below the top node. For the full system of an exceptional
+    type that block is a single simple root (the one attached to the lowest
+    root in the extended Dynkin diagram), returned as second value.
     """
     sub = frozenset(subset)
     if not sub:
         raise ValueError("subset must be nonempty")
     if not r.is_connected(sub):
         raise ValueError(f"subset {sorted(sub)} is not connected")
-    tail = frozenset().union(*(n.support for n in kostant_cascade(r, sub).nodes[1:]))
+    top = blocks(kostant_cascade(r, sub))[0]
     attach = None
     if sub == r.full_subset() and r.type.family in ("E", "F", "G"):
-        rest = sub - tail
-        assert len(rest) == 1
-        attach = next(iter(rest))
-    return tail, attach
+        (attach,) = top
+    return sub - top, attach
 
 
 def condition_star(r: RootSystem, pi1, pi2) -> bool:

@@ -4,9 +4,8 @@ The standard biparabolic of a pair (pi1, pi2) of subsets of simple roots is
 spanned by the positive root vectors of pi2, the whole Cartan, and the
 negative root vectors of pi1; the parabolic attached to a subset pi' is the
 case (pi1, pi2) = (pi', full). Its index is given by the cascade formula,
-with the dimension of the span of both cascades' eps read from
-``cascade.span_dim``: from the strong orthogonality of each cascade where
-that settles it, and from an exact rank otherwise.
+with the dimension of the span of both cascades' eps counted from their
+blocks by ``cascade.meet_dim``, with no elimination.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from . import linalg
-from .cascade import Subset, _cascade, interlacing, kostant_cascade, span_dim, tilde_pi
+from .cascade import Subset, _cascade, interlacing, kostant_cascade, meet_dim, tilde_pi
 from .rootsys import (
     Root,
     RootSystem,
@@ -72,14 +71,13 @@ def biparabolic_basis(spec: BiparabolicSpec) -> tuple[int, ...]:
 def seaweed_index(spec: BiparabolicSpec) -> int:
     """Index of the biparabolic by the cascade formula (Tauvel-Yu):
     (rk - dim E) + (k1 + k2 - dim E), where E is the span of the eps of both
-    cascades, of sizes k1 and k2. ``cascade.span_dim`` gives dim E, which
-    eliminates nothing where its bounds meet, as on every parabolic of a
-    type whose full cascade spans h*."""
+    cascades, of sizes k1 and k2. Each cascade's eps are independent, so
+    dim E = k1 + k2 - m with m = ``cascade.meet_dim``, a count of the
+    cascades' blocks, and the index is rk - k1 - k2 + 2m."""
     r = spec.system()
     c1 = _cascade(r, spec.pi1)
     c2 = _cascade(r, spec.pi2)
-    dim_e = span_dim(r.rank, c1.eps_set, c2.eps_set)
-    return (r.rank - dim_e) + (len(c1) + len(c2) - dim_e)
+    return r.rank - len(c1) - len(c2) + 2 * meet_dim(c1, c2)
 
 
 @dataclass(frozen=True)

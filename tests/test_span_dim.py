@@ -1,5 +1,6 @@
-"""``cascade.span_dim`` against the plain exact rank it replaces where its
-bounds meet, on every subset of the 39 types ``quasired tables`` covers."""
+"""dim E from the cascades' blocks (``cascade.blocks`` and ``meet_dim``)
+against the plain exact rank it replaces, on every subset of the 39 types
+``quasired tables`` covers."""
 
 import itertools
 
@@ -7,8 +8,8 @@ import pytest
 
 from conftest import system
 from quasired import linalg
-from quasired.cascade import _cascade, span_dim, tilde_delta_plus
-from quasired.classify import _subsets_sorted as subsets, single_root_test
+from quasired.cascade import _cascade, blocks, meet_dim, tilde_delta_plus, well_interlaced
+from quasired.classify import _subsets_sorted as subsets, identify_subsystem, single_root_test
 from quasired.cli import _ALL_TYPES
 from quasired.rootsys import SimpleType, _one_to
 from quasired.seaweed import BiparabolicSpec, seaweed_index
@@ -17,16 +18,19 @@ from quasired.seaweed import BiparabolicSpec, seaweed_index
 FULL_RANK_TYPES = [
     (f, l) for f, l in _ALL_TYPES if len(_cascade(system(f, l), _one_to(l))) == l
 ]
+OTHER_TYPES = [t for t in _ALL_TYPES if t not in FULL_RANK_TYPES]
+
+RANK = linalg.rank  # the oracle, kept from before ``no_elimination`` replaces it
 
 
 def plain_rank(*groups):
-    return linalg.rank([list(a) for g in groups for a in g])
+    return RANK([list(a) for g in groups for a in g])
 
 
 @pytest.fixture
 def no_elimination(monkeypatch):
     def refuse(rows):
-        raise AssertionError("linalg.rank ran where the bounds meet")
+        raise AssertionError("linalg.rank ran on the way to dim E")
 
     monkeypatch.setattr(linalg, "rank", refuse)
 
@@ -40,8 +44,8 @@ def test_full_rank_types_are_a1_b_c_d_even_g2_f4_e7_e8():
 
 @pytest.mark.parametrize("family,rank", _ALL_TYPES)
 def test_every_cascade_has_independent_eps(family, rank):
-    """The fact the lower bound rests on: strongly orthogonal roots are
-    independent, so the eps rows of each cascade have rank its size."""
+    """Strongly orthogonal roots are independent, so the eps rows of each
+    cascade have rank its size, and dim E = k1 + k2 - dim(E1 & E2)."""
     r = system(family, rank)
     for sub in subsets(rank):
         c = _cascade(r, sub)
@@ -49,7 +53,32 @@ def test_every_cascade_has_independent_eps(family, rank):
 
 
 @pytest.mark.parametrize("family,rank", _ALL_TYPES)
-def test_seaweed_index_agrees_with_the_plain_rank(family, rank):
+def test_blocks_partition_each_source_into_orbits(family, rank):
+    """On every cascade: the blocks partition the source, one per node; each
+    holds one root, or the two ends of a type-A support; and every eps is
+    constant on every block, as the span E of ``blocks`` requires."""
+    r = system(family, rank)
+    ends = {}
+    for sub in subsets(rank):
+        c = _cascade(r, sub)
+        bs = blocks(c)
+        assert len(bs) == len(c)
+        assert sorted(i for b in bs for i in b) == sorted(sub)
+        for n, b in zip(c.nodes, bs):
+            assert b and set(b) <= n.support
+            assert len(b) == 1 or len(b) == 2, (sorted(sub), b)
+            if len(b) == 2:
+                if n.support not in ends:
+                    t, labels = identify_subsystem(r, n.support)
+                    assert t.family == "A", (sorted(n.support), t)
+                    ends[n.support] = {labels[0], labels[-1]}
+                assert set(b) == ends[n.support]
+        for e, b in itertools.product(c.eps_set, bs):
+            assert len({e[i - 1] for i in b}) == 1, (sorted(sub), e, b)
+
+
+@pytest.mark.parametrize("family,rank", _ALL_TYPES)
+def test_seaweed_index_agrees_with_the_plain_rank(family, rank, no_elimination):
     """Every pair (pi1, pi2) up to rank 6, every parabolic above it."""
     r = system(family, rank)
     st = SimpleType(family, rank)
@@ -63,7 +92,7 @@ def test_seaweed_index_agrees_with_the_plain_rank(family, rank):
 
 
 @pytest.mark.parametrize("family,rank", _ALL_TYPES)
-def test_single_root_test_agrees_with_the_plain_rank(family, rank):
+def test_single_root_test_agrees_with_the_plain_rank(family, rank, no_elimination):
     r = system(family, rank)
     eps = _cascade(r, _one_to(rank)).eps_set
     halves = {h for h, _, _ in tilde_delta_plus(r)}
@@ -73,27 +102,59 @@ def test_single_root_test_agrees_with_the_plain_rank(family, rank):
         assert single_root_test(SimpleType(family, rank), i) == want, i
 
 
-@pytest.mark.parametrize("family,rank", FULL_RANK_TYPES)
-def test_no_parabolic_of_a_full_rank_type_eliminates(family, rank, no_elimination):
+def _run_dim_e_queries(family, rank):
+    """Every parabolic in both orientations through ``seaweed_index`` and
+    ``well_interlaced``, and every simple root through ``single_root_test``."""
+    r = system(family, rank)
     st = SimpleType(family, rank)
+    full = _one_to(rank)
     for sub in subsets(rank):
-        seaweed_index(BiparabolicSpec(st, sub, _one_to(rank)))
-        seaweed_index(BiparabolicSpec(st, _one_to(rank), sub))
+        for p1, p2 in ((sub, full), (full, sub)):
+            seaweed_index(BiparabolicSpec(st, p1, p2))
+            well_interlaced(r, p1, p2)
     for i in range(1, rank + 1):
         single_root_test(st, i)
 
 
-def test_span_dim_eliminates_only_where_the_bounds_differ(monkeypatch):
-    calls = []
-    real = linalg.rank
-    monkeypatch.setattr(linalg, "rank", lambda rows: calls.append(rows) or real(rows))
-    a, b, ab = (1, 0, 0), (0, 1, 0), (1, 1, 0)
-    assert span_dim(3) == 0 and span_dim(3, (), ()) == 0
-    assert span_dim(3, (a, b)) == 2 and span_dim(3, (a,), ()) == 1
-    assert calls == []
-    assert span_dim(3, (a,), (a,)) == 1
-    assert span_dim(3, (a, b), (ab,)) == 2
-    assert span_dim(3, (a, b), ((0, 0, 1),)) == 3
-    assert len(calls) == 3
-    # rank 2 caps the span of three roots in h*, so nothing is eliminated
-    assert span_dim(2, (a[:2], b[:2]), (ab[:2],)) == 2 and len(calls) == 3
+@pytest.mark.parametrize("family,rank", FULL_RANK_TYPES)
+def test_no_parabolic_of_a_full_rank_type_eliminates(family, rank, no_elimination):
+    _run_dim_e_queries(family, rank)
+
+
+@pytest.mark.parametrize("family,rank", OTHER_TYPES)
+def test_no_parabolic_of_another_type_eliminates(family, rank, no_elimination):
+    """The types whose full cascade leaves h* unspanned, where the bounds
+    max(k_i) <= dim E <= min(l, k1 + k2) do not meet."""
+    _run_dim_e_queries(family, rank)
+
+
+def _sorted_blocks(c):
+    return [sorted(b) for b in blocks(c)]
+
+
+def test_block_rule_hand_cases():
+    a3, d5, e6 = system("A", 3), system("D", 5), system("E", 6)
+    # A3 {1,3}/{2}: three one-root blocks and no shared root, so m = 0 and
+    # the seaweed is Frobenius
+    c1, c2 = _cascade(a3, frozenset({1, 3})), _cascade(a3, frozenset({2}))
+    assert _sorted_blocks(c1) == [[1], [3]] and _sorted_blocks(c2) == [[2]]
+    assert meet_dim(c1, c2) == 0
+    assert seaweed_index(BiparabolicSpec(SimpleType("A", 3), {1, 3}, {2})) == 0
+    # D5: the highest root meets alpha_2 alone; below it {1} and the A3 {3,4,5}
+    # whose ends are 4 and 5
+    full = _cascade(d5, _one_to(5))
+    assert [sorted(n.support) for n in full.nodes] == [[1, 2, 3, 4, 5], [1], [3, 4, 5], [3]]
+    assert _sorted_blocks(full) == [[2], [1], [4, 5], [3]]
+    assert meet_dim(full, full) == 4
+    # E6: the blocks are the orbits of the diagram involution 1<->6, 3<->5
+    full = _cascade(e6, _one_to(6))
+    assert _sorted_blocks(full) == [[2], [1, 6], [3, 5], [4]]
+    assert meet_dim(full, full) == 4
+    # A3 full/{1,2}: the part {1,2} of pi1 & pi2 is joined to 3 by the
+    # block {1,3} of the full cascade, so it counts for nothing
+    c1, c2 = _cascade(a3, _one_to(3)), _cascade(a3, frozenset({1, 2}))
+    assert _sorted_blocks(c1) == [[1, 3], [2]] and _sorted_blocks(c2) == [[1, 2]]
+    assert meet_dim(c1, c2) == 0 == plain_rank(c1.eps_set) + 1 - plain_rank(c1.eps_set, c2.eps_set)
+    assert seaweed_index(BiparabolicSpec(SimpleType("A", 3), _one_to(3), {1, 2})) == 0
+    # the empty cascade meets nothing
+    assert meet_dim(_cascade(a3, frozenset()), c1) == 0
