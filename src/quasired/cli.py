@@ -132,7 +132,7 @@ def cmd_verify(
     spec: BiparabolicSpec, seed: int, trials: int, as_json: bool, store: str | None
 ) -> tuple[int, str]:
     index = seaweed_index(spec)
-    cert = certify_quasi_reductive(spec, trials=trials, seed=seed, _index=index)
+    cert = certify_quasi_reductive(spec, trials=trials, seed=seed)
     head = {"seed": seed, "index": index}
     if cert is None:
         return EXHAUSTED, _spec_output(

@@ -5,7 +5,10 @@ spanned by the positive root vectors of pi2, the whole Cartan, and the
 negative root vectors of pi1; the parabolic attached to a subset pi' is the
 case (pi1, pi2) = (pi', full). Its index is given by the cascade formula,
 with the dimension of the span of both cascades' eps counted from their
-blocks by ``cascade.meet_dim``, with no elimination.
+blocks by ``cascade.meet_dim``, with no elimination. The coroot
+coefficients of the explicit torus elements (``_coroot_ratio`` and
+``rank2_data``) are single pairings, read off the strong orthogonality of the
+cascade's eps, with no elimination either.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from . import linalg
 from .cascade import Subset, _cascade, interlacing, kostant_cascade, meet_dim, tilde_pi
 from .rootsys import (
     Root,
@@ -185,12 +187,17 @@ def build_u(spec: BiparabolicSpec, cv: CoefficientVector) -> Row:
 
 
 def _coroot_ratio(r: RootSystem, mid: Root, up: Root, lo: Root) -> Fraction:
-    """The scalar c with h_mid = c*(h_up - h_lo), solved exactly; a ValueError
-    when h_mid is not proportional to the difference."""
-    hu, hl = r.coroot_coeffs(up), r.coroot_coeffs(lo)
-    diff = [[u - l] for u, l in zip(hu, hl)]
-    (c,) = _solve_exact(diff, list(r.coroot_coeffs(mid)))
-    assert c != 0
+    """The scalar c with h_mid = c*(h_up - h_lo), for the eps of two cascade
+    nodes up and lo; a ValueError when h_mid is not such a multiple.
+
+    The eps are strongly orthogonal, so <eps_up, up^v> = 2 and
+    <eps_up, lo^v> = 0, and pairing the identity with eps_up gives
+    c = <eps_up, mid^v> / 2; the identity itself is then checked
+    coordinate by coordinate."""
+    c = Fraction(r.pairing(up, mid), 2)
+    hm, hu, hl = r.coroot_coeffs(mid), r.coroot_coeffs(up), r.coroot_coeffs(lo)
+    if c == 0 or any(m != c * (u - l) for m, u, l in zip(hm, hu, hl)):
+        raise ValueError(f"h of {mid} is not a multiple of h of {up} less h of {lo}")
     return c
 
 
@@ -251,6 +258,15 @@ class RankTwoData:
 
 
 def rank2_data(r: RootSystem, subset) -> RankTwoData:
+    """The four full-cascade nodes and coroot coefficients of a connected
+    rank-two subset containing the attachment root, read off the cascade's
+    strong orthogonality: <eps_a, eps_b^v> is 2 when a = b and 0 otherwise.
+
+    Pairing 2*alpha_i2 = eps_j0 - eps_j1 - eps_j2 - eps_j3 with each eps^v
+    shows that j0 is the one node with <alpha_i2, eps^v> = 1 and that j2 < j3
+    are the nodes other than j1 with -1; pairing h_top = sum c_k h_{eps_jk}
+    with eps_jk gives c_k = <eps_jk, top^v> / 2. Both identities are then
+    checked exactly, and a ValueError reports a pair without them."""
     sub = frozenset(subset)
     if r.type.family not in ("F", "E"):
         raise ValueError("rank-two reduction applies to types F4 and E6..E8 only")
@@ -261,64 +277,32 @@ def rank2_data(r: RootSystem, subset) -> RankTwoData:
         raise ValueError("subset must contain the simple root attached to the lowest root")
     i2 = attach
     (i1,) = sub - {i2}
-    full = kostant_cascade(r, r.full_subset())
-    eps = full.eps_set
-    a1 = r.simple_root(i1)
+    eps = kostant_cascade(r, r.full_subset()).eps_set
     a2 = r.simple_root(i2)
     try:
-        j1 = eps.index(a1)
+        j1 = eps.index(r.simple_root(i1))
     except ValueError:
         raise ValueError(f"alpha_{i1} is not a cascade highest root") from None
-    twice = tuple(2 * x for x in a2)
-    found = None
-    for j0 in range(len(eps)):
-        if j0 == j1:
-            continue
-        for j2 in range(len(eps)):
-            if j2 in (j0, j1):
-                continue
-            for j3 in range(j2 + 1, len(eps)):
-                if j3 in (j0, j1):
-                    continue
-                cand = tuple(
-                    eps[j0][t] - eps[j1][t] - eps[j2][t] - eps[j3][t]
-                    for t in range(r.rank)
-                )
-                if cand == twice:
-                    found = (j0, j1, j2, j3)
-                    break
-            if found:
-                break
-        if found:
-            break
-    if not found:
+    pairs = [r.pairing(a2, e) for e in eps]
+    j0s = [j for j, p in enumerate(pairs) if p == 1]
+    lows = [j for j, p in enumerate(pairs) if p == -1 and j != j1]
+    nodes = (*j0s, j1, *lows)
+    if (len(j0s), len(lows)) != (1, 2) or any(
+        e0 - e1 - e2 - e3 != 2 * a for e0, e1, e2, e3, a in zip(*(eps[j] for j in nodes), a2)
+    ):
         raise ValueError("no four-node eps decomposition exists for this pair")
-    # solve h_{eps(subset)} = sum c_k h_{eps_{j_k}}
     top = r.highest_root(sub)
-    rows = [list(t) for t in zip(*[r.coroot_coeffs(eps[j]) for j in found])]
-    sol = _solve_exact(rows, list(r.coroot_coeffs(top)))
-    return RankTwoData(i1, i2, found, tuple(sol))
-
-
-def _solve_exact(rows, target):
-    ncols = len(rows[0])
-    aug = [row + [t] for row, t in zip(rows, target)]
-    red, pivots = linalg.rref(aug)
-    sol = [Fraction(0)] * ncols
-    for row, p in zip(red, pivots):
-        if p == ncols:
-            raise ValueError("inconsistent linear system")
-        sol[p] = row[ncols]
-    # verify (the system is overdetermined)
-    for row, t in zip(rows, target):
-        assert sum(c * s for c, s in zip(row, sol)) == t
-    return sol
+    c = tuple(Fraction(r.pairing(eps[j], top), 2) for j in nodes)
+    hs = [r.coroot_coeffs(eps[j]) for j in nodes]
+    if any(t != sum(ck * h[i] for ck, h in zip(c, hs)) for i, t in enumerate(r.coroot_coeffs(top))):
+        raise ValueError("h of the subset's top root is not a combination of the nodes' coroots")
+    return RankTwoData(i1, i2, nodes, c)
 
 
 def rank2_stabilizer_element(r: RootSystem, subset, cv: CoefficientVector) -> Row:
     """The row of a semisimple stabilizer element for the parabolic of a
     connected rank-two subset containing the attachment root, built from the
-    four-node eps decomposition with all coefficients solved exactly."""
+    four-node eps decomposition and coroot coefficients of ``rank2_data``."""
     data = rank2_data(r, subset)
     spec = parabolic(r.type, subset)
     _, c1, c2, am, bm = _checked_maps(spec, cv)

@@ -473,15 +473,15 @@ MAX_TRIALS = 1000
 
 
 def certify_quasi_reductive(
-    spec: BiparabolicSpec, trials: int = 20, seed: int = 0, *, _index: int | None = None
+    spec: BiparabolicSpec, trials: int = 20, seed: int = 0
 ) -> TorusCertificate | None:
     """Search seeded random coefficient draws for a torus certificate.
 
     Trial t draws what the t-th ``sample_cv`` call on ``random.Random(seed)``
     draws, and only a certifying trial builds its ``CoefficientVector``.
     A returned certificate proves quasi-reductivity; exhausting the trials
-    proves nothing and is reported as None. ``_index``, when given, is
-    ``seaweed_index(spec)`` as the caller already computed it.
+    proves nothing and is reported as None. A trial's stabilizer must have
+    dimension ``seaweed_index(spec)``, which the search computes itself.
     """
     if type(trials) is not int:
         raise ValueError(f"the trial count {trials!r} is not an int")
@@ -489,7 +489,7 @@ def certify_quasi_reductive(
         raise ValueError("at least one trial is required")
     if trials > MAX_TRIALS:
         raise ValueError(f"at most {MAX_TRIALS} trials are allowed, not {trials}")
-    index = seaweed_index(spec) if _index is None else _index
+    index = seaweed_index(spec)
     a, b = _draw_layout(spec)
     slots = a + b
     pattern = _form_pattern(spec, [s.dual for s in slots])

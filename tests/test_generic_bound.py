@@ -27,9 +27,11 @@ from quasired.seaweed import BiparabolicSpec, biparabolic_basis, seaweed_index
 from quasired.stabilizer import form_stabilizer
 
 MAX_DRAWS = 3
-PAIR_TYPES = [("G", 2), ("F", 4), ("A", 1), ("A", 2), ("A", 3), ("A", 4),
-              ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4)]
-E6_SAMPLE = 200
+PAIR_TYPES = [("G", 2), ("F", 4), ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
+              ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("C", 3), ("C", 4), ("C", 5),
+              ("D", 4), ("D", 5)]
+# seeded samples of the pairs of the larger exceptional types
+SAMPLES = [("E", 6, 200), ("E", 7, 100), ("E", 8, 40)]
 
 
 def killing_duals(r) -> dict:
@@ -89,11 +91,12 @@ def test_generic_forms_reach_the_index_on_every_pair(family, rank):
         check_generic_bound(BiparabolicSpec(st, p1, p2), duals, rng)
 
 
-def test_generic_forms_reach_the_index_on_sampled_e6_pairs():
-    r = system("E", 6)
-    st = SimpleType("E", 6)
+@pytest.mark.parametrize("family,rank,size", SAMPLES)
+def test_generic_forms_reach_the_index_on_sampled_pairs(family, rank, size):
+    r = system(family, rank)
+    st = SimpleType(family, rank)
     duals = killing_duals(r)
-    rng = random.Random("generic:E6")
-    pairs = list(itertools.product(subsets(6), repeat=2))
-    for p1, p2 in rng.sample(pairs, E6_SAMPLE):
+    rng = random.Random(f"generic:{family}{rank}")
+    pairs = list(itertools.product(subsets(rank), repeat=2))
+    for p1, p2 in rng.sample(pairs, size):
         check_generic_bound(BiparabolicSpec(st, p1, p2), duals, rng)

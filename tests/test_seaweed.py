@@ -6,11 +6,14 @@ import pytest
 
 from conftest import build_u_minus, dense, h_row, scaled, system, x_row
 from quasired import linalg
-from quasired.cascade import kostant_cascade, well_interlaced
+from quasired.cascade import half_difference_roots, kostant_cascade, tilde_pi, well_interlaced
+from quasired.classify import _subsets_sorted as subsets
 from quasired.rootsys import SimpleType, bracket, bracket_coords, killing_coords
 from quasired.seaweed import (
     BiparabolicSpec,
     CoefficientVector,
+    RankTwoData,
+    _coroot_ratio,
     _draw,
     biparabolic_basis,
     build_u,
@@ -378,3 +381,88 @@ def test_rank2_rejects_wrong_shapes():
         rank2_data(rs, {2})  # not rank two
     with pytest.raises(ValueError):
         rank2_data(system("B", 4), {1, 2})  # wrong family
+
+
+def _ratio_by_solve(r, mid, up, lo):
+    """c with h_mid = c*(h_up - h_lo), solved by an augmented ``linalg.rref``
+    with no use of strong orthogonality; None when the system is
+    inconsistent."""
+    hu, hl = r.coroot_coeffs(up), r.coroot_coeffs(lo)
+    red, pivots = linalg.rref([[u - l, m] for u, l, m in zip(hu, hl, r.coroot_coeffs(mid))])
+    return None if 1 in pivots else red[0][1]
+
+
+def test_coroot_ratio_agrees_with_an_exact_solve():
+    """On every half-difference triple of every cascade of B2..B10, C3..C10,
+    F4 and G2, the closed form agrees with the solve where the system is
+    consistent and raises exactly where it is not: on one G2 triple."""
+    types = [("B", l) for l in range(2, 11)] + [("C", l) for l in range(3, 11)] + [("F", 4), ("G", 2)]
+    triples, rejected = 0, []
+    for family, rank in types:
+        r = system(family, rank)
+        for sub in subsets(rank):
+            for mid, up, lo in half_difference_roots(kostant_cascade(r, sub)):
+                triples += 1
+                want = _ratio_by_solve(r, mid, up.eps, lo.eps)
+                if want is None:
+                    rejected.append((family, rank, mid, up.eps, lo.eps))
+                    with pytest.raises(ValueError):
+                        _coroot_ratio(r, mid, up.eps, lo.eps)
+                else:
+                    assert _coroot_ratio(r, mid, up.eps, lo.eps) == want, (family, sub, mid)
+    assert triples == 2669
+    assert set(rejected) == {("G", 2, (1, 1), (2, 3), (0, 1))}
+
+
+def _rank2_by_search(r, pair):
+    """``rank2_data`` by a search over node quadruples for
+    2*alpha_i2 = eps_j0 - eps_j1 - eps_j2 - eps_j3 (j0 first, then j2 < j3)
+    and an augmented ``linalg.rref`` solve of h_top = sum c_k h_{eps_jk};
+    None where either has no solution."""
+    _, i2 = tilde_pi(r, r.full_subset())
+    if i2 not in pair:
+        return None
+    (i1,) = set(pair) - {i2}
+    eps = kostant_cascade(r, r.full_subset()).eps_set
+    if r.simple_root(i1) not in eps:
+        return None
+    j1 = eps.index(r.simple_root(i1))
+    twice = tuple(2 * x for x in r.simple_root(i2))
+    others = [j for j in range(len(eps)) if j != j1]
+    quads = (
+        (j0, j1, j2, j3)
+        for j0 in others
+        for j2, j3 in itertools.combinations(others, 2)
+        if j0 not in (j2, j3)
+    )
+    combo = lambda q: tuple(a - b - c - d for a, b, c, d in zip(*(eps[j] for j in q)))
+    found = next((q for q in quads if combo(q) == twice), None)
+    if found is None:
+        return None
+    hs = [r.coroot_coeffs(eps[j]) for j in found]
+    top = r.coroot_coeffs(r.highest_root(frozenset(pair)))
+    red, pivots = linalg.rref([[h[t] for h in hs] + [top[t]] for t in range(r.rank)])
+    if 4 in pivots:
+        return None
+    assert pivots == [0, 1, 2, 3]
+    return RankTwoData(i1, i2, found, tuple(row[4] for row in red[:4]))
+
+
+def test_rank2_data_agrees_with_a_search_and_solve():
+    """On every connected pair of F4, E6, E7 and E8, the closed form equals
+    the search and solve where a decomposition exists, and both reject the
+    same pairs."""
+    valid = []
+    for family, rank in [("F", 4), ("E", 6), ("E", 7), ("E", 8)]:
+        r = system(family, rank)
+        for pair in itertools.combinations(range(1, rank + 1), 2):
+            if not r.is_connected(frozenset(pair)):
+                continue
+            want = _rank2_by_search(r, pair)
+            if want is None:
+                with pytest.raises(ValueError):
+                    rank2_data(r, pair)
+            else:
+                valid.append((family, rank, pair))
+                assert rank2_data(r, pair) == want
+    assert valid == [("F", 4, (1, 2)), ("E", 6, (2, 4)), ("E", 7, (1, 3)), ("E", 8, (7, 8))]
