@@ -30,11 +30,17 @@ class CascadeNode:
 @dataclass(frozen=True)
 class Cascade:
     """Ordered cascade of a subset of simple roots, in its root system:
-    equal subsets of different systems give unequal cascades."""
+    equal subsets of different systems give unequal cascades. ``pairs``
+    holds its two-root ``blocks`` in node order, derived once when it is
+    built; it is left out of equality, hashing and repr."""
 
     source: Subset
     nodes: tuple[CascadeNode, ...]
     system: RootSystem = field(repr=False)
+    pairs: tuple[Subset, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", tuple(b for b in blocks(self) if len(b) == 2))
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -89,7 +95,8 @@ def _cascade(r: RootSystem, subset: Subset) -> Cascade:
 def blocks(c: Cascade) -> tuple[Subset, ...]:
     """Each node's block, in node order: the roots of its support that lie in
     no later node's support, which are exactly the roots of its support not
-    orthogonal to its eps. Derived on each call, in sum(|support|) steps.
+    orthogonal to its eps, in sum(|support|) steps. ``Cascade`` stores its
+    two-root blocks as ``pairs`` when it is built.
 
     The blocks describe the span E of the eps: in simple-root coordinates, E
     is the set of vectors that vanish off the source and are constant on
@@ -115,18 +122,17 @@ def blocks(c: Cascade) -> tuple[Subset, ...]:
 
 def meet_dim(c1: Cascade, c2: Cascade) -> int:
     """dim(E1 & E2) for the eps spans Ei of two cascades of one system, from
-    their ``blocks``: a vector of both spans is constant on each connected
-    part of the graph on the union of the sources whose edges join the two
-    roots of each two-root block, and vanishes on a part that leaves the
-    intersection of the sources. So the dimension is the number of parts
-    that lie inside the intersection; a root in no two-root block is a part
+    their two-root blocks ``Cascade.pairs``: a vector of both spans is
+    constant on each connected part of the graph on the union of the sources
+    whose edges join the two roots of each pair, and vanishes on a part that
+    leaves the intersection of the sources. So the dimension is the number
+    of parts that lie inside the intersection; a root in no pair is a part
     by itself."""
     part: dict[int, Subset] = {}
-    for b in blocks(c1) + blocks(c2):
-        if len(b) == 2:
-            i, j = b
-            merged = part.get(i, b) | part.get(j, b)
-            part.update(dict.fromkeys(merged, merged))
+    for b in c1.pairs + c2.pairs:
+        i, j = b
+        merged = part.get(i, b) | part.get(j, b)
+        part.update(dict.fromkeys(merged, merged))
     inside = c1.source & c2.source
     return len(inside - part.keys()) + sum(p <= inside for p in set(part.values()))
 

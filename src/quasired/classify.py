@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from functools import cache
 from importlib import resources
 
-from .cascade import blocks, kostant_cascade, tilde_delta_plus, tilde_pi
+from .cascade import kostant_cascade, tilde_delta_plus, tilde_pi
 from .rootsys import (
     _FAMILY_BOUNDS,
     _INT,
@@ -145,7 +145,8 @@ def single_root_test(t: SimpleType, i: int) -> bool:
     """Quasi-reductivity of the parabolic attached to one simple root: the
     root must be a half-difference root, itself a cascade highest root, or
     independent from the set of cascade highest roots: unequal on some block
-    of the cascade (``cascade.blocks``)."""
+    of the cascade (``cascade.blocks``), so on one of its two-root blocks
+    ``Cascade.pairs``, since a one-root block is never unequal."""
     r = build_root_system(t)
     alpha = r.simple_root(i)
     c = kostant_cascade(r, r.full_subset())
@@ -153,7 +154,7 @@ def single_root_test(t: SimpleType, i: int) -> bool:
         return True
     if any(alpha == h for h, _, _ in tilde_delta_plus(r)):
         return True
-    return any(len({alpha[j - 1] for j in b}) > 1 for b in blocks(c))
+    return any(len({alpha[j - 1] for j in b}) > 1 for b in c.pairs)
 
 
 @dataclass(frozen=True)

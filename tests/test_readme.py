@@ -67,9 +67,15 @@ def test_readme_python_snippet_runs(capsys):
     assert printed.split()[0] == nodes
 
 
+def _field_names(obj) -> set[str]:
+    return {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else set()
+
+
 def _resolves(module, name: str) -> bool:
     """name, bare or dotted, is a module of the package, an attribute of the
-    module, or an attribute or dataclass field of a class defined there."""
+    module, or an attribute or dataclass field of a class defined there; a
+    field without a class attribute (one set in ``__post_init__``) resolves
+    dotted too, as ``Class.field``."""
     head, *rest = name.split(".")
     if not rest and inspect.ismodule(getattr(quasired, head, None)):
         return True
@@ -77,12 +83,11 @@ def _resolves(module, name: str) -> bool:
         c for c in vars(module).values() if inspect.isclass(c) and c.__module__ == module.__name__
     ]
     for owner in owners:
-        fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) else ()
-        if head in fields and not rest:
+        if head in _field_names(owner) and not rest:
             return True
         obj = getattr(owner, head, None)
         for part in rest:
-            obj = getattr(obj, part, None)
+            obj = getattr(obj, part, True if part in _field_names(obj) else None)
         if obj is not None:
             return True
     return False

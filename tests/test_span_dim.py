@@ -3,12 +3,13 @@ against the plain exact rank it replaces, on every subset of the 39 types
 ``quasired tables`` covers."""
 
 import itertools
+from dataclasses import fields
 
 import pytest
 
 from conftest import system
 from quasired import linalg
-from quasired.cascade import _cascade, blocks, meet_dim, tilde_delta_plus, well_interlaced
+from quasired.cascade import Cascade, _cascade, blocks, meet_dim, tilde_delta_plus, well_interlaced
 from quasired.classify import _subsets_sorted as subsets, identify_subsystem, single_root_test
 from quasired.cli import _ALL_TYPES
 from quasired.rootsys import SimpleType, _one_to
@@ -55,13 +56,15 @@ def test_every_cascade_has_independent_eps(family, rank):
 @pytest.mark.parametrize("family,rank", _ALL_TYPES)
 def test_blocks_partition_each_source_into_orbits(family, rank):
     """On every cascade: the blocks partition the source, one per node; each
-    holds one root, or the two ends of a type-A support; and every eps is
-    constant on every block, as the span E of ``blocks`` requires."""
+    holds one root, or the two ends of a type-A support; every eps is
+    constant on every block, as the span E of ``blocks`` requires; and
+    ``pairs`` holds the two-root blocks in node order."""
     r = system(family, rank)
     ends = {}
     for sub in subsets(rank):
         c = _cascade(r, sub)
         bs = blocks(c)
+        assert c.pairs == tuple(b for b in bs if len(b) == 2), sorted(sub)
         assert len(bs) == len(c)
         assert sorted(i for b in bs for i in b) == sorted(sub)
         for n, b in zip(c.nodes, bs):
@@ -75,6 +78,18 @@ def test_blocks_partition_each_source_into_orbits(family, rank):
                 assert set(b) == ends[n.support]
         for e, b in itertools.product(c.eps_set, bs):
             assert len({e[i - 1] for i in b}) == 1, (sorted(sub), e, b)
+
+
+def test_pairs_stay_out_of_equality_and_hashing():
+    """A cascade rebuilt from its source, nodes and system equals the
+    memoized one and hashes alike, so ``pairs`` never enters a cache key."""
+    assert [f.name for f in fields(Cascade) if f.compare] == ["source", "nodes", "system"]
+    for f, l in (("A", 3), ("D", 5), ("E", 6)):
+        r = system(f, l)
+        for sub in subsets(l):
+            c = _cascade(r, sub)
+            twin = Cascade(c.source, c.nodes, c.system)
+            assert twin == c and hash(twin) == hash(c) and twin.pairs == c.pairs
 
 
 @pytest.mark.parametrize("family,rank", _ALL_TYPES)
