@@ -49,10 +49,8 @@ def _exact_div(num: int, den: int) -> int:
     return q
 
 
-# Largest classical rank, so that every query ends: at rank 40 a cold cascade,
-# index or classify takes about 0.5 s and a cold one-trial verify about 1 s on
-# A40 and 3 s on B40, C40 and D40 (CPython 3.11, one core), and the cost
-# grows steeply beyond.
+# Largest classical rank, so that every query ends in seconds (README gives the
+# rank-40 timings), and the cost grows steeply beyond.
 MAX_CLASSICAL_RANK = 40
 
 _FAMILY_BOUNDS = {
@@ -89,9 +87,13 @@ class SimpleType:
         """The subset of simple roots as a frozenset; ValueError unless every
         element is an int within 1..rank. A float or a bool equal to an index
         passes the range test alone, and would then be cached and printed as
-        itself."""
+        itself. The cached full set ``_one_to(rank)`` itself is valid by
+        construction and returned unscanned."""
+        full = _one_to(self.rank)
+        if subset is full:
+            return full
         sub = frozenset(subset)
-        if _INT.issuperset(map(type, sub)) and sub <= _one_to(self.rank):
+        if _INT.issuperset(map(type, sub)) and sub <= full:
             return sub
         # ints by value, then the rest by repr: mixed types do not compare
         shown = sorted(sub, key=lambda v: (type(v) is not int, v if type(v) is int else repr(v)))

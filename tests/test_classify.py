@@ -5,6 +5,7 @@ import random
 import pytest
 
 from conftest import system
+from quasired import rootsys
 from quasired.classify import (
     FlagSpec,
     classify_parabolic,
@@ -165,6 +166,25 @@ def test_classify_spec_examples():
     assert not classify_parabolic(SimpleType("D", 6), {2, 3, 4}).quasi_reductive
     assert classify_parabolic(SimpleType("A", 5), {2, 4}).quasi_reductive
     assert classify_parabolic(SimpleType("C", 4), {1, 2}).quasi_reductive
+
+
+@pytest.mark.parametrize("family,rank,sub", [("E", 7, {1, 3, 4}), ("A", 5, {2, 3}), ("D", 6, {1, 2})])
+def test_warm_classify_type_checks_only_its_subset(family, rank, sub, monkeypatch):
+    """The full pi2 that ``parabolic`` passes is the cached ``_one_to(rank)``,
+    which ``checked_subset`` returns without scanning its elements."""
+    st = SimpleType(family, rank)
+    classify_parabolic(st, sub)
+    scanned = []
+
+    class CountingSet(frozenset):
+        def issuperset(self, items):
+            items = list(items)
+            scanned.extend(items)
+            return super().issuperset(items)
+
+    monkeypatch.setattr(rootsys, "_INT", CountingSet({int}))
+    classify_parabolic(st, sub)
+    assert len(scanned) == len(sub)
 
 
 def test_full_subset_is_quasi_reductive_everywhere():

@@ -11,6 +11,10 @@ drawn integers on q's basis, and every integer point of q* can be drawn.
 These forms have cells of several terms, which no certificate search's form
 has, so they also drive ``form_stabilizer``'s term-summing fill on every
 type.
+
+Every pair of every type up to rank 5 runs in tier-1, which samples 200 E6,
+100 E7 and 40 E8 pairs; every E6 and every E7 pair run under the ``ci``
+marker (``pytest -m ci``).
 """
 
 import itertools
@@ -29,8 +33,9 @@ from quasired.stabilizer import form_stabilizer
 MAX_DRAWS = 3
 PAIR_TYPES = [("G", 2), ("F", 4), ("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5),
               ("B", 2), ("B", 3), ("B", 4), ("B", 5), ("C", 3), ("C", 4), ("C", 5),
-              ("D", 4), ("D", 5)]
-# seeded samples of the pairs of the larger exceptional types
+              ("D", 4), ("D", 5),
+              pytest.param("E", 6, marks=pytest.mark.ci), pytest.param("E", 7, marks=pytest.mark.ci)]
+# seeded samples of the pairs of the larger exceptional types, for tier-1
 SAMPLES = [("E", 6, 200), ("E", 7, 100), ("E", 8, 40)]
 
 

@@ -1,8 +1,10 @@
-"""dim E from the cascades' blocks (``cascade.blocks`` and ``meet_dim``)
-against the plain exact rank it replaces, on every subset of the 39 types
-``quasired tables`` covers."""
+"""The cascades' blocks (``cascade.blocks``, ``Cascade.pairs``) and the dim E
+read off them (``meet_dim``), against the plain exact rank they replace, on
+every subset of the 39 types ``quasired tables`` covers, and under the
+``ci`` marker on seeded subsets at ``MAX_CLASSICAL_RANK``."""
 
 import itertools
+import random
 from dataclasses import fields
 
 import pytest
@@ -12,7 +14,7 @@ from quasired import linalg
 from quasired.cascade import Cascade, _cascade, blocks, meet_dim, tilde_delta_plus, well_interlaced
 from quasired.classify import _subsets_sorted as subsets, identify_subsystem, single_root_test
 from quasired.cli import _ALL_TYPES
-from quasired.rootsys import SimpleType, _one_to
+from quasired.rootsys import MAX_CLASSICAL_RANK, SimpleType, _one_to
 from quasired.seaweed import BiparabolicSpec, seaweed_index
 
 # the types whose full cascade has one node per simple root, so spans h*
@@ -45,26 +47,36 @@ def test_full_rank_types_are_a1_b_c_d_even_g2_f4_e7_e8():
 
 @pytest.mark.parametrize("family,rank", _ALL_TYPES)
 def test_every_cascade_has_independent_eps(family, rank):
-    """Strongly orthogonal roots are independent, so the eps rows of each
-    cascade have rank its size, and dim E = k1 + k2 - dim(E1 & E2)."""
     r = system(family, rank)
     for sub in subsets(rank):
-        c = _cascade(r, sub)
-        assert plain_rank(c.eps_set) == len(c), sorted(sub)
+        check_eps_independent(_cascade(r, sub))
+
+
+def check_eps_independent(c):
+    """Strongly orthogonal roots are independent, so the eps rows of each
+    cascade have rank its size, and dim E = k1 + k2 - dim(E1 & E2)."""
+    assert plain_rank(c.eps_set) == len(c), sorted(c.source)
+
+
+def check_blocks_carry_the_eps(c, bs):
+    """``pairs`` holds the two-root blocks in node order, and every eps is
+    constant on every block, as the span E of ``blocks`` requires."""
+    assert c.pairs == tuple(b for b in bs if len(b) == 2), sorted(c.source)
+    for e, b in itertools.product(c.eps_set, bs):
+        assert len({e[i - 1] for i in b}) == 1, (sorted(c.source), e, b)
 
 
 @pytest.mark.parametrize("family,rank", _ALL_TYPES)
 def test_blocks_partition_each_source_into_orbits(family, rank):
     """On every cascade: the blocks partition the source, one per node; each
-    holds one root, or the two ends of a type-A support; every eps is
-    constant on every block, as the span E of ``blocks`` requires; and
-    ``pairs`` holds the two-root blocks in node order."""
+    holds one root, or the two ends of a type-A support; and
+    ``check_blocks_carry_the_eps`` holds."""
     r = system(family, rank)
     ends = {}
     for sub in subsets(rank):
         c = _cascade(r, sub)
         bs = blocks(c)
-        assert c.pairs == tuple(b for b in bs if len(b) == 2), sorted(sub)
+        check_blocks_carry_the_eps(c, bs)
         assert len(bs) == len(c)
         assert sorted(i for b in bs for i in b) == sorted(sub)
         for n, b in zip(c.nodes, bs):
@@ -76,8 +88,6 @@ def test_blocks_partition_each_source_into_orbits(family, rank):
                     assert t.family == "A", (sorted(n.support), t)
                     ends[n.support] = {labels[0], labels[-1]}
                 assert set(b) == ends[n.support]
-        for e, b in itertools.product(c.eps_set, bs):
-            assert len({e[i - 1] for i in b}) == 1, (sorted(sub), e, b)
 
 
 def test_pairs_stay_out_of_equality_and_hashing():
@@ -95,15 +105,40 @@ def test_pairs_stay_out_of_equality_and_hashing():
 @pytest.mark.parametrize("family,rank", _ALL_TYPES)
 def test_seaweed_index_agrees_with_the_plain_rank(family, rank, no_elimination):
     """Every pair (pi1, pi2) up to rank 6, every parabolic above it."""
-    r = system(family, rank)
     st = SimpleType(family, rank)
     subs = subsets(rank)
     pairs = itertools.product(subs, subs) if rank <= 6 else ((s, _one_to(rank)) for s in subs)
     for p1, p2 in pairs:
-        e1, e2 = _cascade(r, p1).eps_set, _cascade(r, p2).eps_set
-        dim_e = plain_rank(e1, e2)
-        want = (rank - dim_e) + (len(e1) + len(e2) - dim_e)
-        assert seaweed_index(BiparabolicSpec(st, p1, p2)) == want, (sorted(p1), sorted(p2))
+        check_index_against_the_plain_rank(BiparabolicSpec(st, p1, p2))
+
+
+def check_index_against_the_plain_rank(spec):
+    """The index is (rk - dim E) + (k1 + k2 - dim E), with dim E the plain
+    rank of both cascades' eps."""
+    r = spec.system()
+    e1, e2 = _cascade(r, spec.pi1).eps_set, _cascade(r, spec.pi2).eps_set
+    dim_e = plain_rank(e1, e2)
+    want = (r.rank - dim_e) + (len(e1) + len(e2) - dim_e)
+    assert seaweed_index(spec) == want, (sorted(spec.pi1), sorted(spec.pi2))
+
+
+@pytest.mark.ci
+def test_cascades_and_index_at_the_largest_classical_rank(no_elimination):
+    """The checks above at ``MAX_CLASSICAL_RANK``, family A, B, C, D in turn
+    from one seeded generator: the eps and blocks of the full cascade and of
+    20 random ones, then the index of 20 random pairs."""
+    rng = random.Random(40)
+    l = MAX_CLASSICAL_RANK
+    for family in "ABCD":
+        r = system(family, l)
+        full = sorted(_one_to(l))
+        for sub in [full] + [rng.sample(full, rng.randint(1, l)) for _ in range(20)]:
+            c = _cascade(r, frozenset(sub))
+            check_eps_independent(c)
+            check_blocks_carry_the_eps(c, blocks(c))
+        for _ in range(20):
+            p1, p2 = (rng.sample(full, rng.randint(0, l)) for _ in range(2))
+            check_index_against_the_plain_rank(BiparabolicSpec(SimpleType(family, l), p1, p2))
 
 
 @pytest.mark.parametrize("family,rank", _ALL_TYPES)
@@ -138,8 +173,6 @@ def test_no_parabolic_of_a_full_rank_type_eliminates(family, rank, no_eliminatio
 
 @pytest.mark.parametrize("family,rank", OTHER_TYPES)
 def test_no_parabolic_of_another_type_eliminates(family, rank, no_elimination):
-    """The types whose full cascade leaves h* unspanned, where the bounds
-    max(k_i) <= dim E <= min(l, k1 + k2) do not meet."""
     _run_dim_e_queries(family, rank)
 
 
