@@ -27,16 +27,28 @@ when no leaf remains. Each block, a connected component of the pattern, is
 compiled to its isolated vertices, its core and its steps; a block that
 peels to nothing has no kernel and is dropped.
 
-A trial multiplies its weights into the core's cells and takes a raw basis
-of the core's kernel by ``linalg._kernel``, in the pivot order the first
-trial took (any order is exact: a pivot that is 0 for some draw is replaced,
-and only the span of the basis is used). It starts from those vectors and
-the unit vectors of the isolated vertices, and extends each over the steps
-in reverse order, a back-substitution: the block's raw kernel. The kernel
-is the direct sum of the block kernels. To publish it, each block's vectors
-are reduced once, by ``linalg._eliminate``, to their canonical rref. Each
-block's rref rows vanish outside the block, so in the union of all of them
-no row has a nonzero entry in another row's pivot column; ordered by pivot,
+The compile also 2-colours each core, once: no draw cancels a cell, so a
+colouring of the pattern holds for every trial. If the core splits into
+halves X and Y, then M[X][X] = M[Y][Y] = 0, and M x = 0 is M[X][Y] x_Y = 0
+together with M[Y][X] x_X = 0. So the core's kernel is ker M[Y][X] on X
+plus ker M[X][Y] on Y, and as M[Y][X] = -M[X][Y]^T, the first of these has
+dimension |X| - rank M[X][Y]. The core is eliminated as the system M[X][Y],
+X the smaller half, and then as M[Y][X] only when that dimension is
+positive: a core with equal halves and a full-rank M[X][Y] costs one
+elimination of half its size. A core with an odd cycle is the one system
+M[core][core].
+
+A trial multiplies its weights into the cells of each system of the core
+and takes a raw basis of its kernel by ``linalg._kernel``, in the pivot
+order the first trial took for that system (any order is exact: a pivot
+that is 0 for some draw is replaced, and only the span of the basis is
+used). It starts from those vectors and the unit vectors of the isolated
+vertices, and extends each over the steps in reverse order, a
+back-substitution: the block's raw kernel. The kernel is the direct sum of
+the block kernels. To publish it, each block's vectors are reduced once, by
+``linalg._eliminate``, to their canonical rref. Each block's rref rows
+vanish outside the block, so in the union of all of them no row has a
+nonzero entry in another row's pivot column; ordered by pivot,
 the union is therefore the canonical rref of the whole kernel, the rows one
 elimination of the full matrix would give. A ``Subspace`` stores only these
 rows, as sparse primitive integer rows with positive leading entries, which
@@ -145,44 +157,48 @@ class _Block:
     ``idx`` are the sorted basis indices its kernel rows can be nonzero on:
     the vertices left live by peeling and the v of each step; every kernel
     vector is 0 on the others. The positions below are into ``idx``.
-    ``isolated`` are the live vertices with no live neighbour, and ``core``
-    those with one or more. The core's cells above the diagonal are
-    ``cells``, as (row, column, weight index, constant) with entry
-    weight * constant (and minus that below the diagonal), rows and columns
-    counted in ``core``. ``steps`` are the peeled pairs, last peeled first,
-    as (v, weight index, constant, rest): M[v][u] is weight * constant, and
-    rest lists the cells (s, weight index, constant) of M[u][s] over the
-    neighbours s of u that were live then and are in ``idx``. A pair whose
-    u had no other live neighbour gives x_v = 0 and is left out. ``order``
-    is the pivot order the first elimination of the core took, so it lives
-    as long as the pattern, which one search owns."""
+    ``isolated`` are the live vertices with no live neighbour. The core, the
+    live vertices with one or more, is eliminated as ``systems``, each
+    (rows, cols, cells, order): the submatrix M[rows][cols], whose cells are
+    (row, column, weight index, constant) with entry weight * constant, rows
+    and columns counted in rows and cols, and the pivot order its first
+    elimination took, filled in place and kept as long as the pattern, which
+    one search owns. A core with an odd cycle is one system (core, core);
+    a core 2-coloured into halves X, the smaller, and Y is (X, Y) and then
+    (Y, X), the second eliminated only when its kernel, of dimension
+    |X| - rank M[X][Y], is not 0 (module docstring). ``steps`` are the
+    peeled pairs, last peeled first, as (v, weight index, constant, rest):
+    M[v][u] is weight * constant, and rest lists the cells (s, weight index,
+    constant) of M[u][s] over the neighbours s of u that were live then and
+    are in ``idx``. A pair whose u had no other live neighbour gives x_v = 0
+    and is left out."""
 
     idx: tuple[int, ...]
     isolated: list[int]
-    core: list[int]
-    cells: list[tuple[int, int, int, int]]
+    systems: tuple[tuple[list[int], list[int], list[tuple[int, int, int, int]], list], ...]
     steps: list[tuple[int, int, int, list[tuple[int, int, int]]]]
-    order: list[tuple[int, int]] | None = None
 
     def raw_kernel(self, w: dict[int, int]) -> list[list[int]]:
         """A basis of the block's kernel under the weights w, not reduced:
         integer vectors over the positions of ``idx``, the core's kernel
-        basis from ``linalg._kernel`` and the unit vectors of the isolated
-        vertices, each extended over the steps."""
+        basis from ``linalg._kernel`` of each system and the unit vectors of
+        the isolated vertices, each extended over the steps."""
         n = len(self.idx)
         vecs = []
-        if self.core:
-            rows: list[dict[int, int]] = [{} for _ in self.core]
-            for a, b, k, c in self.cells:
-                v = w[k] * c
-                rows[a][b] = v
-                rows[b][a] = -v
-            basis, taken = linalg._kernel(rows, len(self.core), self.order or ())
-            if self.order is None:
-                self.order = taken
+        rank = None
+        for rows, cols, cells, order in self.systems:
+            if rank == len(cols):  # (Y, X) after a rank-|X| M[X][Y]
+                continue
+            m: list[dict[int, int]] = [{} for _ in rows]
+            for a, b, k, c in cells:
+                m[a][b] = w[k] * c
+            basis, taken = linalg._kernel(m, len(cols), order)
+            if not order:
+                order += taken
+            rank = len(taken)
             for kr in basis:
                 x = [0] * n
-                for t, v in zip(self.core, kr):
+                for t, v in zip(cols, kr):
                     x[t] = v
                 vecs.append(x)
         for t in self.isolated:
@@ -269,23 +285,49 @@ def _peel_blocks(terms: dict[int, dict[int, tuple[int, int]]]) -> list[_Block]:
         core = [i for i in kept if live.get(i)]
         mine = sorted([steps[i] for i in kept if i in steps], reverse=True)  # last first
         local = {i: t for t, i in enumerate(kept)}
-        at = local if len(core) == len(kept) else {i: t for t, i in enumerate(core)}
-        cells = [
-            (at[i], at[j], *kc) for i in core for j, kc in terms[i].items() if i < j and j in at
-        ]
         back = []
         for _, v, u, rest in mine:
             tu = terms[u]  # x_s = 0 for the s of rest that are not kept
             rest = [(local[s], *tu[s]) for s in rest if s in local]
             back.append((local[v], *terms[v][u], rest))
+        systems = []
+        for rows, cols in _core_systems(core, terms, live):
+            at = {j: b for b, j in enumerate(cols)}
+            cells = [
+                (a, at[j], *terms[i][j]) for a, i in enumerate(rows) for j in terms[i] if j in at
+            ]
+            systems.append(([local[i] for i in rows], [local[j] for j in cols], cells, []))
         blocks.append(_Block(
             tuple(kept),
             [local[i] for i in kept if live.get(i) == 0],
-            [local[i] for i in core],
-            cells,
+            tuple(systems),
             back,
         ))
     return blocks
+
+
+def _core_systems(core: list[int], terms, live: dict[int, int]):
+    """The (rows, cols) of the systems the core of a block is eliminated as
+    (``_Block``): (core, core) if the core has an odd cycle, else its halves
+    (X, Y) and then (Y, X), X the smaller, both in core order."""
+    if not core:
+        return []
+    side: dict[int, int] = {}
+    for start in core:
+        if start in side:
+            continue
+        side[start] = 0
+        queue = [start]
+        for i in queue:  # grows over the core's component of start
+            for j in terms[i]:
+                if live.get(j):  # a live vertex with a live neighbour
+                    if j not in side:
+                        side[j] = 1 - side[i]
+                        queue.append(j)
+                    elif side[j] == side[i]:
+                        return [(core, core)]
+    x, y = sorted(([i for i in core if side[i] == s] for s in (0, 1)), key=len)
+    return [(x, y), (y, x)]
 
 
 def form_stabilizer(spec: BiparabolicSpec, u) -> Subspace:

@@ -16,6 +16,7 @@ in every search, drive the peeling through ``stabilizer._peel_blocks``
 directly.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -59,15 +60,17 @@ def _dense(spec, u):
     return dense_form_stabilizer(spec.system(), basis_elements(spec), u)
 
 
+def _subsets(rank):
+    return [
+        frozenset(s) for n in range(rank + 1) for s in itertools.combinations(range(1, rank + 1), n)
+    ]
+
+
 def _every_spec(family, rank):
     """Every seaweed (pi1, pi2) of the type; for E6, whose 4096 pairs take
     too long for the dense oracle, every parabolic in both orientations."""
     st = SimpleType(family, rank)
-    subsets = [
-        frozenset(s)
-        for n in range(rank + 1)
-        for s in itertools.combinations(range(1, rank + 1), n)
-    ]
+    subsets = _subsets(rank)
     full = frozenset(range(1, rank + 1))
     if family == "E":
         return [BiparabolicSpec(st, *p) for s in subsets for p in ((s, full), (full, s))]
@@ -361,7 +364,7 @@ def test_peeling_a_path_scales_by_the_back_substitution_denominator():
     terms = _skew_terms(4, {(0, 1): (7, 1), (1, 2): (8, 1)})
     rows, (block, lone) = _peeled_kernel(terms, {7: 3, 8: 2})
     assert block.idx == (0, 2) and len(block.steps) == 1
-    assert block.isolated == [1] and block.core == []
+    assert block.isolated == [1] and block.systems == ()
     assert lone.idx == (3,) and lone.isolated == [0] and lone.steps == []
     assert rows == [((0, 2), (2, 3)), ((3, 1),)]
     for w in ({7: 3, 8: 2}, {7: -3, 8: 2}, {7: 4, 8: -6}, {7: -5, 8: -7}):
@@ -374,7 +377,8 @@ def test_peeling_leaves_an_even_cycle_to_the_core():
     cycle = {(0, 1): (1, 1), (1, 2): (2, 1), (2, 3): (3, 1), (0, 3): (4, 1)}
     terms = _skew_terms(4, cycle)
     _, (block,) = _peeled_kernel(terms, {1: 1, 2: 1, 3: 1, 4: 1})
-    assert block.steps == [] and block.isolated == [] and len(block.core) == 4
+    assert block.steps == [] and block.isolated == []
+    assert [s[:2] for s in block.systems] == [([0, 2], [1, 3]), ([1, 3], [0, 2])]
     for w, dim in (({1: 1, 2: 1, 3: 1, 4: 1}, 0), ({1: 1, 2: 1, 3: 1, 4: -1}, 2)):
         rows = _peeled_kernel(terms, w)[0]
         assert len(rows) == dim and rows == _dense_rows(terms, w), w
@@ -410,3 +414,169 @@ def test_peeling_matches_dense_on_random_skew_patterns():
             assert rows == _dense_rows(terms, w), (edges, w)
             peeled += sum(len(b.steps) for b in blocks)
     assert peeled > 300
+
+
+# ---------------------------------------------------------------------------
+# the core split: ker M = ker M[Y][X] (on X) + ker M[X][Y] (on Y) for a core
+# 2-coloured into halves X and Y, the second of dimension |X| - rank M[X][Y].
+# Measured over the G2, F4, E6-E8, A7, B6, B8, C6, D6 and D8 parabolics and
+# every F4 and E6 pair: 3,713 of 3,713 cores were bipartite, and 1,964 had
+# unequal halves. No core met has an odd cycle, and the seven cores the
+# verify benchmarks meet never eliminate their second half, so synthetic
+# cores drive those cases below
+
+
+def _core_kernels(block, terms, w):
+    """The canonical rows of a block's core kernel, eliminated through the
+    block's systems and as the unsplit ``linalg._kernel`` of the whole
+    core's skew matrix."""
+    split = dataclasses.replace(block, isolated=[], steps=[]).raw_kernel(w)
+    core = sorted({t for rows, cols, _, _ in block.systems for t in rows + cols})
+    verts = [block.idx[t] for t in core]
+    at = {i: a for a, i in enumerate(verts)}
+    m = [{at[j]: w[k] * c for j, (k, c) in terms[i].items() if j in at} for i in verts]
+    whole, _ = linalg._kernel(m, len(verts))
+    return (
+        stabilizer._canonical_rows([(block.idx, split)]),
+        stabilizer._canonical_rows([(tuple(verts), whole)]),
+    )
+
+
+def _search_terms(spec):
+    """The pattern ``_form_pattern`` compiles for the search of the spec."""
+    rs = spec.system()
+    a, b = _draw_layout(spec)
+    terms = {i: {} for i in biparabolic_basis(spec)}
+    for k in sorted(s.dual for s in a + b):
+        for i, j, c in rs.bracket_into(k):
+            if i in terms and j in terms:
+                terms[i][j] = (k, c)
+    return terms
+
+
+def test_split_cores_match_the_whole_core_kernel():
+    # every core of every G2, F4, E6, E7 and E8 parabolic and of every F4
+    # pair, three weight draws each
+    specs = []
+    for f, r in (("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)):
+        full = frozenset(range(1, r + 1))
+        specs += [BiparabolicSpec(SimpleType(f, r), s, full) for s in _subsets(r)]
+    specs += _every_spec("F", 4)
+    rng = random.Random(20085)
+    cores = unequal = second = 0
+    for spec in specs:
+        terms = _search_terms(spec)
+        weights = sorted({k for t in terms.values() for k, _ in t.values()})
+        for block in stabilizer._peel_blocks(terms):
+            if not block.systems:
+                continue
+            (x, y, _, _), (y2, x2, _, _) = block.systems
+            assert (x, y) == (x2, y2) and len(x) <= len(y), spec
+            cores += 1
+            unequal += len(x) < len(y)
+            for _ in range(3):
+                w = {k: rng.choice([-1, 1]) * rng.randint(1, 50) for k in weights}
+                split, whole = _core_kernels(block, terms, w)
+                assert split == whole, (spec, w)
+                second += len(whole) > len(y) - len(x)
+    assert (cores, unequal) == (344, 91)
+    assert second > 200  # draws whose B drops rank, eliminating both halves
+
+
+@pytest.fixture
+def kernel_shapes(monkeypatch):
+    """The (rows, columns) of every ``linalg._kernel`` call, in order."""
+    shapes = []
+    kernel = linalg._kernel
+
+    def recorded(rows, ncols, order=()):
+        shapes.append((len(rows), ncols))
+        return kernel(rows, ncols, order)
+
+    monkeypatch.setattr(linalg, "_kernel", recorded)
+    return shapes
+
+
+def _split_rows(terms, w):
+    (block,) = stabilizer._peel_blocks(terms)
+    return list(stabilizer._canonical_rows([(block.idx, block.raw_kernel(w))])), block
+
+
+def test_an_odd_cycle_is_one_system(kernel_shapes):
+    # a triangle is leaf-free and has no 2-colouring: its core is the one
+    # system (core, core), and an odd skew matrix always has a kernel
+    terms = _skew_terms(3, {(0, 1): (1, 1), (1, 2): (2, -1), (0, 2): (3, 2)})
+    for w in ({1: 1, 2: 1, 3: 1}, {1: 3, 2: -5, 3: 7}):
+        rows, block = _split_rows(terms, w)
+        assert [s[:2] for s in block.systems] == [([0, 1, 2], [0, 1, 2])]
+        assert len(rows) == 1 and rows == _dense_rows(terms, w), w
+    assert kernel_shapes == [(3, 3), (3, 3)]
+
+
+def _k23(ks):
+    """K_{2,3} on X = {0, 1} and Y = {2, 3, 4}: M[x][y] has weight
+    ks[x][y - 2] and constant x + 1, so B = M[X][Y] has rank 1 when the two
+    rows of ks are equal."""
+    return _skew_terms(5, {(x, y): (ks[x][y - 2], x + 1) for x in (0, 1) for y in (2, 3, 4)})
+
+
+def test_an_unequal_core_eliminates_the_second_half_only_below_full_rank(kernel_shapes):
+    # the smaller half X comes first: M[X][Y] is 2 x 3, and the kernel of
+    # M[Y][X] on X has dimension 2 - rank B, so it is eliminated only when
+    # B drops rank
+    full = _k23([(1, 2, 3), (4, 5, 6)])
+    w = {1: 1, 2: 2, 3: 3, 4: 1, 5: 1, 6: 1}
+    rows, block = _split_rows(full, w)
+    assert [s[:2] for s in block.systems] == [([0, 1], [2, 3, 4]), ([2, 3, 4], [0, 1])]
+    assert len(rows) == 1 and rows == _dense_rows(full, w)
+    assert kernel_shapes == [(2, 3)]
+    kernel_shapes.clear()
+    # the same pattern with proportional rows of B: rank 1 for this draw
+    w = {1: 1, 2: 2, 3: 3, 4: 2, 5: 4, 6: 6}
+    rows, _ = _split_rows(full, w)
+    assert len(rows) == 3 and rows == _dense_rows(full, w)
+    assert kernel_shapes == [(2, 3), (3, 2)]
+    kernel_shapes.clear()
+    # a pattern whose B has rank 1 for every draw
+    low = _k23([(1, 2, 3), (1, 2, 3)])
+    for w in ({1: 1, 2: 1, 3: 1}, {1: -4, 2: 9, 3: 2}):
+        rows, _ = _split_rows(low, w)
+        assert len(rows) == 3 and rows == _dense_rows(low, w), w
+    assert kernel_shapes == [(2, 3), (3, 2)] * 2
+
+
+def test_an_equal_core_with_singular_b_eliminates_both_halves(kernel_shapes):
+    # the 4-cycle's B = M[{0, 2}][{1, 3}] is singular exactly where the
+    # Pfaffian M01 M23 + M03 M12 vanishes
+    cycle = {(0, 1): (1, 1), (1, 2): (2, 1), (2, 3): (3, 1), (0, 3): (4, 1)}
+    terms = _skew_terms(4, cycle)
+    for w, dim, shapes in (
+        ({1: 1, 2: 1, 3: 1, 4: 1}, 0, [(2, 2)]),
+        ({1: 1, 2: 1, 3: 1, 4: -1}, 2, [(2, 2), (2, 2)]),
+        ({1: 2, 2: 3, 3: -3, 4: 2}, 2, [(2, 2), (2, 2)]),
+    ):
+        kernel_shapes.clear()
+        rows, _ = _split_rows(terms, w)
+        assert len(rows) == dim and rows == _dense_rows(terms, w), w
+        assert kernel_shapes == shapes, w
+
+
+@pytest.mark.parametrize(
+    "rank,pi1,halves",
+    [(7, (1, 3, 4), [6]), (7, (2, 3, 4, 5, 6, 7), [8, 8, 8]), (8, (2, 3, 4, 5, 6, 7), [8, 8, 8])],
+    ids=["E7-134", "E7-234567", "E8-234567"],
+)
+def test_the_verify_benchmark_cores_skip_their_second_half(kernel_shapes, rank, pi1, halves):
+    # the seven cores the verify benchmarks meet, one in E7 {1,3,4} and
+    # three each in E7 and E8 {2,...,7}, have equal halves and full-rank B
+    # for every draw of these searches: each trial eliminates one half
+    spec = BiparabolicSpec(SimpleType("E", rank), frozenset(pi1), frozenset(range(1, rank + 1)))
+    a, b = _draw_layout(spec)
+    _, blocks, _ = _form_pattern(spec, [s.dual for s in a + b])
+    cored = [block for block in blocks if block.systems]
+    assert [len(block.systems[0][0]) for block in cored] == halves
+    assert all([len(s[0]) for s in block.systems] == [n, n] for block, n in zip(cored, halves))
+    for seed in range(6):
+        kernel_shapes.clear()
+        cert = certify_quasi_reductive(spec, trials=20, seed=seed)
+        assert kernel_shapes == [(n, n) for n in halves] * (cert.trial + 1 if cert else 20)
