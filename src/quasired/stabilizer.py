@@ -43,10 +43,16 @@ and takes a raw basis of its kernel by ``linalg._kernel``, in the pivot
 order the first trial took for that system (any order is exact: a pivot
 that is 0 for some draw is replaced, and only the span of the basis is
 used). It starts from those vectors and the unit vectors of the isolated
-vertices, and extends each over the steps in reverse order, a
-back-substitution: the block's raw kernel. The kernel is the direct sum of
-the block kernels. To publish it, each block's vectors are reduced once, by
-``linalg._eliminate``, to their canonical rref. Each block's rref rows
+vertices, and extends each over the steps in an order that puts every step
+after the later-peeled steps it reads, a back-substitution: the block's raw
+kernel. The compile also records each block's Killing positions, those
+whose basis index has a Killing partner among the indices the blocks keep,
+and moves the steps those positions depend on, its Killing steps, to the
+front of that order, found by one reverse pass over the steps; across the
+verify benchmarks' non-quasi-reductive parabolics these are 0-4 of each
+block's 4-15 steps. The kernel is the direct sum of the block kernels. To
+publish it, each block's vectors are reduced once, by ``linalg._eliminate``,
+to their canonical rref. Each block's rref rows
 vanish outside the block, so in the union of all of them no row has a
 nonzero entry in another row's pivot column; ordered by pivot,
 the union is therefore the canonical rref of the whole kernel, the rows one
@@ -57,11 +63,12 @@ entry divided by its row's leading entry. A parsed row must start with 1/1,
 so it equals exactly the row that was printed.
 
 A torus certificate packages a coefficient draw whose stabilizer passes
-three exact checks: its dimension equals the index, it is abelian, and the
-Killing form restricted to it is nondegenerate. For the full stabilizer of a
-form on a biparabolic these three imply that every element is semisimple
-(the argument is in ``_attempt``), so the stabilizer is a torus and
-witnesses quasi-reductivity; exhausted draws prove nothing by themselves.
+three exact checks, which a trial runs in this order: its dimension equals
+the index, the Killing form restricted to it is nondegenerate, and it is
+abelian. For the full stabilizer of a form on a biparabolic these three
+imply that every element is semisimple (the argument is in ``_attempt``),
+so the stabilizer is a torus and witnesses quasi-reductivity; exhausted
+draws prove nothing by themselves.
 ``is_semisimple_element`` stays as the direct check anyone can run on a
 single row, such as a row of a ``Subspace``.
 
@@ -74,13 +81,18 @@ weights d * kappa to a primitive integer functional w by
 ``linalg._primitive_int_row``, the one scaling ``form_stabilizer`` also
 applies to kappa(u, .): w is what it computes for ``build_u`` of the draw,
 without building u or any Fraction. The three checks run on the raw block
-kernels (``_attempt`` says why that is exact), and only a trial that
-certifies reduces them to the canonical rows and builds its
-``CoefficientVector``. The Killing check takes the ``linalg.rank`` of the
-integer Gram matrix rather than the radical that ``killing_radical_on``
-builds: the vectors are independent, so the radical is 0 exactly when that
-rank is dim S. ``reverify_certificate`` runs none of this: it checks
-``form_stabilizer`` of ``build_u`` of the parsed coefficients with
+kernels, each on only what it reads (``_attempt`` says why that is exact):
+dim S is counted before any back-substitution, the Killing check extends
+the vectors over the Killing steps alone and reads them at the Killing
+positions, and only a trial that passes it extends them over the other
+steps for the abelian check. Only a trial that certifies reduces them to
+the canonical rows and builds its ``CoefficientVector``. The Killing check
+takes the ``linalg.rank`` of the integer Gram matrix rather than the
+radical that ``killing_radical_on`` builds: the vectors are independent, so
+the radical is 0 exactly when that rank is dim S. By Duflo and Vergne the
+abelian check cannot fail once dim S is the index; it stays as an
+independent exact check. ``reverify_certificate`` runs none of this: it
+checks ``form_stabilizer`` of ``build_u`` of the parsed coefficients with
 ``seaweed_index``, ``is_abelian`` and ``killing_radical_on``.
 """
 
@@ -88,7 +100,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -167,22 +179,39 @@ class _Block:
     a core 2-coloured into halves X, the smaller, and Y is (X, Y) and then
     (Y, X), the second eliminated only when its kernel, of dimension
     |X| - rank M[X][Y], is not 0 (module docstring). ``steps`` are the
-    peeled pairs, last peeled first, as (v, weight index, constant, rest):
-    M[v][u] is weight * constant, and rest lists the cells (s, weight index,
-    constant) of M[u][s] over the neighbours s of u that were live then and
-    are in ``idx``. A pair whose u had no other live neighbour gives x_v = 0
-    and is left out."""
+    peeled pairs as (v, weight index, constant, rest): M[v][u] is
+    weight * constant, and rest lists the cells (s, weight index, constant)
+    of M[u][s] over the neighbours s of u that were live then and are in
+    ``idx``. A pair whose u had no other live neighbour gives x_v = 0 and is
+    left out. Each step reads only live vertices and the v of steps peeled
+    after it, so the steps are listed in an order that puts every step
+    after those, last peeled first as ``_peel_blocks`` lists them.
+
+    ``killing`` are the Killing positions, those whose basis index has a
+    ``_killing_pairs`` partner in the pattern, and the first ``split``
+    steps are the Killing steps, the ones these positions depend on; both
+    are recorded by ``_killing_first``, and a block it has not seen has
+    none."""
 
     idx: tuple[int, ...]
     isolated: list[int]
     systems: tuple[tuple[list[int], list[int], list[tuple[int, int, int, int]], list], ...]
     steps: list[tuple[int, int, int, list[tuple[int, int, int]]]]
+    killing: list[int] = field(default_factory=list)
+    split: int = 0
 
     def raw_kernel(self, w: dict[int, int]) -> list[list[int]]:
         """A basis of the block's kernel under the weights w, not reduced:
-        integer vectors over the positions of ``idx``, the core's kernel
+        the ``core_kernel`` vectors, each extended over all the steps."""
+        vecs = self.core_kernel(w)
+        _back_substitute(vecs, w, self.steps)
+        return vecs
+
+    def core_kernel(self, w: dict[int, int]) -> list[list[int]]:
+        """Integer vectors over the positions of ``idx``, the core's kernel
         basis from ``linalg._kernel`` of each system and the unit vectors of
-        the isolated vertices, each extended over the steps."""
+        the isolated vertices, not yet extended over any step: as many as
+        the dimension of the block's kernel."""
         n = len(self.idx)
         vecs = []
         rank = None
@@ -205,21 +234,25 @@ class _Block:
             x = [0] * n
             x[t] = 1
             vecs.append(x)
-        # back-substitution: x_u = 0 and x_v = sum_s M[u][s] x_s / M[v][u],
-        # scaling x by the reduced denominator to keep it integral
-        for x in vecs:
-            for v, k, c, rest in self.steps:
-                num = 0
-                for s, j, e in rest:
-                    if x[s]:
-                        num += w[j] * e * x[s]
-                if num:
-                    d = w[k] * c
-                    g = gcd(num, d) if d > 0 else -gcd(num, d)
-                    if d != g:
-                        x[:] = [y * (d // g) for y in x]
-                    x[v] = num // g
         return vecs
+
+
+def _back_substitute(vecs: list[list[int]], w: dict[int, int], steps) -> None:
+    """Extend each vector in place over the steps, in their order:
+    x_u = 0 and x_v = sum_s M[u][s] x_s / M[v][u], scaling x by the reduced
+    denominator, which is positive, to keep it integral."""
+    for x in vecs:
+        for v, k, c, rest in steps:
+            num = 0
+            for s, j, e in rest:
+                if x[s]:
+                    num += w[j] * e * x[s]
+            if num:
+                d = w[k] * c
+                g = gcd(num, d) if d > 0 else -gcd(num, d)
+                if d != g:
+                    x[:] = [y * (d // g) for y in x]
+                x[v] = num // g
 
 
 def _form_pattern(spec: BiparabolicSpec, support):
@@ -239,7 +272,11 @@ def _form_pattern(spec: BiparabolicSpec, support):
             if i in terms and j in terms:
                 terms[i][j] = (k, c)
     blocks = tuple(_peel_blocks(terms))
-    return r, blocks, _killing_pairs(r, {i for block in blocks for i in block.idx})
+    kpairs = _killing_pairs(r, {i for block in blocks for i in block.idx})
+    paired = {i for i, _, _ in kpairs}
+    for block in blocks:
+        _killing_first(block, paired)
+    return r, blocks, kpairs
 
 
 def _peel_blocks(terms: dict[int, dict[int, tuple[int, int]]]) -> list[_Block]:
@@ -304,6 +341,29 @@ def _peel_blocks(terms: dict[int, dict[int, tuple[int, int]]]) -> list[_Block]:
             back,
         ))
     return blocks
+
+
+def _killing_first(block: _Block, paired: set[int]) -> None:
+    """Record the block's Killing positions, those of ``idx`` in paired, and
+    move its Killing steps, the ones those positions depend on, to the front
+    of ``steps`` in their order, the other steps after them in theirs. One
+    reverse pass finds them: a step is a Killing step when its v is a
+    Killing position or is read by a later Killing step. The new order
+    still puts every step after the ones it reads."""
+    block.killing = [t for t, i in enumerate(block.idx) if i in paired]
+    need = set(block.killing)
+    first, later = [], []
+    for step in reversed(block.steps):
+        if step[0] in need:
+            first.append(step)
+            for s, _, _ in step[3]:
+                need.add(s)
+        else:
+            later.append(step)
+    first.reverse()
+    block.split = len(first)
+    first += reversed(later)
+    block.steps = first
 
 
 def _core_systems(core: list[int], terms, live: dict[int, int]):
@@ -437,7 +497,11 @@ def is_semisimple_element(r: RootSystem, x) -> bool:
 
 @dataclass(frozen=True)
 class CertChecks:
-    """Which of the three certificate checks one trial passed."""
+    """Which of the three certificate checks one trial passed. A trial runs
+    them in the order dim S == index, a nondegenerate Killing restriction,
+    S abelian, each only when the one before it passed (``_attempt``), so a
+    field is True only when its check ran and passed: a trial that fails
+    the Killing check has ``abelian`` False without an abelian check."""
 
     dim_equals_index: bool
     abelian: bool
@@ -471,15 +535,36 @@ def _attempt(pattern, index: int, slots, ds) -> tuple[Subspace | None, CertCheck
     computes for ``build_u`` of the draw (module docstring), and their
     support is the pattern's.
 
-    The checks, in order, are dim S == index, S abelian, and a nondegenerate
-    Killing restriction to S: the integer Gram matrix kappa(x, y) over a
-    basis of S has full rank. They run on the raw block kernels, which
-    together are a basis of S: each block's vectors are independent, and
-    the blocks' ``idx`` are disjoint. None of the checks depends on the
-    basis: dim S is the number of vectors, S is abelian exactly when they
-    pairwise commute, and the rank of a Gram matrix does not change under a
-    change of basis. Only a trial that passes all three reduces its vectors
-    to the canonical rows of S.
+    The checks, in order, are dim S == index, a nondegenerate Killing
+    restriction to S (the integer Gram matrix kappa(x, y) over a basis of S
+    has full rank), and S abelian; each runs only when the one before it
+    passed, and each reads only what it needs of the raw block kernels,
+    which together are a basis of S: each block's vectors are independent,
+    and the blocks' ``idx`` are disjoint. None of the checks depends on the
+    basis: dim S is the number of vectors, the rank of a Gram matrix does
+    not change under a change of basis, and S is abelian exactly when the
+    vectors pairwise commute.
+
+    * dim S is counted before any back-substitution: it is the number of
+      ``core_kernel`` vectors, one per isolated vertex and per core kernel
+      vector, and extending a vector over the steps does not change it.
+    * The Gram matrix X K X^T reads a vector only at the Killing positions
+      of its block, where K has its ``_killing_pairs``, and those entries
+      depend only on the block's Killing steps (``_killing_first``). So the
+      vectors are extended over those steps alone, and the Gram matrix is
+      built from them restricted to the Killing positions. Extending over
+      the other steps afterwards changes a vector there only by one
+      positive integer factor, which leaves the rank of the Gram matrix as
+      it is.
+    * Only a trial whose Gram matrix has full rank extends its vectors over
+      the remaining steps, checks that they pairwise commute and, passing,
+      reduces them to the canonical rows of S.
+
+    The order loses nothing: a form whose stabilizer has dimension the
+    index is regular, and by Duflo and Vergne (C. R. Acad. Sci. Paris,
+    1969) the stabilizer of a regular form is abelian, so the abelian check
+    cannot fail once the first check passed. It stays as an independent
+    exact check.
 
     The checks imply that every element of S is semisimple, so S is a
     torus, under one hypothesis: S is the full stabilizer q^lambda of the
@@ -491,20 +576,25 @@ def _attempt(pattern, index: int, slots, ds) -> tuple[Subspace | None, CertCheck
       Groups, section 15).
     * In an abelian S, the nilpotent part n of any x in S commutes with all
       of S. So ad n ad y is nilpotent and kappa(n, y) = 0 for every y in S.
-    * That puts n in the Killing radical of S, which the third check proved
-      to be 0; hence x is semisimple.
+    * That puts n in the Killing radical of S, which the Killing check
+      proved to be 0; hence x is semisimple.
     """
     r, blocks, kpairs = pattern
     ws = linalg._primitive_int_row([d * s.kappa for s, d in zip(slots, ds)])
     w = dict(zip([s.dual for s in slots], ws))
-    raw = [block.raw_kernel(w) for block in blocks]
+    raw = [block.core_kernel(w) for block in blocks]
     if sum(map(len, raw)) != index:
         return None, CertChecks(False, False, False)
+    for b, xs in zip(blocks, raw):
+        _back_substitute(xs, w, b.steps[: b.split])
+    rows = [[(b.idx[t], x[t]) for t in b.killing if x[t]] for b, xs in zip(blocks, raw) for x in xs]
+    if linalg.rank(_killing_gram(kpairs, rows)) != len(rows):
+        return None, CertChecks(True, False, False)
+    for b, xs in zip(blocks, raw):
+        _back_substitute(xs, w, b.steps[b.split :])
     rows = [[(b.idx[t], v) for t, v in enumerate(x) if v] for b, xs in zip(blocks, raw) for x in xs]
     if not _commuting(r, rows):
-        return None, CertChecks(True, False, False)
-    if linalg.rank(_killing_gram(kpairs, rows)) != len(rows):
-        return None, CertChecks(True, True, False)
+        return None, CertChecks(True, False, True)
     S = Subspace(r, _canonical_rows((b.idx, xs) for b, xs in zip(blocks, raw)))
     return S, CertChecks(True, True, True)
 

@@ -204,13 +204,15 @@ def test_sparse_kernel_falls_back_where_a_replayed_pivot_is_zero():
 def test_every_trial_of_a_search_matches_dense_route(monkeypatch, family, rank):
     # trials of one search share their spec and support, and so one
     # pattern, which the search compiles exactly once; failing every
-    # commutation check makes each search run all of its trials. That check gets the trial's raw kernel basis,
-    # which is recorded and reduced here, and must be independent, as the
-    # dimension check counts it; every trial of these searches passes that
-    # check and reaches the commutation check. A trial draws integers and
-    # never builds u, so each trial's u is rebuilt by replaying sample_cv on
-    # the search's seed, which also pins the search's draws to those of
-    # sample_cv
+    # commutation check makes each search run all of its trials. The
+    # commutation check runs last, after the Killing check, which an
+    # identity Gram matrix passes here, and gets the trial's raw kernel
+    # basis fully extended, which is recorded and reduced here, and must be
+    # independent, as the dimension check counts it; every trial of these
+    # searches passes that check and reaches the commutation check. A trial
+    # draws integers and never builds u, so each trial's u is rebuilt by
+    # replaying sample_cv on the search's seed, which also pins the search's
+    # draws to those of sample_cv
     got = []
 
     def commuting_recorded(r, rows):
@@ -227,7 +229,11 @@ def test_every_trial_of_a_search_matches_dense_route(monkeypatch, family, rank):
         compiles.append((spec, sorted(support)))
         return _form_pattern(spec, support)
 
+    def identity_gram(pairs, rows):
+        return [[int(a == b) for b in range(len(rows))] for a in range(len(rows))]
+
     monkeypatch.setattr(stabilizer, "_commuting", commuting_recorded)
+    monkeypatch.setattr(stabilizer, "_killing_gram", identity_gram)
     monkeypatch.setattr(stabilizer, "_form_pattern", form_pattern_counted)
     rng = random.Random(f"search {family}{rank}")
     compared = 0
@@ -454,17 +460,21 @@ def _search_terms(spec):
     return terms
 
 
-def test_split_cores_match_the_whole_core_kernel():
-    # every core of every G2, F4, E6, E7 and E8 parabolic and of every F4
-    # pair, three weight draws each
+def _exceptional_specs():
+    """Every G2, F4, E6, E7 and E8 parabolic and every F4 pair."""
     specs = []
     for f, r in (("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8)):
         full = frozenset(range(1, r + 1))
         specs += [BiparabolicSpec(SimpleType(f, r), s, full) for s in _subsets(r)]
-    specs += _every_spec("F", 4)
+    return specs + _every_spec("F", 4)
+
+
+def test_split_cores_match_the_whole_core_kernel():
+    # every core of every G2, F4, E6, E7 and E8 parabolic and of every F4
+    # pair, three weight draws each
     rng = random.Random(20085)
     cores = unequal = second = 0
-    for spec in specs:
+    for spec in _exceptional_specs():
         terms = _search_terms(spec)
         weights = sorted({k for t in terms.values() for k, _ in t.values()})
         for block in stabilizer._peel_blocks(terms):
@@ -580,3 +590,96 @@ def test_the_verify_benchmark_cores_skip_their_second_half(kernel_shapes, rank, 
         kernel_shapes.clear()
         cert = certify_quasi_reductive(spec, trials=20, seed=seed)
         assert kernel_shapes == [(n, n) for n in halves] * (cert.trial + 1 if cert else 20)
+
+
+# ---------------------------------------------------------------------------
+# the Killing steps: a trial extends its vectors over the steps that its
+# Killing positions depend on, which ``_killing_first`` moves to the front,
+# builds the Gram matrix from those positions alone, and extends over the
+# other steps only when that matrix has full rank
+
+
+def _positive_multiple(y, x):
+    """Whether y = c * x for some c > 0, or both are 0."""
+    t0 = next((t for t, v in enumerate(x) if v), None)
+    if t0 is None:
+        return not any(y)
+    return y[t0] * x[t0] > 0 and all(a * x[t0] == v * y[t0] for a, v in zip(y, x))
+
+
+def test_the_killing_steps_carry_the_gram_matrix():
+    # every block of every G2, F4, E6, E7 and E8 parabolic and of every F4
+    # pair, three weight draws each: after the Killing steps alone, each
+    # vector's entries at the Killing positions are those of the full raw
+    # kernel up to one positive scale, the Gram rank is the full rows' rank,
+    # and the reordered steps give the canonical rows of the peeling order
+    rng = random.Random(20086)
+    blocks_met = steps = killing_steps = full_rank = degenerate = 0
+    for spec in _exceptional_specs():
+        a, b = _draw_layout(spec)
+        support = [s.dual for s in a + b]
+        _, blocks, kpairs = _form_pattern(spec, support)
+        peeled = stabilizer._peel_blocks(_search_terms(spec))
+        assert [block.idx for block in blocks] == [twin.idx for twin in peeled], spec
+        blocks_met += len(blocks)
+        steps += sum(len(block.steps) for block in blocks)
+        killing_steps += sum(block.split for block in blocks)
+        for _ in range(3):
+            w = {k: rng.choice([-1, 1]) * rng.randint(1, 50) for k in support}
+            part, full = [], []
+            for block, twin in zip(blocks, peeled):
+                xs = block.core_kernel(w)
+                stabilizer._back_substitute(xs, w, block.steps[: block.split])
+                ys = block.raw_kernel(w)
+                assert len(xs) == len(ys), spec
+                for x, y in zip(xs, ys):
+                    at = block.killing
+                    assert _positive_multiple([y[t] for t in at], [x[t] for t in at]), (spec, w)
+                part += [[(block.idx[t], x[t]) for t in block.killing if x[t]] for x in xs]
+                full += [[(block.idx[t], v) for t, v in enumerate(y) if v] for y in ys]
+                assert stabilizer._canonical_rows([(block.idx, ys)]) == stabilizer._canonical_rows(
+                    [(twin.idx, twin.raw_kernel(w))]
+                ), (spec, w)
+            n = linalg.rank(stabilizer._killing_gram(kpairs, part))
+            assert n == linalg.rank(stabilizer._killing_gram(kpairs, full)), (spec, w)
+            full_rank += n == len(full)
+            degenerate += n < len(full)
+    # about half of the steps are Killing steps, and both Gram verdicts occur
+    assert (blocks_met, steps, killing_steps) == (914, 6931, 3326)
+    assert (full_rank, degenerate) == (1467, 705)
+
+
+@pytest.mark.parametrize(
+    "rank,pi1,split",
+    [
+        (7, (1,), [(3, 3, 10)]),
+        (7, (1, 3, 4), [(0, 0, 4), (3, 2, 10)]),
+        (7, (1, 2, 6), [(2, 1, 13)]),
+        (7, (1, 2, 5, 7), [(6, 3, 10)]),
+        (8, (2, 4, 8), [(2, 4, 15)]),
+        (8, (1, 2, 5), [(5, 3, 11)]),
+    ],
+    ids=["E7-1", "E7-134", "E7-126", "E7-1257", "E8-248", "E8-125"],
+)
+def test_the_verify_benchmark_trials_extend_only_their_killing_steps(monkeypatch, rank, pi1, split):
+    # each block of the exhausted verify panel as (Killing positions,
+    # Killing steps, steps); the core block of E7 {1,3,4} reads none. Every
+    # trial of these searches fails the Killing check, so it extends its
+    # vectors over the Killing steps alone, and the search still runs all
+    # of its 20 trials
+    spec = BiparabolicSpec(SimpleType("E", rank), frozenset(pi1), frozenset(range(1, rank + 1)))
+    a, b = _draw_layout(spec)
+    _, blocks, _ = _form_pattern(spec, [s.dual for s in a + b])
+    assert [(len(block.killing), block.split, len(block.steps)) for block in blocks] == split
+    extended = []
+    back_substitute = stabilizer._back_substitute
+
+    def recorded(vecs, w, steps):
+        extended.append(len(steps))
+        back_substitute(vecs, w, steps)
+
+    monkeypatch.setattr(stabilizer, "_back_substitute", recorded)
+    for seed in range(6):
+        extended.clear()
+        assert certify_quasi_reductive(spec, trials=20, seed=seed) is None
+        assert extended == [k for _, k, _ in split] * 20, seed

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -10,7 +11,7 @@ from minpoly_oracle import is_squarefree, minimal_polynomial
 from test_verify_golden import LATE_CERTIFICATES, PARABOLICS
 from quasired import linalg
 from quasired.cascade import kostant_cascade
-from quasired.classify import non_qr_subsets
+from quasired.classify import classify_parabolic, non_qr_subsets
 from quasired.rootsys import MAX_CLASSICAL_RANK, SimpleType, ad_columns, killing
 from quasired.seaweed import (
     BiparabolicSpec,
@@ -29,6 +30,7 @@ from quasired.stabilizer import (
     CertChecks,
     Subspace,
     _attempt,
+    _commuting,
     _form_pattern,
     _killing_gram,
     _killing_pairs,
@@ -460,9 +462,10 @@ def test_killing_gram_matches_trace_form(family, rank):
 @pytest.mark.parametrize("family,rank", [("G", 2), ("F", 4), ("E", 6)])
 def test_gram_rank_verdict_matches_killing_radical(family, rank):
     # a trial reads nondegeneracy off the rank of the Killing Gram matrix of
-    # the raw block kernels; killing_radical_on builds the whole radical of
-    # the canonical stabilizer. Passing index = dim S lets every abelian S
-    # reach the Killing check of the trial
+    # the raw block kernels at their Killing positions; killing_radical_on
+    # builds the whole radical of the canonical stabilizer. Passing
+    # index = dim S lets every S reach the Killing check of the trial, and
+    # the abelian check runs only after it passed
     st = SimpleType(family, rank)
     verdicts = set()
     for n in range(rank + 1):
@@ -474,11 +477,10 @@ def test_gram_rank_verdict_matches_killing_radical(family, rank):
                 ds = _draw(len(a) + len(b), random.Random(seed))
                 S = form_stabilizer(spec, build_u(spec, _draw_cv(a, b, ds)))
                 _, checks = _attempt(pattern, S.dim, a + b, ds)
-                abelian = is_abelian(S)
-                nondegenerate = abelian and killing_radical_on(S).dim == 0
+                nondegenerate = killing_radical_on(S).dim == 0
+                abelian = nondegenerate and is_abelian(S)
                 assert checks == CertChecks(True, abelian, nondegenerate), (sub, seed)
-                if abelian:
-                    verdicts.add(nondegenerate)
+                verdicts.add(nondegenerate)
     assert verdicts == {True, False}
 
 
@@ -497,8 +499,8 @@ def _trial_checks(spec, seed, trials=20):
         got, checks = _attempt(pattern, index, a + b, ds)
         S = form_stabilizer(spec, build_u(spec, _draw_cv(a, b, ds)))
         dim = S.dim == index
-        abelian = dim and is_abelian(S)
-        nondegenerate = abelian and killing_radical_on(S).dim == 0
+        nondegenerate = dim and killing_radical_on(S).dim == 0
+        abelian = nondegenerate and is_abelian(S)
         assert checks == CertChecks(dim, abelian, nondegenerate), (spec, seed, len(out))
         assert got == (S if checks.all_true else None), (spec, seed, len(out))
         out.append(checks)
@@ -530,12 +532,94 @@ def test_every_trial_checks_match_the_canonical_stabilizer():
         assert (cert.trial if cert else None) == (len(checks) - 1 if checks[-1].all_true else None)
         runs.append(checks)
     assert {1, 20} <= {len(checks) for checks in runs[: len(searches)]}
-    # both Killing verdicts occur on trials that reach the Killing check
-    reached = {c for checks in runs for c in checks if c.abelian}
-    assert reached == {CertChecks(True, True, False), CertChecks(True, True, True)}
+    # both Killing verdicts occur on trials that reach the Killing check,
+    # and every trial that passes it is abelian
+    reached = {c for checks in runs for c in checks if c.dim_equals_index}
+    assert reached == {CertChecks(True, False, False), CertChecks(True, True, True)}
     # each late certificate fails the dimension check at trial 0
     for checks in runs[len(searches) :]:
         assert checks == [CertChecks(False, False, False), CertChecks(True, True, True)]
+
+
+@pytest.mark.parametrize(
+    "family,rank,count",
+    [("G", 2, 1), ("F", 4, 1), ("D", 6, 2), ("E", 6, 0), ("E", 7, 10), ("E", 8, 28)],
+)
+def test_a_killing_rank_below_the_index_is_never_quasi_reductive(family, rank, count):
+    # a trial's Gram matrix is X K X^T, X its kernel vectors over the indices
+    # the compiled blocks keep and K the Killing form on them, so rank K
+    # bounds its rank; where that bound is below the index, no draw passes
+    # the Killing check, and the classification must say "not QR". The
+    # search does not read this bound: it still runs every trial
+    st = SimpleType(family, rank)
+    low = []
+    for n in range(rank + 1):
+        for sub in itertools.combinations(range(1, rank + 1), n):
+            spec = parabolic(st, sub)
+            a, b = _draw_layout(spec)
+            _, blocks, kpairs = _form_pattern(spec, [s.dual for s in a + b])
+            kept = sorted({i for block in blocks for i in block.idx})
+            at = {i: t for t, i in enumerate(kept)}
+            K = [[0] * len(kept) for _ in kept]
+            for i, j, v in kpairs:
+                K[at[i]][at[j]] = v
+            if linalg.rank(K) < seaweed_index(spec):
+                low.append(sub)
+                assert not classify_parabolic(st, sub).quasi_reductive, sub
+    assert len(low) == count
+    if (family, rank) == ("E", 7):
+        assert (1, 2, 6) in low  # a parabolic of the exhausted verify benchmark
+
+
+# sha256 of the certificate texts of every E6 pair's search at seed 5, in the
+# order of _e6_pairs, as the search printed them before the checks ran in the
+# order dim, Killing, abelian
+_E6_SEED5_DIGEST = "ed2a6dca0324ef21f5eac02227b4db9e3a6cbd3cf589e0b0a2de24c4852a2977"
+
+
+def _e6_pairs():
+    st = SimpleType("E", 6)
+    subsets = [frozenset(s) for n in range(7) for s in itertools.combinations(range(1, 7), n)]
+    return [BiparabolicSpec(st, p1, p2) for p1 in subsets for p2 in subsets]
+
+
+@pytest.mark.ci
+def test_every_e6_pair_checks_as_the_full_raw_kernel_does():
+    # each trial's checks against the same three checks, in the same order,
+    # run on the block kernels extended over every step, and the searches'
+    # certificate texts against the digest pinned above
+    digest = hashlib.sha256()
+    certified = 0
+    for spec in _e6_pairs():
+        index = seaweed_index(spec)
+        a, b = _draw_layout(spec)
+        slots = a + b
+        pattern = _form_pattern(spec, [s.dual for s in slots])
+        r, blocks, kpairs = pattern
+        rng = random.Random(5)
+        for trial in range(20):
+            ds = _draw(len(slots), rng)
+            _, checks = _attempt(pattern, index, slots, ds)
+            ws = linalg._primitive_int_row([d * s.kappa for s, d in zip(slots, ds)])
+            w = dict(zip([s.dual for s in slots], ws))
+            rows = [
+                [(block.idx[t], v) for t, v in enumerate(x) if v]
+                for block in blocks
+                for x in block.raw_kernel(w)
+            ]
+            dim = len(rows) == index
+            nondegenerate = dim and linalg.rank(_killing_gram(kpairs, rows)) == len(rows)
+            abelian = nondegenerate and _commuting(r, rows)
+            assert checks == CertChecks(dim, abelian, nondegenerate), (spec, trial)
+            if checks.all_true:
+                break
+        cert = certify_quasi_reductive(spec, trials=20, seed=5)
+        assert (cert.trial if cert else None) == (trial if checks.all_true else None), spec
+        if cert:
+            certified += 1
+            digest.update(certificate_to_text(cert).encode())
+    assert certified == 4020
+    assert digest.hexdigest() == _E6_SEED5_DIGEST
 
 
 @pytest.mark.parametrize(
