@@ -202,40 +202,33 @@ def _non_qr_rows(fam: str, rank: int) -> list[list]:
 
 def generate_tables(selection: list[tuple[str, int]] | None) -> dict[str, str]:
     """Build the regenerated reference tables as {filename: content}."""
-    out: dict[str, str] = {}
+    tables = []  # (file stem, header, rows), each written as .csv and .md
+    targets = selection
     if selection is None:
         rows = []
         for fam, rank in _ALL_TYPES:
             r = build_root_system(SimpleType(fam, rank))
             rows.append([fam, rank, len(kostant_cascade(r, r.full_subset()))])
-        out["cascade_sizes.csv"] = _csv_text(["family", "rank", "k"], rows)
-        out["cascade_sizes.md"] = _md_text(["family", "rank", "k"], rows)
+        tables.append(("cascade_sizes", ["family", "rank", "k"], rows))
 
         rows = []
         for fam, rank in _ALL_TYPES:
             t = SimpleType(fam, rank)
             failing = [i for i in range(1, rank + 1) if not single_root_test(t, i)]
             rows.append([fam, rank, " ".join(map(str, failing))])
-        out["failing_single_roots.csv"] = _csv_text(
-            ["family", "rank", "failing_roots"], rows
-        )
-        out["failing_single_roots.md"] = _md_text(
-            ["family", "rank", "failing_roots"], rows
-        )
+        tables.append(("failing_single_roots", ["family", "rank", "failing_roots"], rows))
 
         zero = [[_subset_cell(s)] for s in enumerate_index_zero(SimpleType("E", 6))]
-        out["index_zero_e6.csv"] = _csv_text(["subset"], zero)
-        out["index_zero_e6.md"] = _md_text(["subset"], zero)
+        tables.append(("index_zero_e6", ["subset"], zero))
 
         targets = [("G", 2), ("F", 4), ("E", 6), ("E", 7), ("E", 8), ("D", 6)]
-    else:
-        targets = selection
-    header = ["subset", "index", "torus_dim"]
     for fam, rank in targets:
         rows = _non_qr_rows(fam, rank)
-        name = f"non_qr_{fam.lower()}{rank}"
-        out[f"{name}.csv"] = _csv_text(header, rows)
-        out[f"{name}.md"] = _md_text(header, rows)
+        tables.append((f"non_qr_{fam.lower()}{rank}", ["subset", "index", "torus_dim"], rows))
+    out: dict[str, str] = {}
+    for stem, header, rows in tables:
+        out[f"{stem}.csv"] = _csv_text(header, rows)
+        out[f"{stem}.md"] = _md_text(header, rows)
     return out
 
 

@@ -43,32 +43,26 @@ and takes a raw basis of its kernel by ``linalg._kernel``, in the pivot
 order the first trial took for that system (any order is exact: a pivot
 that is 0 for some draw is replaced, and only the span of the basis is
 used). It starts from those vectors and the unit vectors of the isolated
-vertices, and extends each over the steps in an order that puts every step
-after the later-peeled steps it reads, a back-substitution: the block's raw
-kernel. The compile also records each block's Killing positions, those
-whose basis index has a Killing partner among the indices the blocks keep,
-and moves the steps those positions depend on, its Killing steps, to the
-front of that order, found by one reverse pass over the steps; across the
-verify benchmarks' non-quasi-reductive parabolics these are 0-4 of each
-block's 4-15 steps. The kernel is the direct sum of the block kernels. To
-publish it, each block's vectors are reduced once, by ``linalg._eliminate``,
-to their canonical rref. Each block's rref rows
+vertices, and extends each over the steps, a back-substitution, to a basis
+of the block's kernel. The kernel is the direct sum of the block kernels.
+To publish it, each block's vectors are reduced once, by
+``linalg._eliminate``, to their canonical rref. Each block's rref rows
 vanish outside the block, so in the union of all of them no row has a
-nonzero entry in another row's pivot column; ordered by pivot,
-the union is therefore the canonical rref of the whole kernel, the rows one
-elimination of the full matrix would give. A ``Subspace`` stores only these
-rows, as sparse primitive integer rows with positive leading entries, which
-makes them canonical. They stay integers until a certificate prints each
-entry divided by its row's leading entry. A parsed row must start with 1/1,
-so it equals exactly the row that was printed.
+nonzero entry in another row's pivot column; ordered by pivot, the union is
+therefore the canonical rref of the whole kernel, the rows one elimination
+of the full matrix would give. A ``Subspace`` stores only these rows, as
+sparse primitive integer rows with positive leading entries, which makes
+them canonical. They stay integers until a certificate prints each entry
+divided by its row's leading entry. A parsed row must start with 1/1, so it
+equals exactly the row that was printed.
 
 A torus certificate packages a coefficient draw whose stabilizer passes
-three exact checks, which a trial runs in this order: its dimension equals
-the index, the Killing form restricted to it is nondegenerate, and it is
-abelian. For the full stabilizer of a form on a biparabolic these three
-imply that every element is semisimple (the argument is in ``_attempt``),
-so the stabilizer is a torus and witnesses quasi-reductivity; exhausted
-draws prove nothing by themselves.
+three exact checks: its dimension equals the index, the Killing form
+restricted to it is nondegenerate, and it is abelian. For the full
+stabilizer of a form on a biparabolic these three imply that every element
+is semisimple, so the stabilizer is a torus and witnesses
+quasi-reductivity; exhausted draws prove nothing by themselves. ``_attempt``
+gives the argument, the order of the checks and what each reads.
 ``is_semisimple_element`` stays as the direct check anyone can run on a
 single row, such as a row of a ``Subspace``.
 
@@ -80,20 +74,11 @@ integer d per node with the rng calls of ``sample_cv`` and scales the
 weights d * kappa to a primitive integer functional w by
 ``linalg._primitive_int_row``, the one scaling ``form_stabilizer`` also
 applies to kappa(u, .): w is what it computes for ``build_u`` of the draw,
-without building u or any Fraction. The three checks run on the raw block
-kernels, each on only what it reads (``_attempt`` says why that is exact):
-dim S is counted before any back-substitution, the Killing check extends
-the vectors over the Killing steps alone and reads them at the Killing
-positions, and only a trial that passes it extends them over the other
-steps for the abelian check. Only a trial that certifies reduces them to
-the canonical rows and builds its ``CoefficientVector``. The Killing check
-takes the ``linalg.rank`` of the integer Gram matrix rather than the
-radical that ``killing_radical_on`` builds: the vectors are independent, so
-the radical is 0 exactly when that rank is dim S. By Duflo and Vergne the
-abelian check cannot fail once dim S is the index; it stays as an
-independent exact check. ``reverify_certificate`` runs none of this: it
-checks ``form_stabilizer`` of ``build_u`` of the parsed coefficients with
-``seaweed_index``, ``is_abelian`` and ``killing_radical_on``.
+without building u or any Fraction. Only a trial that certifies reduces its
+kernels to the canonical rows and builds its ``CoefficientVector``.
+``reverify_certificate`` runs none of this: it checks ``form_stabilizer``
+of ``build_u`` of the parsed coefficients with ``seaweed_index``,
+``is_abelian`` and ``killing_radical_on``.
 """
 
 from __future__ import annotations
@@ -130,36 +115,23 @@ def _sparse_int_row(entries) -> tuple[tuple[int, int], ...]:
     return tuple(zip([k for k, _ in nz], ints))
 
 
+@dataclass(frozen=True)
 class Subspace:
     """A subspace of the ambient algebra, by its reduced echelon basis.
 
     ``int_rows`` are sparse primitive integer rows of (index, value) in index
     order, each with a positive leading entry; dividing a row by that entry
     gives a row of the canonical rref, so equal subspaces have equal rows.
+    Two subspaces are equal when their rows are, over the same
+    ``RootSystem`` object: it defines no equality of its own.
     """
 
-    __slots__ = ("system", "int_rows")
-
-    def __init__(self, system: RootSystem, int_rows) -> None:
-        self.system = system
-        self.int_rows = int_rows
+    system: RootSystem
+    int_rows: tuple[tuple[tuple[int, int], ...], ...]
 
     @property
     def dim(self) -> int:
         return len(self.int_rows)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Subspace)
-            and self.system is other.system
-            and self.int_rows == other.int_rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.system), self.int_rows))
-
-    def __repr__(self) -> str:
-        return f"Subspace({self.system.type}, dim={self.dim})"
 
 
 @dataclass
@@ -175,10 +147,7 @@ class _Block:
     (row, column, weight index, constant) with entry weight * constant, rows
     and columns counted in rows and cols, and the pivot order its first
     elimination took, filled in place and kept as long as the pattern, which
-    one search owns. A core with an odd cycle is one system (core, core);
-    a core 2-coloured into halves X, the smaller, and Y is (X, Y) and then
-    (Y, X), the second eliminated only when its kernel, of dimension
-    |X| - rank M[X][Y], is not 0 (module docstring). ``steps`` are the
+    one search owns; ``_core_systems`` says which. ``steps`` are the
     peeled pairs as (v, weight index, constant, rest): M[v][u] is
     weight * constant, and rest lists the cells (s, weight index, constant)
     of M[u][s] over the neighbours s of u that were live then and are in
@@ -199,13 +168,6 @@ class _Block:
     steps: list[tuple[int, int, int, list[tuple[int, int, int]]]]
     killing: list[int] = field(default_factory=list)
     split: int = 0
-
-    def raw_kernel(self, w: dict[int, int]) -> list[list[int]]:
-        """A basis of the block's kernel under the weights w, not reduced:
-        the ``core_kernel`` vectors, each extended over all the steps."""
-        vecs = self.core_kernel(w)
-        _back_substitute(vecs, w, self.steps)
-        return vecs
 
     def core_kernel(self, w: dict[int, int]) -> list[list[int]]:
         """Integer vectors over the positions of ``idx``, the core's kernel
@@ -496,23 +458,6 @@ def is_semisimple_element(r: RootSystem, x) -> bool:
 
 
 @dataclass(frozen=True)
-class CertChecks:
-    """Which of the three certificate checks one trial passed. A trial runs
-    them in the order dim S == index, a nondegenerate Killing restriction,
-    S abelian, each only when the one before it passed (``_attempt``), so a
-    field is True only when its check ran and passed: a trial that fails
-    the Killing check has ``abelian`` False without an abelian check."""
-
-    dim_equals_index: bool
-    abelian: bool
-    killing_nondegenerate: bool
-
-    @property
-    def all_true(self) -> bool:
-        return self.dim_equals_index and self.abelian and self.killing_nondegenerate
-
-
-@dataclass(frozen=True)
 class TorusCertificate:
     """Self-contained witness of quasi-reductivity for one coefficient draw:
     a searched one passed all three checks, and a parsed one passes them
@@ -524,26 +469,26 @@ class TorusCertificate:
     trial: int
 
 
-def _attempt(pattern, index: int, slots, ds) -> tuple[Subspace | None, CertChecks]:
-    """The three certificate checks of one draw of a search, and its
-    stabilizer S when it passes them all. slots is the ``_draw_layout`` of
-    the spec, a then b, ds holds one nonzero int per slot, index is
-    ``seaweed_index`` of the spec and pattern is ``_form_pattern`` of the
-    spec for the slots' dual indices. Those indices are
-    distinct, so the weights d * kappa, scaled by
-    ``linalg._primitive_int_row``, are the functional ``form_stabilizer``
-    computes for ``build_u`` of the draw (module docstring), and their
-    support is the pattern's.
+def _attempt(pattern, index: int, slots, ds) -> tuple[Subspace | None, str | None]:
+    """One draw of a search: (S, None) when its stabilizer S passes the
+    three certificate checks, else (None, the first check it fails), "dim",
+    "killing" or "abelian". slots is the ``_draw_layout`` of the spec, a
+    then b, ds holds one nonzero int per slot, index is ``seaweed_index`` of
+    the spec and pattern is ``_form_pattern`` of the spec for the slots'
+    dual indices. Those indices are distinct, so the weights d * kappa,
+    scaled by ``linalg._primitive_int_row``, are the functional
+    ``form_stabilizer`` computes for ``build_u`` of the draw (module
+    docstring), and their support is the pattern's.
 
-    The checks, in order, are dim S == index, a nondegenerate Killing
-    restriction to S (the integer Gram matrix kappa(x, y) over a basis of S
-    has full rank), and S abelian; each runs only when the one before it
-    passed, and each reads only what it needs of the raw block kernels,
-    which together are a basis of S: each block's vectors are independent,
-    and the blocks' ``idx`` are disjoint. None of the checks depends on the
-    basis: dim S is the number of vectors, the rank of a Gram matrix does
-    not change under a change of basis, and S is abelian exactly when the
-    vectors pairwise commute.
+    The checks run in that order, each only when the one before it passed:
+    dim S == index, a nondegenerate Killing restriction to S, and S abelian.
+    Each reads only what it needs of the raw block kernels, which together
+    are a basis of S: each block's vectors are independent, and the blocks'
+    ``idx`` are disjoint. None of the checks depends on the basis: dim S is
+    the number of vectors, the restriction is nondegenerate exactly when the
+    integer Gram matrix kappa(x, y) over the vectors has full rank, which no
+    change of basis alters, and S is abelian exactly when the vectors
+    pairwise commute.
 
     * dim S is counted before any back-substitution: it is the number of
       ``core_kernel`` vectors, one per isolated vertex and per core kernel
@@ -584,19 +529,19 @@ def _attempt(pattern, index: int, slots, ds) -> tuple[Subspace | None, CertCheck
     w = dict(zip([s.dual for s in slots], ws))
     raw = [block.core_kernel(w) for block in blocks]
     if sum(map(len, raw)) != index:
-        return None, CertChecks(False, False, False)
+        return None, "dim"
     for b, xs in zip(blocks, raw):
         _back_substitute(xs, w, b.steps[: b.split])
     rows = [[(b.idx[t], x[t]) for t in b.killing if x[t]] for b, xs in zip(blocks, raw) for x in xs]
     if linalg.rank(_killing_gram(kpairs, rows)) != len(rows):
-        return None, CertChecks(True, False, False)
+        return None, "killing"
     for b, xs in zip(blocks, raw):
         _back_substitute(xs, w, b.steps[b.split :])
     rows = [[(b.idx[t], v) for t, v in enumerate(x) if v] for b, xs in zip(blocks, raw) for x in xs]
     if not _commuting(r, rows):
-        return None, CertChecks(True, False, True)
+        return None, "abelian"
     S = Subspace(r, _canonical_rows((b.idx, xs) for b, xs in zip(blocks, raw)))
-    return S, CertChecks(True, True, True)
+    return S, None
 
 
 # Most trials one search may take, so that every search ends; the CLI's
@@ -628,8 +573,8 @@ def certify_quasi_reductive(
     rng = random.Random(seed)
     for t in range(trials):
         ds = _draw(len(slots), rng)
-        S, checks = _attempt(pattern, index, slots, ds)
-        if checks.all_true:
+        S, _ = _attempt(pattern, index, slots, ds)
+        if S is not None:
             return TorusCertificate(spec, _draw_cv(a, b, ds), S, t)
     return None
 

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 from quasired.cascade import kostant_cascade
 from quasired.rootsys import RootSystem, SimpleType, build_root_system
+from quasired.stabilizer import _back_substitute
 
 
 def system(family: str, rank: int) -> RootSystem:
@@ -86,3 +87,12 @@ def build_u_minus(spec):
     pos1 = set(r.subsystem_positive(spec.pi1))
     eps = [n.eps for n in kostant_cascade(r, spec.pi2).nodes if n.eps not in pos1]
     return r.checked_row([(r.idx_x(r.negative(e)), 1) for e in eps])
+
+
+def raw_kernel(block, w):
+    """A basis of a compiled block's kernel under the weights w, not
+    reduced: its ``core_kernel`` vectors, each extended over all its steps
+    in their order."""
+    vecs = block.core_kernel(w)
+    _back_substitute(vecs, w, block.steps)
+    return vecs

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import system
+from conftest import raw_kernel, system
 from form_oracle import (
     basis_elements,
     dense_form_stabilizer,
@@ -352,7 +352,7 @@ def _skew_terms(n, edges):
 
 def _peeled_kernel(terms, w):
     blocks = stabilizer._peel_blocks(terms)
-    return list(stabilizer._canonical_rows((b.idx, b.raw_kernel(w)) for b in blocks)), blocks
+    return list(stabilizer._canonical_rows((b.idx, raw_kernel(b, w)) for b in blocks)), blocks
 
 
 def _dense_rows(terms, w):
@@ -436,7 +436,7 @@ def _core_kernels(block, terms, w):
     """The canonical rows of a block's core kernel, eliminated through the
     block's systems and as the unsplit ``linalg._kernel`` of the whole
     core's skew matrix."""
-    split = dataclasses.replace(block, isolated=[], steps=[]).raw_kernel(w)
+    split = dataclasses.replace(block, isolated=[]).core_kernel(w)
     core = sorted({t for rows, cols, _, _ in block.systems for t in rows + cols})
     verts = [block.idx[t] for t in core]
     at = {i: a for a, i in enumerate(verts)}
@@ -509,7 +509,7 @@ def kernel_shapes(monkeypatch):
 
 def _split_rows(terms, w):
     (block,) = stabilizer._peel_blocks(terms)
-    return list(stabilizer._canonical_rows([(block.idx, block.raw_kernel(w))])), block
+    return list(stabilizer._canonical_rows([(block.idx, raw_kernel(block, w))])), block
 
 
 def test_an_odd_cycle_is_one_system(kernel_shapes):
@@ -630,7 +630,7 @@ def test_the_killing_steps_carry_the_gram_matrix():
             for block, twin in zip(blocks, peeled):
                 xs = block.core_kernel(w)
                 stabilizer._back_substitute(xs, w, block.steps[: block.split])
-                ys = block.raw_kernel(w)
+                ys = raw_kernel(block, w)
                 assert len(xs) == len(ys), spec
                 for x, y in zip(xs, ys):
                     at = block.killing
@@ -638,7 +638,7 @@ def test_the_killing_steps_carry_the_gram_matrix():
                 part += [[(block.idx[t], x[t]) for t in block.killing if x[t]] for x in xs]
                 full += [[(block.idx[t], v) for t, v in enumerate(y) if v] for y in ys]
                 assert stabilizer._canonical_rows([(block.idx, ys)]) == stabilizer._canonical_rows(
-                    [(twin.idx, twin.raw_kernel(w))]
+                    [(twin.idx, raw_kernel(twin, w))]
                 ), (spec, w)
             n = linalg.rank(stabilizer._killing_gram(kpairs, part))
             assert n == linalg.rank(stabilizer._killing_gram(kpairs, full)), (spec, w)

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import random
@@ -5,14 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import build_u_minus, dense, h_row, scaled, system, x_row
+from conftest import build_u_minus, dense, h_row, raw_kernel, scaled, system, x_row
 from form_oracle import basis_elements, dense_form_stabilizer, subspace_from_vectors
 from minpoly_oracle import is_squarefree, minimal_polynomial
 from test_verify_golden import LATE_CERTIFICATES, PARABOLICS
 from quasired import linalg
 from quasired.cascade import kostant_cascade
 from quasired.classify import classify_parabolic, non_qr_subsets
-from quasired.rootsys import MAX_CLASSICAL_RANK, SimpleType, ad_columns, killing
+from quasired.rootsys import MAX_CLASSICAL_RANK, RootSystem, SimpleType, ad_columns, killing
 from quasired.seaweed import (
     BiparabolicSpec,
     CoefficientVector,
@@ -27,7 +28,6 @@ from quasired.seaweed import (
 )
 from quasired.stabilizer import (
     MAX_TRIALS,
-    CertChecks,
     Subspace,
     _attempt,
     _commuting,
@@ -133,6 +133,23 @@ def test_subspace_contains():
     # a vector lies in S exactly when adding it leaves the canonical rows alone
     assert subspace_from_vectors(rs, [[1, 0, 1], [0, 1, 2], [2, 3, 8]]) == S
     assert subspace_from_vectors(rs, [[1, 0, 1], [0, 1, 2], [0, 0, 1]]) != S
+
+
+def test_subspaces_are_equal_by_their_system_object_and_rows():
+    # two stabilizers of one form are equal and hash alike; RootSystem
+    # defines no equality, so the same rows over a freshly built system of
+    # the same type make another subspace
+    spec = parabolic(SimpleType("E", 6), frozenset())
+    S = form_stabilizer(spec, build_u_minus(spec))
+    T = form_stabilizer(spec, build_u_minus(spec))
+    assert S is not T and S.dim == 2
+    assert S == T and hash(S) == hash(T)
+    fresh = Subspace(RootSystem(spec.ambient), S.int_rows)
+    assert fresh.system.type == S.system.type and fresh.int_rows == S.int_rows
+    assert fresh != S
+    assert len({S, T, fresh}) == 2
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        S.int_rows = ()
 
 
 def test_killing_radical_cases():
@@ -465,7 +482,8 @@ def test_gram_rank_verdict_matches_killing_radical(family, rank):
     # the raw block kernels at their Killing positions; killing_radical_on
     # builds the whole radical of the canonical stabilizer. Passing
     # index = dim S lets every S reach the Killing check of the trial, and
-    # the abelian check runs only after it passed
+    # the abelian check runs only after it passed. Both Killing verdicts
+    # occur, and no stabilizer that passes it fails the abelian check
     st = SimpleType(family, rank)
     verdicts = set()
     for n in range(rank + 1):
@@ -476,19 +494,28 @@ def test_gram_rank_verdict_matches_killing_radical(family, rank):
             for seed in (1, 2, 3):
                 ds = _draw(len(a) + len(b), random.Random(seed))
                 S = form_stabilizer(spec, build_u(spec, _draw_cv(a, b, ds)))
-                _, checks = _attempt(pattern, S.dim, a + b, ds)
-                nondegenerate = killing_radical_on(S).dim == 0
-                abelian = nondegenerate and is_abelian(S)
-                assert checks == CertChecks(True, abelian, nondegenerate), (sub, seed)
-                verdicts.add(nondegenerate)
-    assert verdicts == {True, False}
+                _, failed = _attempt(pattern, S.dim, a + b, ds)
+                assert failed == _first_failed(S, S.dim), (sub, seed)
+                verdicts.add(failed)
+    assert verdicts == {"killing", None}
+
+
+def _first_failed(S, index):
+    """The first check that the canonical stabilizer S fails, in a trial's
+    order, or None."""
+    return (
+        "dim" if S.dim != index
+        else "killing" if killing_radical_on(S).dim
+        else "abelian" if not is_abelian(S)
+        else None
+    )
 
 
 def _trial_checks(spec, seed, trials=20):
-    """The checks of each trial of the search on spec at seed, up to the
-    first that certifies, after checking each against the checks recomputed
-    on the canonical stabilizer of the draw, and a certifying trial's rows
-    against its rows."""
+    """The first failing check of each trial of the search on spec at seed,
+    up to the first that certifies, after checking each against the one
+    recomputed on the canonical stabilizer of the draw, and a certifying
+    trial's rows against its rows."""
     index = seaweed_index(spec)
     a, b = _draw_layout(spec)
     pattern = _form_pattern(spec, [s.dual for s in a + b])
@@ -496,15 +523,12 @@ def _trial_checks(spec, seed, trials=20):
     out = []
     for _ in range(trials):
         ds = _draw(len(a) + len(b), rng)
-        got, checks = _attempt(pattern, index, a + b, ds)
+        got, failed = _attempt(pattern, index, a + b, ds)
         S = form_stabilizer(spec, build_u(spec, _draw_cv(a, b, ds)))
-        dim = S.dim == index
-        nondegenerate = dim and killing_radical_on(S).dim == 0
-        abelian = nondegenerate and is_abelian(S)
-        assert checks == CertChecks(dim, abelian, nondegenerate), (spec, seed, len(out))
-        assert got == (S if checks.all_true else None), (spec, seed, len(out))
-        out.append(checks)
-        if checks.all_true:
+        assert failed == _first_failed(S, index), (spec, seed, len(out))
+        assert got == (S if failed is None else None), (spec, seed, len(out))
+        out.append(failed)
+        if failed is None:
             break
     return out
 
@@ -529,16 +553,16 @@ def test_every_trial_checks_match_the_canonical_stabilizer():
     for spec, seed in searches + late:
         checks = _trial_checks(spec, seed)
         cert = certify_quasi_reductive(spec, seed=seed)
-        assert (cert.trial if cert else None) == (len(checks) - 1 if checks[-1].all_true else None)
+        assert (cert.trial if cert else None) == (len(checks) - 1 if checks[-1] is None else None)
         runs.append(checks)
     assert {1, 20} <= {len(checks) for checks in runs[: len(searches)]}
     # both Killing verdicts occur on trials that reach the Killing check,
     # and every trial that passes it is abelian
-    reached = {c for checks in runs for c in checks if c.dim_equals_index}
-    assert reached == {CertChecks(True, False, False), CertChecks(True, True, True)}
+    reached = {c for checks in runs for c in checks if c != "dim"}
+    assert reached == {"killing", None}
     # each late certificate fails the dimension check at trial 0
     for checks in runs[len(searches) :]:
-        assert checks == [CertChecks(False, False, False), CertChecks(True, True, True)]
+        assert checks == ["dim", None]
 
 
 @pytest.mark.parametrize(
@@ -599,22 +623,25 @@ def test_every_e6_pair_checks_as_the_full_raw_kernel_does():
         rng = random.Random(5)
         for trial in range(20):
             ds = _draw(len(slots), rng)
-            _, checks = _attempt(pattern, index, slots, ds)
+            _, failed = _attempt(pattern, index, slots, ds)
             ws = linalg._primitive_int_row([d * s.kappa for s, d in zip(slots, ds)])
             w = dict(zip([s.dual for s in slots], ws))
             rows = [
                 [(block.idx[t], v) for t, v in enumerate(x) if v]
                 for block in blocks
-                for x in block.raw_kernel(w)
+                for x in raw_kernel(block, w)
             ]
-            dim = len(rows) == index
-            nondegenerate = dim and linalg.rank(_killing_gram(kpairs, rows)) == len(rows)
-            abelian = nondegenerate and _commuting(r, rows)
-            assert checks == CertChecks(dim, abelian, nondegenerate), (spec, trial)
-            if checks.all_true:
+            want = (
+                "dim" if len(rows) != index
+                else "killing" if linalg.rank(_killing_gram(kpairs, rows)) != len(rows)
+                else "abelian" if not _commuting(r, rows)
+                else None
+            )
+            assert failed == want, (spec, trial)
+            if failed is None:
                 break
         cert = certify_quasi_reductive(spec, trials=20, seed=5)
-        assert (cert.trial if cert else None) == (trial if checks.all_true else None), spec
+        assert (cert.trial if cert else None) == (trial if failed is None else None), spec
         if cert:
             certified += 1
             digest.update(certificate_to_text(cert).encode())
